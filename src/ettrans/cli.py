@@ -2,12 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
-# Keep BLAS single-threaded so runs are reproducible and small matmuls stay cheap.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import argparse
 import json
 import sys

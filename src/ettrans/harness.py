@@ -112,7 +112,7 @@ class ExperimentConfig:
             n_heads=self.n_heads,
             d_ff=self.d_ff,
             primary_task_id=p.task_id,
-            decoder_kind=tr.DECODER_FOR_TASK_KIND[p.kind],
+            decoder_kind=p.kind,
             horizon=p.horizon,
             n_verbs=p.n_verbs,
             n_nouns=p.n_nouns,
@@ -339,7 +339,8 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def cache_store(path: str | Path, seq: FeatureSequence) -> None:
-    """Write one feature sequence in the binary cache format (bit-exact)."""
+    """Write one feature sequence in the binary cache format (bit-exact),
+    atomically."""
     task_bytes = seq.task_id.encode("utf-8")
     t_k, d_k = seq.values.shape
     header = (
@@ -351,7 +352,11 @@ def cache_store(path: str | Path, seq: FeatureSequence) -> None:
     )
     values = np.ascontiguousarray(seq.values, dtype="<f4").tobytes()
     times = np.ascontiguousarray(seq.frame_times_s, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + values + times)
+    # write aside, then rename: a concurrent reader sees no file or a whole one
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_bytes(header + values + times)
+    os.replace(tmp, path)
 
 
 def cache_file_size(task_id: str, t_k: int, d_k: int) -> int:
@@ -453,14 +458,20 @@ def _bayes_summary(config: ExperimentConfig) -> dict:
 
 
 def _cached_features(
-    cache_dir: Path,
-    model: tm.TaskModel,
-    clip,
-    stride_s: float,
-    clip_key: str,
+    cache_dir: Path, model: tm.TaskModel, clip, stride_s: float
 ) -> FeatureSequence:
-    key = f"{model.task_id}_{model.checksum()[:16]}_{clip_key}.ettf"
-    path = cache_dir / key
+    """Features of one clip, keyed on everything they are computed from: the
+    model's parameters and input geometry, the stride and the clip itself."""
+    digest = hashlib.sha256(
+        repr(
+            (
+                model.checksum(), model.channels, model.native_fps, model.native_window_s,
+                stride_s, clip.fps, clip.duration_s, clip.values.shape, clip.values.dtype.str,
+            )
+        ).encode()
+    )
+    digest.update(np.ascontiguousarray(clip.values).tobytes())
+    path = cache_dir / f"{model.task_id}_{digest.hexdigest()[:32]}.ettf"
     if path.exists():
         return cache_load(path)
     seq = tr.align_and_extract(clip, model, stride_s)
@@ -473,23 +484,17 @@ def _stage2_samples(
     dataset: st.SyntheticDataset,
     models: Mapping[str, tm.TaskModel],
     task_ids: Sequence[str],
-    cache_dir: Path | None,
+    cache_dir: Path,
 ) -> list[tg.Stage2Sample]:
     primary_id = config.primary.spec.task_id
     labels = dataset.task_labels(primary_id)
     samples = []
-    for i, clip in enumerate(dataset.clips):
+    for clip, label in zip(dataset.clips, labels):
         features = {}
         for task_id in task_ids:
-            model = models[task_id]
             stride = config.task(task_id).stride_s
-            if cache_dir is None:
-                features[task_id] = tr.align_and_extract(clip, model, stride)
-            else:
-                features[task_id] = _cached_features(
-                    cache_dir, model, clip, stride, f"{dataset.split}{i}"
-                )
-        samples.append((features, labels[i]))
+            features[task_id] = _cached_features(cache_dir, models[task_id], clip, stride)
+        samples.append((features, label))
     return samples
 
 

@@ -3,32 +3,11 @@ normalized edit distance over future action sequences."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import UndefinedMetricError
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    metric: str
-    value: float
-    n_samples: int
-    split: str
-    seed: int
-    config_hash: str
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "value": self.value,
-            "n_samples": self.n_samples,
-            "split": self.split,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
 
 
 def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
@@ -60,11 +39,6 @@ def average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
             hits += 1
             total += hits / rank
     return total / n_pos
-
-
-def mean_average_precision(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """mAP over a single binary task equals its AP."""
-    return average_precision(scores, labels)
 
 
 def localization_error(pred_time_s: float, true_time_s: float) -> float:

@@ -197,15 +197,6 @@ def matmul(a, b) -> Tensor:
     return _node(value, (a, b), vjp)
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g: Array) -> None:
-        _accumulate(a, g.T)
-
-    return _node(a.value.T, (a,), vjp)
-
-
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = as_tensor(a)
@@ -238,20 +229,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _node(value, parts, vjp)
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise DimensionError("concat_cols needs at least one part")
-    value = np.concatenate([p.value for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.cols for p in parts])
-
-    def vjp(g: Array) -> None:
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(part, g[:, lo:hi])
-
-    return _node(value, parts, vjp)
-
-
 def slice_rows(a, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
     value = a.value[start:stop].copy()
@@ -259,18 +236,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     def vjp(g: Array) -> None:
         full = np.zeros_like(a.value)
         full[start:stop] = g
-        _accumulate(a, full)
-
-    return _node(value, (a,), vjp)
-
-
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    value = a.value[:, start:stop].copy()
-
-    def vjp(g: Array) -> None:
-        full = np.zeros_like(a.value)
-        full[:, start:stop] = g
         _accumulate(a, full)
 
     return _node(value, (a,), vjp)
@@ -413,20 +378,6 @@ def softmax(x) -> Tensor:
 
     def vjp(g: Array) -> None:
         _accumulate(x, (y * (g - float(np.dot(g, y)))).astype(x.dtype, copy=False))
-
-    return _node(y.astype(x.dtype, copy=False), (x,), vjp)
-
-
-def softmax_rows(x) -> Tensor:
-    """Row-wise softmax of a matrix (attention weights)."""
-    x = as_tensor(x)
-    if x.value.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    y = _softmax_value(x.value, axis=1)
-
-    def vjp(g: Array) -> None:
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(x, (y * (g - dot)).astype(x.dtype, copy=False))
 
     return _node(y.astype(x.dtype, copy=False), (x,), vjp)
 

@@ -319,8 +319,9 @@ def _aux_llr(v: np.ndarray, mu_v: float, q: float) -> np.ndarray:
     """Log-likelihood ratio for the primary latent from one auxiliary statistic."""
     # P(v | s_p = +1) ~ q N(mu_v, 1) + (1-q) N(-mu_v, 1); flip weights for -1.
     a = mu_v * v
-    top = np.logaddexp(np.log(q) + a, np.log1p(-q) - a)
-    bot = np.logaddexp(np.log1p(-q) + a, np.log(q) - a)
+    with np.errstate(divide="ignore"):  # log(0) = -inf at q = 1 is exact here
+        top = np.logaddexp(np.log(q) + a, np.log1p(-q) - a)
+        bot = np.logaddexp(np.log1p(-q) + a, np.log(q) - a)
     return top - bot
 
 

@@ -2,7 +2,10 @@
 
 The trunk maps raw channels to per-frame features through a two-layer
 perceptron and one causal lag-mixing layer, so features carry temporal
-context. Heads mirror the decoder forms used downstream, one task at a time.
+context. This module owns the task kind: the head for each kind (its
+parameters, its graph and the readout of a prediction from its output) is
+defined here once and reused, under another parameter prefix, as the
+translator's decoder.
 Models are trained in stage 1 and frozen afterwards; a frozen model's
 parameters must survive any later training bit-identical.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -106,23 +110,66 @@ def trunk_graph(x: nn.Tensor, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
     return nn.causal_mix(h, leaves["trunk/mix"])
 
 
-def head_graph(features: nn.Tensor, leaves: dict[str, nn.Tensor], kind: str):
+def head_graph(features: nn.Tensor, leaves: Mapping[str, nn.Tensor], kind: str, prefix: str = "head"):
+    """Head output for one sample: a 1x1 logit (binary), one score per frame
+    (localization), or one (verb, noun) logit pair per future step (sequence)."""
     if kind == KIND_BINARY:
         pooled = nn.mean_rows(features)
-        return nn.linear(pooled, leaves["head/w"], leaves["head/b"])
+        return nn.linear(pooled, leaves[f"{prefix}/w"], leaves[f"{prefix}/b"])
     if kind == KIND_LOCALIZATION:
-        return nn.linear(features, leaves["head/w"], leaves["head/b"])
+        return nn.linear(features, leaves[f"{prefix}/w"], leaves[f"{prefix}/b"])
     if kind == KIND_SEQUENCE:
         pooled = nn.mean_rows(features)
         steps = []
         z = 0
-        while f"head/step{z}/verb_w" in leaves:
-            verb = nn.linear(pooled, leaves[f"head/step{z}/verb_w"], leaves[f"head/step{z}/verb_b"])
-            noun = nn.linear(pooled, leaves[f"head/step{z}/noun_w"], leaves[f"head/step{z}/noun_b"])
+        while f"{prefix}/step{z}/verb_w" in leaves:
+            step = f"{prefix}/step{z}"
+            verb = nn.linear(pooled, leaves[f"{step}/verb_w"], leaves[f"{step}/verb_b"])
+            noun = nn.linear(pooled, leaves[f"{step}/noun_w"], leaves[f"{step}/noun_b"])
             steps.append((verb, noun))
             z += 1
         return steps
     raise ValueError(f"unknown task kind: {kind!r}")
+
+
+def add_head_params(
+    params: nn.ParamSet,
+    prefix: str,
+    kind: str,
+    width: int,
+    rng: np.random.Generator,
+    dtype=np.float64,
+    horizon: int = 0,
+    n_verbs: int = 0,
+    n_nouns: int = 0,
+) -> None:
+    """Add a fresh head over ``width``-wide features to ``params``."""
+    def w(shape):
+        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape).astype(dtype)
+
+    if kind in (KIND_BINARY, KIND_LOCALIZATION):
+        params.add(f"{prefix}/w", w((width, 1)))
+        params.add(f"{prefix}/b", np.zeros(1, dtype=dtype))
+    elif kind == KIND_SEQUENCE:
+        if horizon < 1 or n_verbs < 1 or n_nouns < 1:
+            raise ValueError("sequence head needs horizon, n_verbs and n_nouns >= 1")
+        for z in range(horizon):
+            params.add(f"{prefix}/step{z}/verb_w", w((width, n_verbs)))
+            params.add(f"{prefix}/step{z}/verb_b", np.zeros(n_verbs, dtype=dtype))
+            params.add(f"{prefix}/step{z}/noun_w", w((width, n_nouns)))
+            params.add(f"{prefix}/step{z}/noun_b", np.zeros(n_nouns, dtype=dtype))
+    else:
+        raise ValueError(f"unknown task kind: {kind!r}")
+
+
+def readout(kind: str, output, frame_times_s: np.ndarray):
+    """The predicted value of a head output: the logit as a float, the time of
+    the earliest top-scoring frame, or the argmax (verb, noun) of each step."""
+    if kind == KIND_BINARY:
+        return output.item()
+    if kind == KIND_LOCALIZATION:
+        return float(frame_times_s[int(np.argmax(output.value.reshape(-1)))])
+    return [(int(np.argmax(v.value)), int(np.argmax(n.value))) for v, n in output]
 
 
 def init_task_model(
@@ -151,19 +198,7 @@ def init_task_model(
     mix[0] = 1.0  # identity mixing at init
     params.add("trunk/mix", mix)
 
-    if kind in (KIND_BINARY, KIND_LOCALIZATION):
-        params.add("head/w", w((feature_dim, 1)))
-        params.add("head/b", np.zeros(1, dtype=dtype))
-    elif kind == KIND_SEQUENCE:
-        if horizon < 1 or n_verbs < 1 or n_nouns < 1:
-            raise ValueError("sequence task needs horizon, n_verbs and n_nouns >= 1")
-        for z in range(horizon):
-            params.add(f"head/step{z}/verb_w", w((feature_dim, n_verbs)))
-            params.add(f"head/step{z}/verb_b", np.zeros(n_verbs, dtype=dtype))
-            params.add(f"head/step{z}/noun_w", w((feature_dim, n_nouns)))
-            params.add(f"head/step{z}/noun_b", np.zeros(n_nouns, dtype=dtype))
-    else:
-        raise ValueError(f"unknown task kind: {kind!r}")
+    add_head_params(params, "head", kind, feature_dim, rng, dtype, horizon, n_verbs, n_nouns)
 
     return TaskModel(
         task_id=task_id,

@@ -182,12 +182,11 @@ def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float
     )
 
 
-def extract_features(clip: FrameSeq, model, plan: WindowPlan, pooling: str = "per_frame") -> FeatureSequence:
+def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence:
     """Run a frozen model's trunk over each planned window and merge outputs.
 
-    ``per_frame`` pooling keeps one feature row per clip frame, averaging
-    rows that fall in several windows. ``per_window`` keeps one mean-pooled
-    row per window instead (timestamped at the window center).
+    The result keeps one feature row per clip frame, averaging rows that fall
+    in several windows.
     """
     if abs(clip.fps - plan.fps) > _FRAME_ALIGN_TOL:
         raise AlignmentError(f"clip at {clip.fps} fps but plan was made for {plan.fps} fps")
@@ -204,8 +203,6 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan, pooling: str = "pe
         raise ContractViolationError(
             f"model {model.task_id!r} must be frozen before feature extraction"
         )
-    if pooling not in ("per_frame", "per_window"):
-        raise ValueError(f"unknown pooling mode: {pooling!r}")
 
     win_f = plan.frames_per_window
     times = clip.frame_times()
@@ -225,13 +222,6 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan, pooling: str = "pe
             )
         window_rows.append(feats)
         window_starts.append(start)
-
-    if pooling == "per_window":
-        pooled = np.stack([w.mean(axis=0) for w in window_rows])
-        centers = np.array(
-            [times[s] + 0.5 * (win_f - 1) / plan.fps for s in window_starts]
-        )
-        return FeatureSequence(model.task_id, pooled.astype(np.float32), centers)
 
     dim = window_rows[0].shape[1]
     total = np.zeros((clip.n_frames, dim), dtype=np.float64)

@@ -92,35 +92,38 @@ def optimizer_step(
 # losses
 
 
-def loss(prediction, label, kind: str) -> nn.Tensor:
-    """Scalar training loss for one sample of the given task kind."""
-    if kind in (tm.KIND_BINARY, tr.DECODER_BINARY):
-        logit = prediction.logit if isinstance(prediction, tr.Prediction) else prediction
-        return nn.sigmoid_cross_entropy(logit, float(label))
-    if kind in (tm.KIND_LOCALIZATION, tr.DECODER_LOCALIZATION):
-        scores = (
-            prediction.frame_scores if isinstance(prediction, tr.Prediction) else prediction
-        )
-        index = label.frame if isinstance(label, LocalizationLabel) else int(label)
-        return nn.softmax_cross_entropy(scores, index)
-    if kind in (tm.KIND_SEQUENCE, tr.DECODER_SEQUENCE):
-        steps = prediction.steps if isinstance(prediction, tr.Prediction) else prediction
-        if len(steps) != len(label):
-            raise ValueError(f"{len(steps)} predicted steps for {len(label)} labels")
+def loss(output, label, kind: str) -> nn.Tensor:
+    """Scalar training loss of one head output of the given task kind; a
+    localization label is the target frame index."""
+    if kind == tm.KIND_BINARY:
+        return nn.sigmoid_cross_entropy(output, float(label))
+    if kind == tm.KIND_LOCALIZATION:
+        return nn.softmax_cross_entropy(output, int(label))
+    if kind == tm.KIND_SEQUENCE:
+        if len(output) != len(label):
+            raise ValueError(f"{len(output)} predicted steps for {len(label)} labels")
         total = None
-        for (verb_logits, noun_logits), (v, n) in zip(steps, label):
+        for (verb_logits, noun_logits), (v, n) in zip(output, label):
             term = nn.add(
                 nn.softmax_cross_entropy(verb_logits, v),
                 nn.softmax_cross_entropy(noun_logits, n),
             )
             total = term if total is None else nn.add(total, term)
-        return nn.scale(total, 1.0 / (2.0 * len(steps)))
+        return nn.scale(total, 1.0 / (2.0 * len(output)))
     raise ValueError(f"unknown task kind: {kind!r}")
 
 
 def localization_target_index(label: LocalizationLabel, frame_times_s: np.ndarray) -> int:
     """Index of the frame whose timestamp is nearest the labeled change time."""
     return int(np.argmin(np.abs(np.asarray(frame_times_s) - label.time_s)))
+
+
+def _label_loss(output, label, kind: str, frame_times_s: np.ndarray) -> nn.Tensor:
+    """``loss`` against a dataset label; ``frame_times_s`` are the times of
+    the frames a localization head scored."""
+    if kind == tm.KIND_LOCALIZATION:
+        label = localization_target_index(label, frame_times_s)
+    return loss(output, label, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,6 @@ class TrainReport:
     val_metrics: list[float] = field(default_factory=list)
     best_epoch: int = -1
     stopped_epoch: int = -1
-    final_test_metric: float | None = None
     wall_clock_s: float = 0.0
 
     @property
@@ -155,7 +157,6 @@ class TrainReport:
             "best_epoch": self.best_epoch,
             "stopped_epoch": self.stopped_epoch,
             "best_val_metric": self.val_metrics[self.best_epoch] if self.val_metrics else None,
-            "final_test_metric": self.final_test_metric,
             "wall_clock_s": self.wall_clock_s,
         }
 
@@ -261,20 +262,43 @@ def run_steps(
 
 
 # ---------------------------------------------------------------------------
-# metric plumbing shared by both stages
+# forward, loss and readout shared by both stages
+#
+# A stage's ``forward(sample, leaves)`` returns (head output, times of the
+# scored frames, label); the loss and the prediction are read from that one
+# output.
+
+
+def _build_loss(kind: str, forward: Callable):
+    def build_loss(sample, leaves):
+        output, frame_times_s, label = forward(sample, leaves)
+        return _label_loss(output, label, kind, frame_times_s)
+
+    return build_loss
+
+
+def _predictions(samples: Sequence, leaves, kind: str, forward: Callable) -> tuple[list, list, float]:
+    preds, labels = [], []
+    total_loss = 0.0
+    for sample in samples:
+        output, frame_times_s, label = forward(sample, leaves)
+        total_loss += float(_label_loss(output, label, kind, frame_times_s).value)
+        preds.append(tm.readout(kind, output, frame_times_s))
+        labels.append(label)
+    return preds, labels, total_loss / len(samples)
 
 
 def _metric_for_kind(kind: str) -> tuple[str, bool]:
-    if kind in (tm.KIND_BINARY, tr.DECODER_BINARY):
+    if kind == tm.KIND_BINARY:
         return "accuracy", True
-    if kind in (tm.KIND_LOCALIZATION, tr.DECODER_LOCALIZATION):
+    if kind == tm.KIND_LOCALIZATION:
         return "localization_error_s", False
     return "edit_distance_action", False
 
 
 def _score_predictions(kind: str, preds: list, labels: list) -> tuple[float, dict[str, float]]:
     """Headline metric plus a full metric dict for a batch of predictions."""
-    if kind in (tm.KIND_BINARY, tr.DECODER_BINARY):
+    if kind == tm.KIND_BINARY:
         logits = np.array([p for p in preds])
         classes = (logits > 0).astype(int).tolist()
         acc = metrics_mod.accuracy(classes, labels)
@@ -282,7 +306,7 @@ def _score_predictions(kind: str, preds: list, labels: list) -> tuple[float, dic
         if any(labels) and not all(labels):
             out["map"] = metrics_mod.average_precision(logits.tolist(), labels)
         return acc, out
-    if kind in (tm.KIND_LOCALIZATION, tr.DECODER_LOCALIZATION):
+    if kind == tm.KIND_LOCALIZATION:
         err = metrics_mod.mean_localization_error(
             [p for p in preds], [lab.time_s for lab in labels]
         )
@@ -309,17 +333,6 @@ def _stage1_samples(dataset: SyntheticDataset, task_id: str) -> list[tuple[Frame
     return list(zip(dataset.clips, dataset.task_labels(task_id)))
 
 
-def _stage1_prediction_value(model: tm.TaskModel, clip: FrameSeq, leaves) -> object:
-    feats = model.trunk_graph(clip, leaves)
-    pred = model.head_forward(feats, leaves)
-    if model.kind == tm.KIND_BINARY:
-        return pred.item()
-    if model.kind == tm.KIND_LOCALIZATION:
-        scores = pred.value.reshape(-1)
-        return float(clip.frame_times()[int(np.argmax(scores))])
-    return [(int(np.argmax(v.value)), int(np.argmax(n.value))) for v, n in pred]
-
-
 def train_stage1(
     model: tm.TaskModel,
     train_set: SyntheticDataset,
@@ -333,37 +346,23 @@ def train_stage1(
     val_samples = _stage1_samples(val_set, task_id)
     metric_name, greater = _metric_for_kind(model.kind)
 
-    def build_loss(sample, leaves):
+    def forward(sample, leaves):
         clip, label = sample
-        feats = model.trunk_graph(clip, leaves)
-        pred = model.head_forward(feats, leaves)
-        if model.kind == tm.KIND_LOCALIZATION:
-            label = localization_target_index(label, clip.frame_times())
-        return loss(pred, label, model.kind)
+        output = model.head_forward(model.trunk_graph(clip, leaves), leaves)
+        return output, clip.frame_times(), label
 
     def evaluate(samples, params):
-        leaves = params.as_tensors(train=False)
-        total_loss = 0.0
-        preds, labels = [], []
-        for clip, label in samples:
-            feats = model.trunk_graph(clip, leaves)
-            pred = model.head_forward(feats, leaves)
-            loss_label = (
-                localization_target_index(label, clip.frame_times())
-                if model.kind == tm.KIND_LOCALIZATION
-                else label
-            )
-            total_loss += float(loss(pred, loss_label, model.kind).value)
-            preds.append(_stage1_prediction_value(model, clip, leaves))
-            labels.append(label)
+        preds, labels, mean_loss = _predictions(
+            samples, params.as_tensors(train=False), model.kind, forward
+        )
         metric, _ = _score_predictions(model.kind, preds, labels)
-        return total_loss / len(samples), metric
+        return mean_loss, metric
 
     report = fit(
         model.params,
         train_samples,
         val_samples,
-        build_loss,
+        _build_loss(model.kind, forward),
         evaluate,
         metric_name,
         greater,
@@ -381,42 +380,26 @@ def train_stage1(
 Stage2Sample = tuple[dict[str, FeatureSequence], object]
 
 
-def _stage2_loss_label(label, features: Mapping[str, FeatureSequence], config: tr.TranslatorConfig):
-    if config.decoder_kind == tr.DECODER_LOCALIZATION:
-        times = features[config.primary_task_id].frame_times_s
-        return localization_target_index(label, times)
-    return label
+def _stage2_forward(config: tr.TranslatorConfig) -> Callable:
+    def forward(sample: Stage2Sample, leaves):
+        features, label = sample
+        output = tr.translate(features, leaves, config)
+        return output, features[config.primary_task_id].frame_times_s, label
+
+    return forward
 
 
 def stage2_build_loss(config: tr.TranslatorConfig):
-    def build_loss(sample: Stage2Sample, leaves):
-        features, label = sample
-        pred = tr.translate(features, leaves, config)
-        return loss(pred, _stage2_loss_label(label, features, config), config.decoder_kind)
-
-    return build_loss
+    return _build_loss(config.decoder_kind, _stage2_forward(config))
 
 
 def stage2_predictions(
     samples: Sequence[Stage2Sample], params: nn.ParamSet, config: tr.TranslatorConfig
 ) -> tuple[list, list, float]:
     """Forward every sample without gradients; returns preds, labels, mean loss."""
-    leaves = params.as_tensors(train=False)
-    preds, labels = [], []
-    total_loss = 0.0
-    for features, label in samples:
-        pred = tr.translate(features, leaves, config)
-        total_loss += float(
-            loss(pred, _stage2_loss_label(label, features, config), config.decoder_kind).value
-        )
-        if config.decoder_kind == tr.DECODER_BINARY:
-            preds.append(pred.logit.item())
-        elif config.decoder_kind == tr.DECODER_LOCALIZATION:
-            preds.append(pred.keyframe_time_s)
-        else:
-            preds.append(pred.actions())
-        labels.append(label)
-    return preds, labels, total_loss / len(samples)
+    return _predictions(
+        samples, params.as_tensors(train=False), config.decoder_kind, _stage2_forward(config)
+    )
 
 
 def evaluate_stage2(

@@ -3,9 +3,10 @@
 Per-task projections map heterogeneous feature widths into a shared latent
 space; the projected sequences are concatenated (primary task first, then
 auxiliaries in declared order), a learned task positional embedding is added,
-a transformer encoder stack mixes tokens across tasks and time, and a
-task-type decoder reads out the primary prediction. Only parameters created
-here receive gradients; upstream task models stay frozen.
+a transformer encoder stack mixes tokens across tasks and time, and the
+primary task kind's head from ``task_models`` (under the ``dec/`` prefix)
+decodes the encoded tokens. Only parameters created here receive gradients;
+upstream task models stay frozen.
 """
 
 from __future__ import annotations
@@ -17,19 +18,8 @@ import numpy as np
 
 from . import nn_core as nn
 from . import task_models
-from .errors import ContractViolationError, DimensionError
+from .errors import DimensionError
 from .temporal_align import FeatureSequence, FrameSeq, extract_features, plan_windows, resample
-
-DECODER_BINARY = "binary_classification"
-DECODER_LOCALIZATION = "temporal_localization"
-DECODER_SEQUENCE = "sequence_anticipation"
-DECODER_KINDS = (DECODER_BINARY, DECODER_LOCALIZATION, DECODER_SEQUENCE)
-
-DECODER_FOR_TASK_KIND = {
-    task_models.KIND_BINARY: DECODER_BINARY,
-    task_models.KIND_LOCALIZATION: DECODER_LOCALIZATION,
-    task_models.KIND_SEQUENCE: DECODER_SEQUENCE,
-}
 
 
 @dataclass(frozen=True)
@@ -66,15 +56,11 @@ class TranslatorConfig:
             )
         if self.n_layers < 1:
             raise ValueError("need at least one encoder layer")
-        if self.decoder_kind not in DECODER_KINDS:
+        if self.decoder_kind not in task_models.TASK_KINDS:
             raise ValueError(f"unknown decoder kind: {self.decoder_kind!r}")
-        if self.decoder_kind == DECODER_SEQUENCE:
+        if self.decoder_kind == task_models.KIND_SEQUENCE:
             if self.horizon < 1 or self.n_verbs < 1 or self.n_nouns < 1:
                 raise ValueError("sequence decoder needs horizon, n_verbs, n_nouns >= 1")
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_dims)
 
     @property
     def total_tokens(self) -> int:
@@ -83,25 +69,6 @@ class TranslatorConfig:
     @property
     def task_ids(self) -> tuple[str, ...]:
         return tuple(t for t, _, _ in self.task_dims)
-
-    def span_map(self) -> dict[str, tuple[int, int]]:
-        spans = {}
-        start = 0
-        for task_id, t_k, _ in self.task_dims:
-            spans[task_id] = (start, t_k)
-            start += t_k
-        return spans
-
-
-def canonical_task_dims(
-    dims: Mapping[str, tuple[int, int]], primary_task_id: str
-) -> tuple[tuple[str, int, int], ...]:
-    """Order (task_id -> (n_frames, feature_dim)) with the primary first."""
-    if primary_task_id not in dims:
-        raise ValueError(f"primary task {primary_task_id!r} missing from {list(dims)}")
-    ordered = [(primary_task_id, *dims[primary_task_id])]
-    ordered += [(t, *dims[t]) for t in dims if t != primary_task_id]
-    return tuple(ordered)
 
 
 def init_translator_params(
@@ -117,15 +84,10 @@ def init_translator_params(
     for layer in range(config.n_layers):
         for name, arr in nn.init_encoder_layer_arrays(rng, config.d_model, config.d_ff, dtype).items():
             params.add(f"enc{layer}/{name}", arr)
-    if config.decoder_kind in (DECODER_BINARY, DECODER_LOCALIZATION):
-        params.add("dec/w", w((config.d_model, 1)))
-        params.add("dec/b", np.zeros(1, dtype=dtype))
-    else:
-        for z in range(config.horizon):
-            params.add(f"dec/step{z}/verb_w", w((config.d_model, config.n_verbs)))
-            params.add(f"dec/step{z}/verb_b", np.zeros(config.n_verbs, dtype=dtype))
-            params.add(f"dec/step{z}/noun_w", w((config.d_model, config.n_nouns)))
-            params.add(f"dec/step{z}/noun_b", np.zeros(config.n_nouns, dtype=dtype))
+    task_models.add_head_params(
+        params, "dec", config.decoder_kind, config.d_model, rng, dtype,
+        config.horizon, config.n_verbs, config.n_nouns,
+    )
     return params
 
 
@@ -198,79 +160,17 @@ def encoder_layers_from(
     ]
 
 
-def decode_classification(z: TokenSequence, leaves: Mapping[str, nn.Tensor]) -> nn.Tensor:
-    """Mean-pool every token, then a linear map to one logit (1x1 tensor)."""
-    if z.tokens.rows == 0:
-        raise DimensionError("cannot decode an empty token sequence")
-    pooled = nn.mean_rows(z.tokens)
-    return nn.linear(pooled, leaves["dec/w"], leaves["dec/b"])
-
-
-def decode_localization(
-    z: TokenSequence,
-    leaves: Mapping[str, nn.Tensor],
-    primary_task_id: str,
-    frame_times_s: np.ndarray,
-) -> tuple[nn.Tensor, float]:
-    """Score each primary-span token; the keyframe is the argmax frame's time.
-
-    Ties break toward the earliest frame.
-    """
-    if primary_task_id not in z.spans:
-        raise DimensionError(f"no span for primary task {primary_task_id!r}")
-    start, length = z.spans[primary_task_id]
-    if length == 0:
-        raise DimensionError(f"primary span of {primary_task_id!r} is empty")
-    if len(frame_times_s) != length:
-        raise DimensionError(
-            f"{length} primary tokens but {len(frame_times_s)} frame times"
-        )
-    span = nn.slice_rows(z.tokens, start, start + length)
-    scores = nn.linear(span, leaves["dec/w"], leaves["dec/b"])
-    best = int(np.argmax(scores.value.reshape(-1)))  # np.argmax takes the first max
-    return scores, float(frame_times_s[best])
-
-
-def decode_sequence(
-    z: TokenSequence, leaves: Mapping[str, nn.Tensor], config: TranslatorConfig
-) -> list[tuple[nn.Tensor, nn.Tensor]]:
-    """Mean-pooled representation feeding one (verb, noun) head per future step."""
-    if config.horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {config.horizon}")
-    pooled = nn.mean_rows(z.tokens)
-    steps = []
-    for z_step in range(config.horizon):
-        verb = nn.linear(pooled, leaves[f"dec/step{z_step}/verb_w"], leaves[f"dec/step{z_step}/verb_b"])
-        noun = nn.linear(pooled, leaves[f"dec/step{z_step}/noun_w"], leaves[f"dec/step{z_step}/noun_b"])
-        steps.append((verb, noun))
-    return steps
-
-
-@dataclass
-class Prediction:
-    kind: str
-    logit: nn.Tensor | None = None
-    frame_scores: nn.Tensor | None = None
-    keyframe_time_s: float | None = None
-    steps: list[tuple[nn.Tensor, nn.Tensor]] | None = None
-
-    def probability(self) -> float:
-        return 1.0 / (1.0 + np.exp(-self.logit.item()))
-
-    def actions(self) -> list[tuple[int, int]]:
-        return [
-            (int(np.argmax(v.value)), int(np.argmax(n.value)))
-            for v, n in self.steps
-        ]
-
-
 def translate(
     features: Mapping[str, FeatureSequence],
     leaves: Mapping[str, nn.Tensor],
     config: TranslatorConfig,
     weights_out: list | None = None,
-) -> Prediction:
-    """Project, assemble, encode and decode one sample's feature sequences."""
+):
+    """Project, assemble, encode and decode one sample's feature sequences.
+
+    Returns the raw head output for the primary task kind; a localization
+    head scores only the primary task's tokens.
+    """
     projected = []
     for task_id, t_k, d_k in config.task_dims:
         if task_id not in features:
@@ -285,49 +185,19 @@ def translate(
     z0 = assemble_tokens(projected, leaves["task_pos"])
     z_out = encode(z0, encoder_layers_from(leaves, config), config.norm_first, weights_out)
 
-    if config.decoder_kind == DECODER_BINARY:
-        return Prediction(kind=config.decoder_kind, logit=decode_classification(z_out, leaves))
-    if config.decoder_kind == DECODER_LOCALIZATION:
-        times = features[config.primary_task_id].frame_times_s
-        scores, key_time = decode_localization(z_out, leaves, config.primary_task_id, times)
-        return Prediction(
-            kind=config.decoder_kind, frame_scores=scores, keyframe_time_s=key_time
-        )
-    return Prediction(kind=config.decoder_kind, steps=decode_sequence(z_out, leaves, config))
+    tokens = z_out.tokens
+    if config.decoder_kind == task_models.KIND_LOCALIZATION:
+        start, length = z_out.spans[config.primary_task_id]
+        tokens = nn.slice_rows(tokens, start, start + length)
+    return task_models.head_graph(tokens, leaves, config.decoder_kind, "dec")
 
 
 def align_and_extract(
     clip: FrameSeq,
     model: task_models.TaskModel,
     stride_s: float,
-    pooling: str = "per_frame",
 ) -> FeatureSequence:
     """Resample a clip to one model's native fps, slide windows, extract."""
     clip_k = resample(clip, model.native_fps)
     plan = plan_windows(clip_k.duration_s, model.native_window_s, stride_s, model.native_fps)
-    return extract_features(clip_k, model, plan, pooling=pooling)
-
-
-def forward(
-    clip: FrameSeq,
-    models: Mapping[str, task_models.TaskModel],
-    params: nn.ParamSet,
-    config: TranslatorConfig,
-    strides_s: Mapping[str, float],
-    train: bool = False,
-) -> Prediction:
-    """Full pipeline: per-task alignment and extraction, then translation.
-
-    Gradients (when ``train``) flow only into ``params``; the frozen task
-    models contribute constant features.
-    """
-    for task_id in config.task_ids:
-        if task_id not in models:
-            raise ContractViolationError(f"no task model for {task_id!r}")
-        if not models[task_id].frozen:
-            raise ContractViolationError(f"task model {task_id!r} is not frozen")
-    features = {
-        task_id: align_and_extract(clip, models[task_id], strides_s[task_id])
-        for task_id in config.task_ids
-    }
-    return translate(features, params.as_tensors(train=train), config)
+    return extract_features(clip_k, model, plan)

@@ -177,7 +177,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
     dims = (("p", 4, 4), ("a", 2, 5), ("b", 2, 6))
     cfg = tr.TranslatorConfig(
         dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tr.DECODER_BINARY,
+        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
     )
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -216,7 +216,7 @@ def test_criterion_5_task_block_permutation_property():
     dims = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
     cfg = tr.TranslatorConfig(
         dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tr.DECODER_BINARY,
+        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
     )
     rng = np.random.default_rng(0)
     params = tr.init_translator_params(cfg, rng)
@@ -232,7 +232,7 @@ def test_criterion_5_task_block_permutation_property():
     for order in itertools.permutations(cfg.task_ids):
         seq = tr.assemble_tokens([(t, projected[t]) for t in order], leaves["task_pos"])
         encoded = tr.encode(seq, layers, cfg.norm_first)
-        logits.append(tr.decode_classification(encoded, leaves).item())
+        logits.append(tm.head_graph(encoded.tokens, leaves, tm.KIND_BINARY, "dec").item())
     spread = max(logits) - min(logits)
     report(
         5,
@@ -352,14 +352,14 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
 
 OVERFIT_SETUPS = (
-    ("binary", tr.DECODER_BINARY, 1e-2),
-    ("localization", tr.DECODER_LOCALIZATION, 3e-3),
-    ("sequence", tr.DECODER_SEQUENCE, 1e-2),
+    (tm.KIND_BINARY, 1e-2),
+    (tm.KIND_LOCALIZATION, 3e-3),
+    (tm.KIND_SEQUENCE, 1e-2),
 )
 
 
-@pytest.mark.parametrize("kind,decoder,lr", OVERFIT_SETUPS)
-def test_criterion_9_overfit_sanity(kind, decoder, lr):
+@pytest.mark.parametrize("kind,lr", OVERFIT_SETUPS)
+def test_criterion_9_overfit_sanity(kind, lr):
     extra = {}
     if kind == "binary":
         spec = st.TaskSpec("p", "binary", (0, 1, 2, 3), 1.0, 1.0, 4.0, 2.0, signal=0.3)
@@ -388,7 +388,7 @@ def test_criterion_9_overfit_sanity(kind, decoder, lr):
     # pooled width must exceed the sample count for raw memorization capacity
     config = tr.TranslatorConfig(
         (("p", t_p, 8),), d_model=48, n_layers=1, n_heads=4, d_ff=64,
-        primary_task_id="p", decoder_kind=decoder, **extra,
+        primary_task_id="p", decoder_kind=kind, **extra,
     )
     params = tr.init_translator_params(config, np.random.default_rng(1))
     losses = tg.run_steps(

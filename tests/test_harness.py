@@ -2,6 +2,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -224,6 +226,25 @@ def test_cache_rejects_bad_magic_version_and_trailer(tmp_path):
         harness.cache_load(bad)
 
 
+def test_interrupted_cache_write_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    old = FeatureSequence("demo", np.ones((2, 2), dtype=np.float32), np.array([0.0, 0.5]))
+    path = tmp_path / "seq.ettf"
+    harness.cache_store(path, old)
+
+    def write_half_then_fail(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    new = FeatureSequence("demo", np.zeros((3, 2), dtype=np.float32), np.arange(3) * 0.5)
+    with pytest.raises(OSError):
+        harness.cache_store(path, new)
+    monkeypatch.undo()
+    loaded = harness.cache_load(path)
+    assert loaded.values.tobytes() == old.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # experiment runner
 
@@ -291,6 +312,26 @@ def test_feature_cache_is_reused_across_arms(tiny_config, tmp_path):
     assert set(p.name for p in (out / "cache").iterdir()) == cache_files
 
 
+def test_changed_config_into_used_directory_matches_fresh_directory(tmp_path):
+    """Untrained frozen models keep their checksum when the data changes, so
+    only a content key stops the second config from reading the first one's
+    cached features."""
+    changed_cfg = TINY_CFG.replace("noise_sigma = 0.4", "noise_sigma = 0.8").replace(
+        "stride_s = 0.5", "stride_s = 1.0"
+    )
+    assert "noise_sigma = 0.8" in changed_cfg and "stride_s = 1.0" in changed_cfg
+    original = harness.load_config(write_cfg(tmp_path, TINY_CFG, "a.cfg"))
+    changed = harness.load_config(write_cfg(tmp_path, changed_cfg, "b.cfg"))
+    arms = ("frozen_random_ablation",)
+    harness.run_experiment(original, tmp_path / "used", arms=arms)
+    harness.run_experiment(changed, tmp_path / "used", arms=arms)
+    harness.run_experiment(changed, tmp_path / "fresh", arms=arms)
+    for name in ("report_frozen_random_ablation_seed0.json", "aggregate.json"):
+        reused = json.loads((tmp_path / "used" / name).read_text())
+        fresh = json.loads((tmp_path / "fresh" / name).read_text())
+        assert strip_wall_clock(reused) == strip_wall_clock(fresh)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -336,3 +377,18 @@ def test_cli_check_mode_runs_invariant_suite(capsys):
     out = capsys.readouterr().out
     assert "[ok]" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_cli_import_pins_blas_to_one_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = "import ettrans.cli; print(open('/proc/self/status').read())"
+    status = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    threads = [line for line in status.splitlines() if line.startswith("Threads:")]
+    assert threads == ["Threads:\t1"]

@@ -130,12 +130,6 @@ def test_ap_exact_against_rational_arithmetic():
         )
 
 
-def test_map_single_binary_task_equals_ap():
-    scores = [0.4, 0.1, 0.8]
-    labels = [0, 1, 1]
-    assert mx.mean_average_precision(scores, labels) == mx.average_precision(scores, labels)
-
-
 # ---------------------------------------------------------------------------
 # localization error
 
@@ -250,9 +244,3 @@ def test_levenshtein_symmetric_and_bounded(a, b):
     d = mx.levenshtein(a, b)
     assert d == mx.levenshtein(b, a)
     assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
-
-
-def test_metric_report_round_trip():
-    report = mx.MetricReport("accuracy", 0.75, 512, "test", 3, "abc123")
-    assert report.to_dict()["value"] == 0.75
-    assert report.to_dict()["split"] == "test"

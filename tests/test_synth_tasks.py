@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
@@ -187,3 +189,16 @@ def test_combined_ceiling_increases_with_correlation():
         values.append(st.combined_bayes_accuracy(primary, [aux], 4.0))
     assert values == sorted(values)
     assert values[-1] > 0.95
+
+
+def test_full_correlation_ceiling_emits_no_warning():
+    # corr_rho = 1 puts log(0) = -inf terms in the auxiliary log-likelihood ratio
+    primary = st.TaskSpec("p", "binary", (0, 1, 2, 3), 2.0, 1.0, 4.0, 4.0, signal=0.131)
+    aux = st.TaskSpec("a", "binary", (4, 5, 6, 7), 0.5, 1.0, 2.0, 2.0, signal=0.4)
+    v = np.array([-2.0, 0.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        llr = st._aux_llr(v, 0.8, 1.0)
+        ceiling = st.combined_bayes_accuracy(primary, [aux], 4.0)
+    np.testing.assert_allclose(llr, 2.0 * 0.8 * v)  # the auxiliary is the label
+    assert 0.99 < ceiling <= 1.0

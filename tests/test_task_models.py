@@ -4,6 +4,7 @@ import pytest
 from ettrans import nn_core as nn
 from ettrans import task_models as tm
 from ettrans import training as tg
+from ettrans import translator as tr
 from ettrans.errors import DimensionError
 from ettrans.temporal_align import FrameSeq
 
@@ -95,34 +96,50 @@ def test_trunk_feature_width_is_heterogeneous(feature_dim):
 
 
 # ---------------------------------------------------------------------------
-# heads
+# heads: one graph per task kind, used by the stage-1 models under ``head/``
+# and by the translator decoder under ``dec/``
+
+
+def head_cases(kind="binary", seed=0, width=5, **kw):
+    """(params, prefix) of a stage-1 head and of a translator decoder."""
+    model = make_model(kind, seed=seed, feature_dim=width, **kw)
+    config = tr.TranslatorConfig(
+        (("p", 4, 3),), d_model=width, n_layers=1, n_heads=1, d_ff=4,
+        primary_task_id="p", decoder_kind=kind, **kw,
+    )
+    decoder = tr.init_translator_params(config, np.random.default_rng(seed))
+    return [(model.params, "head"), (decoder, "dec")]
+
+
+def run_head(params, prefix, feats, kind="binary"):
+    return tm.head_graph(nn.Tensor(feats), params.as_tensors(train=False), kind, prefix)
 
 
 def test_head_bias_only_logit():
-    model = make_model(seed=7)
-    model.params["head/w"].value[:] = 0.0
-    model.params["head/b"].value[:] = 1.25
-    out = model.head_forward(np.random.default_rng(8).normal(size=(4, 5)))
-    assert out.item() == pytest.approx(1.25)
+    feats = np.random.default_rng(8).normal(size=(4, 5))
+    for params, prefix in head_cases(seed=7):
+        params[f"{prefix}/w"].value[:] = 0.0
+        params[f"{prefix}/b"].value[:] = 1.25
+        assert run_head(params, prefix, feats).item() == pytest.approx(1.25)
 
 
 def test_head_classification_depends_only_on_feature_mean():
-    model = make_model(seed=9)
     rng = np.random.default_rng(10)
     feats = rng.normal(size=(4, 5))
     shuffled = feats[[2, 0, 3, 1]]
-    assert model.head_forward(feats).item() == pytest.approx(
-        model.head_forward(shuffled).item()
-    )
+    for params, prefix in head_cases(seed=9):
+        assert run_head(params, prefix, feats).item() == pytest.approx(
+            run_head(params, prefix, shuffled).item()
+        )
 
 
 def test_head_matches_mean_dot_oracle():
-    model = make_model(seed=11)
     feats = np.random.default_rng(12).normal(size=(6, 5))
-    w = model.params["head/w"].value
-    b = model.params["head/b"].value
-    expected = (feats.mean(axis=0) @ w + b).item()
-    assert model.head_forward(feats).item() == pytest.approx(expected, abs=1e-12)
+    for params, prefix in head_cases(seed=11):
+        w = params[f"{prefix}/w"].value
+        b = params[f"{prefix}/b"].value
+        expected = (feats.mean(axis=0) @ w + b).item()
+        assert run_head(params, prefix, feats).item() == pytest.approx(expected, abs=1e-12)
 
 
 def test_head_rejects_wrong_width():
@@ -132,12 +149,13 @@ def test_head_rejects_wrong_width():
 
 
 def test_sequence_head_shapes():
-    model = make_model(kind="sequence", horizon=3, n_verbs=5, n_nouns=7)
-    steps = model.head_forward(np.random.default_rng(0).normal(size=(4, 5)))
-    assert len(steps) == 3
-    for verb, noun in steps:
-        assert verb.shape == (1, 5)
-        assert noun.shape == (1, 7)
+    feats = np.random.default_rng(0).normal(size=(4, 5))
+    for params, prefix in head_cases("sequence", horizon=3, n_verbs=5, n_nouns=7):
+        steps = run_head(params, prefix, feats, "sequence")
+        assert len(steps) == 3
+        for verb, noun in steps:
+            assert verb.shape == (1, 5)
+            assert noun.shape == (1, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -215,19 +215,6 @@ def test_extract_output_is_finite_full_length_and_deterministic():
     assert a.frame_times_s.tobytes() == b.frame_times_s.tobytes()
 
 
-def test_extract_per_window_pooling_variant():
-    model = LinearStub(native_fps=2.0, native_window_s=2.0)
-    clip = make_clip(4.0, 2.0, seed=5)
-    plan = ta.plan_windows(4.0, 2.0, 1.0, 2.0)
-    seq = ta.extract_features(clip, model, plan, pooling="per_window")
-    assert seq.n_frames == plan.n_windows
-    win_f = plan.frames_per_window
-    for i, offset in enumerate(plan.offsets_s):
-        start = round(offset * plan.fps)
-        expected = (clip.values[start : start + win_f] @ model.matrix).mean(axis=0)
-        np.testing.assert_allclose(seq.values[i], expected.astype(np.float32), rtol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # container invariants
 

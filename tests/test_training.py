@@ -184,7 +184,7 @@ def stage2_setup(seed=0, n=24):
     dims = (("p", 4, 6),)
     config = tr.TranslatorConfig(
         task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tr.DECODER_BINARY,
+        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
     )
     model = tm.init_task_model("p", "binary", (0, 1), 6, 2.0, 2.0, rng)
     model.stage1_complete = True

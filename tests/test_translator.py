@@ -15,7 +15,7 @@ from ettrans.temporal_align import FeatureSequence, FrameSeq
 TOY_DIMS = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
 
 
-def toy_config(decoder=tr.DECODER_BINARY, dims=TOY_DIMS, **kw):
+def toy_config(decoder=tm.KIND_BINARY, dims=TOY_DIMS, **kw):
     return tr.TranslatorConfig(
         task_dims=dims,
         d_model=8,
@@ -162,13 +162,16 @@ def test_encode_two_layers_equals_manual_composition():
 
 
 # ---------------------------------------------------------------------------
-# decoders
+# decoders: the task heads of ``task_models`` under the ``dec/`` prefix
+
+
+def _decode_classification(tokens, leaves):
+    return tm.head_graph(nn.Tensor(tokens), leaves, tm.KIND_BINARY, "dec")
 
 
 def test_decode_classification_bias_passthrough():
-    tokens = tr.TokenSequence(nn.Tensor(np.zeros((5, 8))), {"p": (0, 5)})
     leaves = {"dec/w": nn.Tensor(np.zeros((8, 1))), "dec/b": nn.Tensor(np.array([0.7]))}
-    assert tr.decode_classification(tokens, leaves).item() == pytest.approx(0.7)
+    assert _decode_classification(np.zeros((5, 8)), leaves).item() == pytest.approx(0.7)
 
 
 def test_decode_classification_pooling_invariance():
@@ -176,8 +179,8 @@ def test_decode_classification_pooling_invariance():
     leaves = {"dec/w": nn.Tensor(rng.normal(size=(8, 1))), "dec/b": nn.Tensor(rng.normal(size=1))}
     x = rng.normal(size=(6, 8))
     shuffled = x[rng.permutation(6)]
-    a = tr.decode_classification(tr.TokenSequence(nn.Tensor(x), {"p": (0, 6)}), leaves)
-    b = tr.decode_classification(tr.TokenSequence(nn.Tensor(shuffled), {"p": (0, 6)}), leaves)
+    a = _decode_classification(x, leaves)
+    b = _decode_classification(shuffled, leaves)
     assert a.item() == pytest.approx(b.item())
 
 
@@ -185,7 +188,7 @@ def test_decode_classification_matches_mean_dot_oracle():
     rng = np.random.default_rng(10)
     leaves = {"dec/w": nn.Tensor(rng.normal(size=(8, 1))), "dec/b": nn.Tensor(rng.normal(size=1))}
     x = rng.normal(size=(6, 8))
-    logit = tr.decode_classification(tr.TokenSequence(nn.Tensor(x), {"p": (0, 6)}), leaves)
+    logit = _decode_classification(x, leaves)
     expected = (x.mean(axis=0) @ leaves["dec/w"].value + leaves["dec/b"].value).item()
     assert logit.item() == pytest.approx(expected, abs=1e-12)
 
@@ -195,15 +198,18 @@ def _loc_leaves():
     return {"dec/w": nn.Tensor(np.array([[1.0]])), "dec/b": nn.Tensor(np.zeros(1))}
 
 
+def _decode_localization(span, times):
+    scores = tm.head_graph(nn.Tensor(span), _loc_leaves(), tm.KIND_LOCALIZATION, "dec")
+    return scores, tm.readout(tm.KIND_LOCALIZATION, scores, times)
+
+
 def test_decode_localization_single_frame_span():
-    tokens = tr.TokenSequence(nn.Tensor(np.array([[-5.0]])), {"p": (0, 1)})
-    _, when = tr.decode_localization(tokens, _loc_leaves(), "p", np.array([2.25]))
+    _, when = _decode_localization(np.array([[-5.0]]), np.array([2.25]))
     assert when == 2.25
 
 
 def test_decode_localization_tie_breaks_to_earliest():
-    tokens = tr.TokenSequence(nn.Tensor(np.array([[0.1], [0.9], [0.9]])), {"p": (0, 3)})
-    _, when = tr.decode_localization(tokens, _loc_leaves(), "p", np.array([0.0, 0.5, 1.0]))
+    _, when = _decode_localization(np.array([[0.1], [0.9], [0.9]]), np.array([0.0, 0.5, 1.0]))
     assert when == 0.5
 
 
@@ -211,8 +217,7 @@ def test_decode_localization_matches_linear_scan_oracle():
     rng = np.random.default_rng(11)
     scores = rng.normal(size=(16, 1))
     times = np.arange(16) * 0.25
-    tokens = tr.TokenSequence(nn.Tensor(scores), {"p": (0, 16)})
-    got_scores, when = tr.decode_localization(tokens, _loc_leaves(), "p", times)
+    got_scores, when = _decode_localization(scores, times)
     best, best_t = -np.inf, None
     for s, t in zip(scores.ravel(), times):
         if s > best:
@@ -223,21 +228,43 @@ def test_decode_localization_matches_linear_scan_oracle():
 
 
 def test_decode_localization_requires_primary_span():
-    tokens = tr.TokenSequence(nn.Tensor(np.zeros((3, 1))), {"q": (0, 3)})
+    """Localization decodes the primary task's tokens; translating without
+    them is refused rather than scoring another task's span."""
+    config = toy_config(decoder=tm.KIND_LOCALIZATION)
+    params = tr.init_translator_params(config, np.random.default_rng(24))
+    feats = toy_features(seed=25)
+    del feats["p"]
     with pytest.raises(DimensionError):
-        tr.decode_localization(tokens, _loc_leaves(), "p", np.arange(3.0))
+        tr.translate(feats, params.as_tensors(train=False), config)
+
+
+def test_translate_localization_scores_each_primary_frame_only():
+    config = toy_config(decoder=tm.KIND_LOCALIZATION)
+    params = tr.init_translator_params(config, np.random.default_rng(26))
+    leaves = params.as_tensors(train=False)
+    feats = toy_features(seed=27)
+    scores = tr.translate(feats, leaves, config)
+    assert scores.shape == (4, 1)  # primary "p" has 4 frames of 8 tokens
+
+    projected = [(t, tr.project(feats[t], leaves[f"proj/{t}"])) for t in config.task_ids]
+    encoded = tr.encode(
+        tr.assemble_tokens(projected, leaves["task_pos"]),
+        tr.encoder_layers_from(leaves, config),
+        config.norm_first,
+    )
+    expected = encoded.tokens.value[:4] @ leaves["dec/w"].value + leaves["dec/b"].value
+    np.testing.assert_array_equal(scores.value, expected)
 
 
 def test_decode_sequence_horizon_one_is_two_heads():
-    config = toy_config(decoder=tr.DECODER_SEQUENCE, horizon=1, n_verbs=5, n_nouns=7)
+    config = toy_config(decoder=tm.KIND_SEQUENCE, horizon=1, n_verbs=5, n_nouns=7)
     rng = np.random.default_rng(12)
     params = tr.init_translator_params(config, rng)
     leaves = params.as_tensors(train=False)
-    tokens = tr.TokenSequence(nn.Tensor(rng.normal(size=(8, 8))), {"p": (0, 8)})
-    steps = tr.decode_sequence(tokens, leaves, config)
+    tokens = nn.Tensor(rng.normal(size=(8, 8)))
+    steps = tm.head_graph(tokens, leaves, tm.KIND_SEQUENCE, "dec")
     assert len(steps) == 1
-    pooled = tokens.value.mean(axis=0, keepdims=True) if hasattr(tokens, "value") else None
-    pooled = tokens.tokens.value.mean(axis=0, keepdims=True)
+    pooled = tokens.value.mean(axis=0, keepdims=True)
     np.testing.assert_allclose(
         steps[0][0].value,
         pooled @ leaves["dec/step0/verb_w"].value + leaves["dec/step0/verb_b"].value,
@@ -246,26 +273,30 @@ def test_decode_sequence_horizon_one_is_two_heads():
 
 
 def test_decode_sequence_arity_and_argmax_scan_oracle():
-    config = toy_config(decoder=tr.DECODER_SEQUENCE, horizon=3, n_verbs=5, n_nouns=7)
+    config = toy_config(decoder=tm.KIND_SEQUENCE, horizon=3, n_verbs=5, n_nouns=7)
     rng = np.random.default_rng(13)
     params = tr.init_translator_params(config, rng)
     leaves = params.as_tensors(train=False)
-    tokens = tr.TokenSequence(nn.Tensor(rng.normal(size=(8, 8))), {"p": (0, 8)})
-    steps = tr.decode_sequence(tokens, leaves, config)
+    tokens = nn.Tensor(rng.normal(size=(8, 8)))
+    steps = tm.head_graph(tokens, leaves, tm.KIND_SEQUENCE, "dec")
     assert len(steps) == 3
-    again = tr.decode_sequence(tokens, leaves, config)
+    again = tm.head_graph(tokens, leaves, tm.KIND_SEQUENCE, "dec")
     for (v1, n1), (v2, n2) in zip(steps, again):
         np.testing.assert_array_equal(v1.value, v2.value)
         np.testing.assert_array_equal(n1.value, n2.value)
-    for verb, noun in steps:
+    actions = tm.readout(tm.KIND_SEQUENCE, steps, None)
+    assert len(actions) == 3
+    for (verb, noun), action in zip(steps, actions):
         assert verb.shape == (1, 5)
         assert noun.shape == (1, 7)
+        scanned = []
         for logits in (verb.value.ravel(), noun.value.ravel()):
             best = 0
             for i in range(1, len(logits)):
                 if logits[i] > logits[best]:
                     best = i
-            assert best == int(np.argmax(logits))
+            scanned.append(best)
+        assert action == tuple(scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +309,7 @@ def test_translate_matches_monolithic_reimplementation():
     rng = np.random.default_rng(14)
     params = tr.init_translator_params(config, rng)
     feats = toy_features(seed=15)
-    logit = tr.translate(feats, params.as_tensors(train=False), config).logit.item()
+    logit = tr.translate(feats, params.as_tensors(train=False), config).item()
 
     def mono_ln(x, g, b):
         mu = x.mean(axis=1, keepdims=True)
@@ -329,7 +360,7 @@ def test_translate_block_permutation_invariant_with_zero_positions():
         blocks = [(t, projected[t]) for t in order]
         seq = tr.assemble_tokens(blocks, leaves["task_pos"])
         encoded = tr.encode(seq, layers, config.norm_first)
-        logits.append(tr.decode_classification(encoded, leaves).item())
+        logits.append(tm.head_graph(encoded.tokens, leaves, tm.KIND_BINARY, "dec").item())
     assert max(logits) - min(logits) < 1e-6
     assert len(logits) == 6
 
@@ -340,7 +371,7 @@ def test_translate_pipeline_collapse_to_decoder():
     dims = (("p", 4, 8),)
     config = tr.TranslatorConfig(
         task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tr.DECODER_BINARY,
+        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
     )
     rng = np.random.default_rng(18)
     params = tr.init_translator_params(config, rng)
@@ -353,7 +384,7 @@ def test_translate_pipeline_collapse_to_decoder():
                 else np.zeros_like(params[name].value)
             )
     feats = {"p": FeatureSequence("p", rng.normal(size=(4, 8)), np.arange(4) * 0.5)}
-    got = tr.translate(feats, params.as_tensors(train=False), config).logit.item()
+    got = tr.translate(feats, params.as_tensors(train=False), config).item()
     raw = feats["p"].values.astype(np.float64) + params["task_pos"].value
     expected = (raw.mean(axis=0) @ params["dec/w"].value + params["dec/b"].value).item()
     assert got == pytest.approx(expected, abs=1e-12)
@@ -369,6 +400,8 @@ def test_translate_validates_feature_shapes():
 
 
 def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
+    """The forward pass (align, extract, translate) refuses an unfrozen task
+    model, and a translator training step leaves a frozen one bit-identical."""
     spec = dict(channels=(0, 1), feature_dim=6, native_fps=2.0, native_window_s=2.0)
     model = tm.init_task_model("p", "binary", spec["channels"], spec["feature_dim"],
                                spec["native_fps"], spec["native_window_s"],
@@ -376,20 +409,20 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     clip = FrameSeq(np.random.default_rng(22).normal(size=(8, 2)), fps=2.0, duration_s=4.0)
     config = tr.TranslatorConfig(
         task_dims=(("p", 8, 6),), d_model=8, n_layers=1, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tr.DECODER_BINARY,
+        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
     )
     params = tr.init_translator_params(config, np.random.default_rng(23))
     with pytest.raises(ContractViolationError):
-        tr.forward(clip, {"p": model}, params, config, {"p": 1.0})
+        tr.align_and_extract(clip, model, 1.0)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         tm.freeze(model)
     checksum = model.checksum()
-    pred = tr.forward(clip, {"p": model}, params, config, {"p": 1.0})
+    feats = {"p": tr.align_and_extract(clip, model, 1.0)}
+    logit = tr.translate(feats, params.as_tensors(train=False), config).item()
 
     # one full training step over the translator touches nothing frozen
-    feats = {"p": tr.align_and_extract(clip, model, 1.0)}
     leaves = params.as_tensors()
     loss = tg.loss(tr.translate(feats, leaves, config), 1, config.decoder_kind)
     loss.backward()
@@ -399,8 +432,9 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     tg.optimizer_step(params, grads, state)
     assert model.checksum() == checksum
 
-    again = tr.forward(clip, {"p": model}, tr.init_translator_params(config, np.random.default_rng(23)), config, {"p": 1.0})
-    assert again.logit.item() == pytest.approx(pred.logit.item())
+    again = {"p": tr.align_and_extract(clip, model, 1.0)}
+    fresh = tr.init_translator_params(config, np.random.default_rng(23))
+    assert tr.translate(again, fresh.as_tensors(train=False), config).item() == pytest.approx(logit)
 
 
 def test_config_rejects_bad_shapes_and_orders():
@@ -408,16 +442,10 @@ def test_config_rejects_bad_shapes_and_orders():
         tr.TranslatorConfig(  # primary not first
             (("a", 2, 10), ("p", 4, 6), ("b", 2, 14)),
             d_model=8, n_layers=1, n_heads=2, d_ff=16,
-            primary_task_id="p", decoder_kind=tr.DECODER_BINARY,
+            primary_task_id="p", decoder_kind=tm.KIND_BINARY,
         )
     with pytest.raises(DimensionError):
         tr.TranslatorConfig(TOY_DIMS, d_model=9, n_layers=1, n_heads=2, d_ff=4,
-                            primary_task_id="p", decoder_kind=tr.DECODER_BINARY)
+                            primary_task_id="p", decoder_kind=tm.KIND_BINARY)
     with pytest.raises(ValueError):
-        toy_config(decoder=tr.DECODER_SEQUENCE)  # missing horizon/vocabs
-
-
-def test_canonical_task_dims_orders_primary_first():
-    dims = tr.canonical_task_dims({"b": (2, 3), "p": (4, 5), "a": (1, 2)}, "p")
-    assert dims[0] == ("p", 4, 5)
-    assert {d[0] for d in dims[1:]} == {"a", "b"}
+        toy_config(decoder=tm.KIND_SEQUENCE)  # missing horizon/vocabs
