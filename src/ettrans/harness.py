@@ -1,9 +1,10 @@
 """Experiment harness: config files, feature cache, seeded end-to-end runs.
 
-A run executes, per (arm, seed): generate data, train stage 1, freeze, extract
-and cache features, train the translator, evaluate, and emit one JSON report.
-Reports are byte-stable for identical configs and seeds apart from wall-clock
-fields. Arms:
+A run executes, per seed: generate data, then stage-1-train and freeze each
+task model the arms need, once; then per arm: extract and cache features,
+train the translator, evaluate, and emit one JSON report. Reports are
+byte-stable for identical configs and seeds apart from wall-clock fields.
+Arms:
 
 * ``translator``        all task tokens, stage-1-trained frozen models
 * ``primary_only``      identical translator restricted to primary tokens
@@ -13,6 +14,7 @@ fields. Arms:
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -120,7 +122,7 @@ class ExperimentConfig:
         )
 
     def canonical_dict(self) -> dict:
-        out = {
+        return {
             "experiment": {
                 "name": self.name,
                 "arms": list(self.arms),
@@ -163,7 +165,6 @@ class ExperimentConfig:
                 for t in self.tasks
             ],
         }
-        return out
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -208,6 +209,7 @@ def _get(section, key, cast, default=None):
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a plain-text experiment config."""
     parser = configparser.ConfigParser()
+    parser.read_dict({"translator": {}, "training": {}})  # both sections are optional
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -226,21 +228,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if arm not in ARMS:
             raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
 
-    trans = parser["translator"] if "translator" in parser else {}
-    train = parser["training"] if "training" in parser else {}
+    trans, train = parser["translator"], parser["training"]
 
     def hyper(prefix: str, defaults: tg.TrainHyper) -> tg.TrainHyper:
-        section = train if hasattr(train, "name") else None
-        if section is None:
-            return defaults
         return tg.TrainHyper(
-            lr=_get(section, f"{prefix}lr", float, defaults.lr),
-            beta1=_get(section, f"{prefix}beta1", float, defaults.beta1),
-            beta2=_get(section, f"{prefix}beta2", float, defaults.beta2),
-            eps=_get(section, f"{prefix}eps", float, defaults.eps),
-            batch_size=_get(section, f"{prefix}batch_size", int, defaults.batch_size),
-            max_epochs=_get(section, f"{prefix}max_epochs", int, defaults.max_epochs),
-            patience=_get(section, f"{prefix}patience", int, defaults.patience),
+            lr=_get(train, f"{prefix}lr", float, defaults.lr),
+            beta1=_get(train, f"{prefix}beta1", float, defaults.beta1),
+            beta2=_get(train, f"{prefix}beta2", float, defaults.beta2),
+            eps=_get(train, f"{prefix}eps", float, defaults.eps),
+            batch_size=_get(train, f"{prefix}batch_size", int, defaults.batch_size),
+            max_epochs=_get(train, f"{prefix}max_epochs", int, defaults.max_epochs),
+            patience=_get(train, f"{prefix}patience", int, defaults.patience),
         )
 
     task_sections = [s for s in parser.sections() if s.startswith("task:")]
@@ -287,11 +285,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         duration_s=_get(exp, "duration_s", float),
         fps=_get(exp, "fps", float),
         n_channels=_get(exp, "n_channels", int),
-        d_model=_get(trans, "d_model", int, 32) if hasattr(trans, "name") else 32,
-        n_layers=_get(trans, "n_layers", int, 2) if hasattr(trans, "name") else 2,
-        n_heads=_get(trans, "n_heads", int, 4) if hasattr(trans, "name") else 4,
-        d_ff=_get(trans, "d_ff", int, 64) if hasattr(trans, "name") else 64,
-        norm_first=_get(trans, "norm_first", bool, True) if hasattr(trans, "name") else True,
+        d_model=_get(trans, "d_model", int, 32),
+        n_layers=_get(trans, "n_layers", int, 2),
+        n_heads=_get(trans, "n_heads", int, 4),
+        d_ff=_get(trans, "d_ff", int, 64),
+        norm_first=_get(trans, "norm_first", bool, True),
         stage2=hyper("", tg.TrainHyper(max_epochs=40, patience=8)),
         stage1=hyper("stage1_", tg.TrainHyper()),
         tasks=tuple(tasks),
@@ -305,12 +303,17 @@ def validate_config(config: ExperimentConfig) -> None:
         st.validate_specs([t.spec for t in config.tasks], config.n_channels)
     except st.GenerationError as exc:
         raise ConfigError(str(exc)) from exc
+    if min(config.d_model, config.n_layers, config.n_heads, config.d_ff) < 1:
+        raise ConfigError("d_model, n_layers, n_heads and d_ff must all be >= 1")
     if config.d_model % config.n_heads != 0:
         raise ConfigError(
             f"d_model {config.d_model} not divisible by n_heads {config.n_heads}"
         )
     if min(config.seeds, config.n_train, config.n_val, config.n_test) < 1:
         raise ConfigError("seeds and split sizes must all be >= 1")
+    for prefix, hyper in (("", config.stage2), ("stage1_", config.stage1)):
+        if not (0 < hyper.lr < math.inf and min(hyper.batch_size, hyper.max_epochs) >= 1):
+            raise ConfigError(f"need 0 < {prefix}lr < inf and {prefix}batch_size, {prefix}max_epochs >= 1")
     for t in config.tasks:
         spec = t.spec
         if spec.native_fps > config.fps + 1e-9:
@@ -411,10 +414,6 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _stage1_geometry(spec: st.TaskSpec) -> dict:
-    return {"duration_s": spec.native_window_s, "fps": spec.native_fps}
-
-
 def _build_models(
     config: ExperimentConfig, seed: int, task_ids: Sequence[str]
 ) -> dict[str, tm.TaskModel]:
@@ -498,16 +497,17 @@ def _stage2_samples(
     return samples
 
 
-def run_arm_seed(config: ExperimentConfig, arm: str, seed: int, out_dir: Path) -> dict:
-    """Execute one (arm, seed) pipeline and return its report dict."""
-    t_start = time.perf_counter()
-    out_dir = Path(out_dir)
-    cache_dir = out_dir / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    specs = [t.spec for t in config.tasks]
-    primary = config.primary.spec
-    tconfig = config.translator_config(arm)
+def run_seed(
+    config: ExperimentConfig, arms: Sequence[str], seed: int, out_dir: Path
+) -> dict[str, dict]:
+    """Run every arm of one seed and return ``{arm: report}``.
 
+    The datasets and the frozen task models depend only on (config, seed), so
+    they are made here once and shared by the arms: a task model is
+    stage-1-trained if any trained arm reads it, and untrained models are
+    built only for ``frozen_random_ablation``.
+    """
+    specs = [t.spec for t in config.tasks]
     datasets = {
         split: st.generate(
             specs,
@@ -525,44 +525,74 @@ def run_arm_seed(config: ExperimentConfig, arm: str, seed: int, out_dir: Path) -
         )
     }
 
-    models = _build_models(config, seed, tconfig.task_ids)
+    needed = {
+        task_id
+        for arm in arms
+        if arm != "frozen_random_ablation"
+        for task_id in config.translator_config(arm).task_ids
+    }
+    trained = _build_models(config, seed, needed)
     stage1_reports: dict[str, dict] = {}
-    if arm != "frozen_random_ablation":
-        for idx, t in enumerate(config.tasks):
-            spec = t.spec
-            if spec.task_id not in models:
-                continue
-            geo = _stage1_geometry(spec)
-            ds_seed = _derived_seed(seed, 0x57A1, idx)
-            s1_train = st.generate(
-                specs, config.n_train, ds_seed, "train", n_channels=config.n_channels, **geo
-            )
-            s1_val = st.generate(
-                specs, config.n_val, ds_seed, "val", n_channels=config.n_channels, **geo
-            )
-            report = tg.train_stage1(
-                models[spec.task_id], s1_train, s1_val, config.stage1, seed
-            )
-            stage1_reports[spec.task_id] = {
-                "metric_name": report.metric_name,
-                "best_val_metric": report.best_val_metric,
-                "best_epoch": report.best_epoch,
-                "stopped_epoch": report.stopped_epoch,
-                "wall_clock_s": report.wall_clock_s,
-            }
+    for idx, t in enumerate(config.tasks):
+        spec = t.spec
+        if spec.task_id not in trained:
+            continue
+        geo = {"duration_s": spec.native_window_s, "fps": spec.native_fps}
+        ds_seed = _derived_seed(seed, 0x57A1, idx)
+        s1_train = st.generate(
+            specs, config.n_train, ds_seed, "train", n_channels=config.n_channels, **geo
+        )
+        s1_val = st.generate(
+            specs, config.n_val, ds_seed, "val", n_channels=config.n_channels, **geo
+        )
+        report = tg.train_stage1(trained[spec.task_id], s1_train, s1_val, config.stage1, seed)
+        stage1_reports[spec.task_id] = {
+            "metric_name": report.metric_name,
+            "best_val_metric": report.best_val_metric,
+            "best_epoch": report.best_epoch,
+            "stopped_epoch": report.stopped_epoch,
+            "wall_clock_s": report.wall_clock_s,
+        }
+        tm.freeze(trained[spec.task_id])
 
-    with warnings.catch_warnings():
-        if arm == "frozen_random_ablation":
+    untrained: dict[str, tm.TaskModel] = {}
+    if "frozen_random_ablation" in arms:
+        untrained = _build_models(config, seed, config.task_ids())
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-        for model in models.values():
-            tm.freeze(model)
-    checksums_at_freeze = {t: m.checksum() for t, m in models.items()}
+            for model in untrained.values():
+                tm.freeze(model)
+
+    reports = {}
+    for arm in arms:
+        ablation = arm == "frozen_random_ablation"
+        models, stage1 = (untrained, {}) if ablation else (trained, stage1_reports)
+        reports[arm] = run_arm_seed(config, arm, seed, out_dir, datasets, models, stage1)
+    return reports
+
+
+def run_arm_seed(
+    config: ExperimentConfig,
+    arm: str,
+    seed: int,
+    out_dir: Path,
+    datasets: Mapping[str, st.SyntheticDataset],
+    models: Mapping[str, tm.TaskModel],
+    stage1_reports: Mapping[str, dict],
+) -> dict:
+    """Extract features (through the cache), train and evaluate one arm's
+    translator on the seed's datasets and frozen task models; return the
+    arm's report."""
+    t_start = time.perf_counter()
+    cache_dir = Path(out_dir) / "cache"
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    tconfig = config.translator_config(arm)
     split_samples = {
         split: _stage2_samples(config, ds, models, tconfig.task_ids, cache_dir)
         for split, ds in datasets.items()
     }
 
-    params, train_report, _ = tg.train_stage2(
+    params, train_report, checksums_at_freeze = tg.train_stage2(
         split_samples["train"],
         split_samples["val"],
         tconfig,
@@ -572,10 +602,8 @@ def run_arm_seed(config: ExperimentConfig, arm: str, seed: int, out_dir: Path) -
     )
     test_metrics = tg.evaluate_stage2(split_samples["test"], params, tconfig)
 
-    checksums_after = {t: m.checksum() for t, m in models.items()}
-    frozen_ok = checksums_after == checksums_at_freeze
-
-    report = {
+    checksums_after = {t: models[t].checksum() for t in tconfig.task_ids}
+    return {
         "arm": arm,
         "seed": seed,
         "config_hash": config_hash(config),
@@ -584,26 +612,19 @@ def run_arm_seed(config: ExperimentConfig, arm: str, seed: int, out_dir: Path) -
         "n_samples": config.n_test,
         "metrics": test_metrics,
         "bayes": _bayes_summary(config),
-        "stage1": stage1_reports,
+        "stage1": {t: r for t, r in stage1_reports.items() if t in tconfig.task_ids},
         "frozen_check": {
-            "ok": frozen_ok,
+            "ok": checksums_after == checksums_at_freeze,
             "checksums": checksums_at_freeze,
         },
         "train": train_report.to_dict(),
         "dataset": {split: ds.summary() for split, ds in datasets.items()},
         "wall_clock_s": time.perf_counter() - t_start,
     }
-    return report
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _job(args: tuple) -> tuple[str, int, dict]:
-    config, arm, seed, out_dir = args
-    report = run_arm_seed(config, arm, seed, Path(out_dir))
-    return arm, seed, report
 
 
 def run_experiment(
@@ -612,8 +633,8 @@ def run_experiment(
     arms: Sequence[str] | None = None,
     seeds: Sequence[int] | None = None,
 ) -> dict:
-    """Run all requested (arm, seed) combinations and write reports plus an
-    aggregate with mean and stddev across seeds per arm."""
+    """Run all requested arms for each seed (one job per seed) and write
+    reports plus an aggregate with mean and stddev across seeds per arm."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     use_arms = tuple(arms) if arms else config.arms
@@ -622,19 +643,19 @@ def run_experiment(
             raise ConfigError(f"unknown arm {arm!r}")
     use_seeds = tuple(seeds) if seeds is not None else tuple(range(config.seeds))
 
-    jobs = [(config, arm, seed, str(out_dir)) for arm in use_arms for seed in use_seeds]
+    job = functools.partial(run_seed, config, use_arms, out_dir=out_dir)
     workers = int(os.environ.get("ETT_NUM_WORKERS", "1"))
-    results: list[tuple[str, int, dict]] = []
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(use_seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_job, jobs))
+            results = list(pool.map(job, use_seeds))
     else:
-        results = [_job(job) for job in jobs]
+        results = [job(seed) for seed in use_seeds]
 
     by_arm: dict[str, list[dict]] = {arm: [] for arm in use_arms}
-    for arm, seed, report in results:
-        _write_json(out_dir / f"report_{arm}_seed{seed}.json", report)
-        by_arm[arm].append(report)
+    for seed, reports in zip(use_seeds, results):
+        for arm, report in reports.items():
+            _write_json(out_dir / f"report_{arm}_seed{seed}.json", report)
+            by_arm[arm].append(report)
 
     aggregate: dict = {
         "name": config.name,

@@ -65,9 +65,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.value.item())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.value.ndim != 0:
@@ -579,22 +576,20 @@ class EncoderLayerParams:
         return cls(n_heads=n_heads, **{f: tensors[prefix + f] for f in ENCODER_PARAM_FIELDS})
 
 
-def init_encoder_layer_arrays(
-    rng: np.random.Generator, d: int, d_ff: int, dtype=np.float64
-) -> dict[str, Array]:
+def init_encoder_layer_arrays(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Array]:
     """Fresh per-layer arrays: N(0, 0.02) weights, zero biases/beta, unit gamma."""
     def w(shape):
-        return rng.normal(0.0, WEIGHT_INIT_STD, size=shape).astype(dtype)
+        return rng.normal(0.0, WEIGHT_INIT_STD, size=shape)
 
     return {
-        "wq": w((d, d)), "bq": np.zeros(d, dtype=dtype),
+        "wq": w((d, d)), "bq": np.zeros(d),
         "wk": w((d, d)),
-        "wv": w((d, d)), "bv": np.zeros(d, dtype=dtype),
-        "wo": w((d, d)), "bo": np.zeros(d, dtype=dtype),
-        "ffn_w1": w((d, d_ff)), "ffn_b1": np.zeros(d_ff, dtype=dtype),
-        "ffn_w2": w((d_ff, d)), "ffn_b2": np.zeros(d, dtype=dtype),
-        "ln1_gamma": np.ones(d, dtype=dtype), "ln1_beta": np.zeros(d, dtype=dtype),
-        "ln2_gamma": np.ones(d, dtype=dtype), "ln2_beta": np.zeros(d, dtype=dtype),
+        "wv": w((d, d)), "bv": np.zeros(d),
+        "wo": w((d, d)), "bo": np.zeros(d),
+        "ffn_w1": w((d, d_ff)), "ffn_b1": np.zeros(d_ff),
+        "ffn_w2": w((d_ff, d)), "ffn_b2": np.zeros(d),
+        "ln1_gamma": np.ones(d), "ln1_beta": np.zeros(d),
+        "ln2_gamma": np.ones(d), "ln2_beta": np.zeros(d),
     }
 
 
@@ -683,15 +678,12 @@ def grad_check(
     f: Callable[[dict[str, Tensor]], Tensor],
     params: ParamSet,
     eps: float = 1e-5,
-    max_entries_per_param: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
     ``f`` maps leaf tensors (from ``params.as_tensors()``) to a scalar and must
     be pure. Returns the max over checked entries of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    Entries can be subsampled per parameter for large sets.
     """
     leaves = params.as_tensors()
     out = f(leaves)
@@ -708,12 +700,7 @@ def grad_check(
     for name in params.trainable_names():
         arr = params[name].value
         grad = analytic[name]
-        indices = list(np.ndindex(arr.shape))
-        if max_entries_per_param is not None and len(indices) > max_entries_per_param:
-            picker = rng if rng is not None else np.random.default_rng(0)
-            chosen = picker.choice(len(indices), size=max_entries_per_param, replace=False)
-            indices = [indices[i] for i in sorted(chosen)]
-        for idx in indices:
+        for idx in np.ndindex(arr.shape):
             original = arr[idx]
             arr[idx] = original + eps
             f_plus = eval_plain()

@@ -100,10 +100,6 @@ class SyntheticDataset:
     def n_samples(self) -> int:
         return len(self.clips)
 
-    @property
-    def primary_task_id(self) -> str:
-        return self.specs[0].task_id
-
     def task_labels(self, task_id: str) -> list:
         return self.labels[task_id]
 

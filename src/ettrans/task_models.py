@@ -138,26 +138,25 @@ def add_head_params(
     kind: str,
     width: int,
     rng: np.random.Generator,
-    dtype=np.float64,
     horizon: int = 0,
     n_verbs: int = 0,
     n_nouns: int = 0,
 ) -> None:
     """Add a fresh head over ``width``-wide features to ``params``."""
     def w(shape):
-        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape).astype(dtype)
+        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape)
 
     if kind in (KIND_BINARY, KIND_LOCALIZATION):
         params.add(f"{prefix}/w", w((width, 1)))
-        params.add(f"{prefix}/b", np.zeros(1, dtype=dtype))
+        params.add(f"{prefix}/b", np.zeros(1))
     elif kind == KIND_SEQUENCE:
         if horizon < 1 or n_verbs < 1 or n_nouns < 1:
             raise ValueError("sequence head needs horizon, n_verbs and n_nouns >= 1")
         for z in range(horizon):
             params.add(f"{prefix}/step{z}/verb_w", w((width, n_verbs)))
-            params.add(f"{prefix}/step{z}/verb_b", np.zeros(n_verbs, dtype=dtype))
+            params.add(f"{prefix}/step{z}/verb_b", np.zeros(n_verbs))
             params.add(f"{prefix}/step{z}/noun_w", w((width, n_nouns)))
-            params.add(f"{prefix}/step{z}/noun_b", np.zeros(n_nouns, dtype=dtype))
+            params.add(f"{prefix}/step{z}/noun_b", np.zeros(n_nouns))
     else:
         raise ValueError(f"unknown task kind: {kind!r}")
 
@@ -184,21 +183,20 @@ def init_task_model(
     horizon: int = 0,
     n_verbs: int = 0,
     n_nouns: int = 0,
-    dtype=np.float64,
 ) -> TaskModel:
     def w(shape):
-        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape).astype(dtype)
+        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape)
 
     params = nn.ParamSet()
     params.add("trunk/w1", w((len(channels), hidden)))
-    params.add("trunk/b1", np.zeros(hidden, dtype=dtype))
+    params.add("trunk/b1", np.zeros(hidden))
     params.add("trunk/w2", w((hidden, feature_dim)))
-    params.add("trunk/b2", np.zeros(feature_dim, dtype=dtype))
-    mix = np.zeros(MIX_KERNEL, dtype=dtype)
+    params.add("trunk/b2", np.zeros(feature_dim))
+    mix = np.zeros(MIX_KERNEL)
     mix[0] = 1.0  # identity mixing at init
     params.add("trunk/mix", mix)
 
-    add_head_params(params, "head", kind, feature_dim, rng, dtype, horizon, n_verbs, n_nouns)
+    add_head_params(params, "head", kind, feature_dim, rng, horizon, n_verbs, n_nouns)
 
     return TaskModel(
         task_id=task_id,

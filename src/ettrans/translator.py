@@ -71,21 +71,19 @@ class TranslatorConfig:
         return tuple(t for t, _, _ in self.task_dims)
 
 
-def init_translator_params(
-    config: TranslatorConfig, rng: np.random.Generator, dtype=np.float64
-) -> nn.ParamSet:
+def init_translator_params(config: TranslatorConfig, rng: np.random.Generator) -> nn.ParamSet:
     def w(shape):
-        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape).astype(dtype)
+        return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape)
 
     params = nn.ParamSet()
     for task_id, _, d_k in config.task_dims:
         params.add(f"proj/{task_id}", w((d_k, config.d_model)))
     params.add("task_pos", w((config.total_tokens, config.d_model)))
     for layer in range(config.n_layers):
-        for name, arr in nn.init_encoder_layer_arrays(rng, config.d_model, config.d_ff, dtype).items():
+        for name, arr in nn.init_encoder_layer_arrays(rng, config.d_model, config.d_ff).items():
             params.add(f"enc{layer}/{name}", arr)
     task_models.add_head_params(
-        params, "dec", config.decoder_kind, config.d_model, rng, dtype,
+        params, "dec", config.decoder_kind, config.d_model, rng,
         config.horizon, config.n_verbs, config.n_nouns,
     )
     return params

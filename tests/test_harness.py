@@ -12,7 +12,7 @@ from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-from ettrans import cli, harness
+from ettrans import cli, harness, synth_tasks, training
 from ettrans.errors import CacheFormatError, CacheVersionError, ConfigError
 from ettrans.temporal_align import FeatureSequence
 
@@ -284,23 +284,58 @@ def test_rerun_is_byte_identical_modulo_wall_clock(tiny_config, tmp_path):
     )
 
 
-def test_parallel_workers_reproduce_sequential_reports(tiny_config, tmp_path):
-    out_seq = tmp_path / "seq"
-    out_par = tmp_path / "par"
-    harness.run_experiment(tiny_config, out_seq)
-    old = os.environ.get("ETT_NUM_WORKERS")
-    os.environ["ETT_NUM_WORKERS"] = "2"
-    try:
-        harness.run_experiment(tiny_config, out_par)
-    finally:
-        if old is None:
-            del os.environ["ETT_NUM_WORKERS"]
-        else:
-            os.environ["ETT_NUM_WORKERS"] = old
-    for arm in ("translator", "primary_only"):
-        a = json.loads((out_seq / f"report_{arm}_seed0.json").read_text())
-        b = json.loads((out_par / f"report_{arm}_seed0.json").read_text())
+def test_parallel_workers_reproduce_sequential_reports(tiny_config, tmp_path, monkeypatch):
+    """One job per seed, so two seeds are needed for the pool to start."""
+    seeds = (0, 1)
+    harness.run_experiment(tiny_config, tmp_path / "seq", seeds=seeds)
+    pools = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("ETT_NUM_WORKERS", "2")
+    harness.run_experiment(tiny_config, tmp_path / "par", seeds=seeds)
+    assert pools == [{"max_workers": 2}]
+    names = ["aggregate.json"] + [
+        f"report_{arm}_seed{seed}.json" for arm in tiny_config.arms for seed in seeds
+    ]
+    for name in names:
+        a = json.loads((tmp_path / "seq" / name).read_text())
+        b = json.loads((tmp_path / "par" / name).read_text())
         assert strip_wall_clock(a) == strip_wall_clock(b)
+
+
+def test_arms_of_a_seed_share_data_and_stage1_models(tiny_config, tmp_path, monkeypatch):
+    stage1_tasks, main_splits = [], []
+    train_stage1, generate = training.train_stage1, synth_tasks.generate
+
+    def counting_train_stage1(model, *args, **kwargs):
+        stage1_tasks.append(model.task_id)
+        return train_stage1(model, *args, **kwargs)
+
+    def counting_generate(specs, n, seed, split, **kwargs):
+        if seed == 0:  # stage-1 datasets use derived seeds
+            main_splits.append(split)
+        return generate(specs, n, seed, split, **kwargs)
+
+    monkeypatch.setattr(training, "train_stage1", counting_train_stage1)
+    monkeypatch.setattr(synth_tasks, "generate", counting_generate)
+    harness.run_experiment(tiny_config, tmp_path / "run", arms=("translator", "primary_only"))
+    assert sorted(stage1_tasks) == ["helper", "primary"]
+    assert sorted(main_splits) == ["test", "train", "val"]
+
+
+def test_each_arm_report_matches_that_arm_run_alone(tiny_config, tmp_path):
+    harness.run_experiment(tiny_config, tmp_path / "all", arms=harness.ARMS)
+    for arm in harness.ARMS:
+        harness.run_experiment(tiny_config, tmp_path / arm, arms=(arm,))
+        name = f"report_{arm}_seed0.json"
+        together = json.loads((tmp_path / "all" / name).read_text())
+        alone = json.loads((tmp_path / arm / name).read_text())
+        assert strip_wall_clock(together) == strip_wall_clock(alone)
 
 
 def test_feature_cache_is_reused_across_arms(tiny_config, tmp_path):
@@ -349,6 +384,29 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("n_heads = 2", "n_heads = 0"),
+        ("n_layers = 1", "n_layers = 0"),
+        ("batch_size = 16", "batch_size = 0"),
+        ("\nmax_epochs = 3", "\nmax_epochs = 0"),
+        ("stage1_max_epochs = 3", "stage1_max_epochs = 0"),
+        ("lr = 0.003", "lr = -1"),
+        ("stage1_patience = 2", "stage1_patience = 2\nstage1_batch_size = 0"),
+    ],
+    ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
+         "stage1_batch_size"],
+)
+def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
+    assert TINY_CFG.count(old) == 1
+    cfg = write_cfg(tmp_path, TINY_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not out.exists()
 
 
 def test_cli_config_required_without_check():
