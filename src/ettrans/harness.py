@@ -314,6 +314,11 @@ def validate_config(config: ExperimentConfig) -> None:
     for prefix, hyper in (("", config.stage2), ("stage1_", config.stage1)):
         if not (0 < hyper.lr < math.inf and min(hyper.batch_size, hyper.max_epochs) >= 1):
             raise ConfigError(f"need 0 < {prefix}lr < inf and {prefix}batch_size, {prefix}max_epochs >= 1")
+        # Adam divides by 1 - beta**t and by sqrt(v_hat) + eps
+        if not (0 <= hyper.beta1 < 1 and 0 <= hyper.beta2 < 1 and 0 < hyper.eps < math.inf):
+            raise ConfigError(
+                f"need 0 <= {prefix}beta1, {prefix}beta2 < 1 and 0 < {prefix}eps < inf"
+            )
     for t in config.tasks:
         spec = t.spec
         if spec.native_fps > config.fps + 1e-9:
@@ -720,6 +725,21 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
 
         err = nn.grad_check(enc_loss, enc_params)
         record(f"grad_encoder_layer_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
+
+        # three 4-frame windows stacked as in extraction and stage 1, through
+        # trunk, binary head and row-batched loss, at a generic point
+        model = tm.init_task_model("check", tm.KIND_BINARY, (0, 1), 3, 2.0, 2.0, rng, hidden=5)
+        stacked_params = nn.ParamSet()
+        for name, param in model.params.items():
+            stacked_params.add(name, rng.normal(0.0, 0.5, size=param.value.shape))
+        stacked_params.add("x", rng.normal(size=(3 * 4, 2)))
+
+        def stacked_loss(p):
+            output = tm.head_graph(tm.trunk_graph(p["x"], p, 3), p, tm.KIND_BINARY, n_seqs=3)
+            return tg.batch_loss(output, [1.0, 0.0, 1.0], tm.KIND_BINARY)
+
+        err = nn.grad_check(stacked_loss, stacked_params)
+        record(f"grad_stacked_trunk_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
     ap = metrics_mod.average_precision([0.9, 0.8, 0.1], [1, 0, 1])
     record("metric_ap_example", abs(ap - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12, f"ap={ap}")

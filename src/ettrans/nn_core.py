@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, expit
 
 from .errors import DimensionError
 
@@ -238,14 +238,23 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _node(value, (a,), vjp)
 
 
-def mean_rows(a) -> Tensor:
-    """Mean across rows, keeping a 1xD shape."""
+def _sequence_length(a: Tensor, n_seqs: int, op: str) -> int:
+    """Rows per sequence when ``a``'s rows hold ``n_seqs`` equal-length ones."""
+    if n_seqs < 1 or a.rows % n_seqs != 0:
+        raise DimensionError(f"{op}: {a.rows} rows do not split into {n_seqs} equal sequences")
+    return a.rows // n_seqs
+
+
+def mean_rows(a, n_seqs: int = 1) -> Tensor:
+    """Mean across the rows of each of ``n_seqs`` stacked equal-length
+    sequences: an (n_seqs x D) result, 1xD for a single sequence."""
     a = as_tensor(a)
-    n = a.rows
-    value = a.value.mean(axis=0, keepdims=True)
+    n = _sequence_length(a, n_seqs, "mean_rows")
+    value = a.value.reshape(n_seqs, n, -1).mean(axis=1)
 
     def vjp(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(g / n, a.shape).astype(a.dtype, copy=False))
+        spread = np.broadcast_to((g / n)[:, None, :], (n_seqs, n, a.cols))
+        _accumulate(a, spread.reshape(a.shape).astype(a.dtype, copy=False))
 
     return _node(value, (a,), vjp)
 
@@ -264,22 +273,27 @@ def mean_all(a) -> Tensor:
     return scale(sum_all(a), 1.0 / a.value.size)
 
 
-def causal_mix(a, w) -> Tensor:
-    """Causal lag mixing: y[t] = sum_tau w[tau] * x[t - tau], zero-padded past."""
+def causal_mix(a, w, n_seqs: int = 1) -> Tensor:
+    """Causal lag mixing: y[t] = sum_tau w[tau] * x[t - tau], zero-padded past.
+
+    The rows of ``a`` hold ``n_seqs`` stacked equal-length sequences; each
+    starts from its own zero-padded past, so no history crosses a boundary.
+    """
     a, w = as_tensor(a), as_tensor(w)
     if w.value.ndim != 1:
         raise DimensionError(f"causal_mix weights must be a vector, got shape {w.shape}")
-    x = a.value
+    t_len = _sequence_length(a, n_seqs, "causal_mix")
+    x = a.value.reshape(n_seqs, t_len, -1)
     taps = w.value
-    t_len = x.shape[0]
     value = np.zeros_like(x)
     for tau in range(min(len(taps), t_len)):
         if tau == 0:
             value += taps[0] * x
         else:
-            value[tau:] += taps[tau] * x[:-tau]
+            value[:, tau:] += taps[tau] * x[:, :-tau]
 
     def vjp(g: Array) -> None:
+        g = g.reshape(x.shape)
         gx = np.zeros_like(x)
         gw = np.zeros_like(taps)
         for tau in range(min(len(taps), t_len)):
@@ -287,12 +301,12 @@ def causal_mix(a, w) -> Tensor:
                 gx += taps[0] * g
                 gw[0] = (g * x).sum()
             else:
-                gx[:-tau] += taps[tau] * g[tau:]
-                gw[tau] = (g[tau:] * x[:-tau]).sum()
-        _accumulate(a, gx)
+                gx[:, :-tau] += taps[tau] * g[:, tau:]
+                gw[tau] = (g[:, tau:] * x[:, :-tau]).sum()
+        _accumulate(a, gx.reshape(a.shape))
         _accumulate(w, gw)
 
-    return _node(value, (a, w), vjp)
+    return _node(value.reshape(a.shape), (a, w), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -383,45 +397,57 @@ def softmax(x) -> Tensor:
 # loss kernels
 
 
-def sigmoid_cross_entropy(logit, target: float) -> Tensor:
-    """Binary cross-entropy from a logit, numerically stable at large |logit|."""
+def sigmoid_cross_entropy(logit, target) -> Tensor:
+    """Binary cross-entropy from logits, numerically stable at large |logit|.
+
+    ``target`` holds one value in [0, 1] per logit (a float for a single
+    logit); the result is the sum of the per-logit losses.
+    """
     logit = as_tensor(logit)
-    if logit.value.size != 1:
-        raise DimensionError(f"expected a single logit, got shape {logit.shape}")
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"binary target must lie in [0, 1], got {target}")
-    z = float(logit.value.item())
-    value = max(z, 0.0) - z * target + math.log1p(math.exp(-abs(z)))
+    t = np.asarray(target, dtype=np.float64).reshape(-1)
+    z = logit.value.reshape(-1)
+    if z.size != t.size:
+        raise DimensionError(f"{z.size} logits for {t.size} binary targets")
+    if not (t.min() >= 0.0 and t.max() <= 1.0):
+        raise ValueError(f"binary targets must lie in [0, 1], got {target}")
+    value = np.logaddexp(0.0, z).sum() - z @ t  # softplus(z) - z * t
 
     def vjp(g: Array) -> None:
-        if z >= 0:
-            p = 1.0 / (1.0 + math.exp(-z))
-        else:
-            e = math.exp(z)
-            p = e / (1.0 + e)
-        _accumulate(logit, np.full_like(logit.value, float(g) * (p - target)))
+        gz = g * (expit(z) - t)
+        _accumulate(logit, gz.reshape(logit.shape).astype(logit.dtype, copy=False))
 
     return _node(np.asarray(value, dtype=logit.dtype), (logit,), vjp)
 
 
-def softmax_cross_entropy(scores, target_index: int) -> Tensor:
-    """Cross-entropy of a score vector against one true class index."""
+def softmax_cross_entropy(scores, target_index) -> Tensor:
+    """Cross-entropy of score vectors against true class indices.
+
+    For one int index, ``scores`` is one vector-like tensor. For a sequence
+    of B indices it holds B equal-length score vectors in row-major order,
+    as B rows or as one column, and the result is the sum of their losses.
+    """
     scores = as_tensor(scores)
-    flat = scores.value.reshape(-1)
-    if scores.value.ndim == 2 and 1 not in scores.shape:
-        raise DimensionError(f"scores must be a vector-like tensor, got shape {scores.shape}")
-    n = flat.size
-    if not 0 <= target_index < n:
+    targets = np.asarray(target_index).reshape(-1)
+    n_rows = targets.size
+    shape = scores.shape
+    if len(shape) == 2 and shape[0] != n_rows and shape[1] != 1:
+        raise DimensionError(f"scores of shape {shape} do not hold {n_rows} score vectors")
+    if n_rows < 1 or scores.value.size % n_rows != 0:
+        raise DimensionError(f"{scores.value.size} scores do not split into {n_rows} rows")
+    flat = scores.value.reshape(n_rows, -1)
+    n = flat.shape[1]
+    if not (targets.min() >= 0 and targets.max() < n):
         raise ValueError(f"label out of range: index {target_index} for {n} classes")
-    m = flat.max()
-    lse = m + math.log(np.exp(flat - m).sum())
-    value = lse - flat[target_index]
+    rows = np.arange(n_rows)
+    shifted = flat - flat.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=1)
+    value = np.log(sums).sum() - shifted[rows, targets].sum()
 
     def vjp(g: Array) -> None:
-        p = np.exp(flat - m)
-        p /= p.sum()
-        p[target_index] -= 1.0
-        _accumulate(scores, (float(g) * p).reshape(scores.shape).astype(scores.dtype, copy=False))
+        p = e / sums[:, None]
+        p[rows, targets] -= 1.0
+        _accumulate(scores, (g * p).reshape(shape).astype(scores.dtype, copy=False))
 
     return _node(np.asarray(value, dtype=scores.dtype), (scores,), vjp)
 

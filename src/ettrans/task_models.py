@@ -62,22 +62,22 @@ class TaskModel:
     def native_frames(self) -> int:
         return int(round(self.native_fps * self.native_window_s))
 
-    def _input_tensor(self, window: FrameSeq) -> nn.Tensor:
-        return nn.Tensor(window.values[:, list(self.channels)])
+    def trunk_forward(self, window: FrameSeq, n_windows: int = 1) -> np.ndarray:
+        """Per-frame features (no gradients) of ``n_windows`` native-geometry
+        windows stacked along the frame axis; each window keeps its own
+        causal start."""
+        return self.trunk_graph(window, self.params.as_tensors(train=False), n_windows).value
 
-    def trunk_forward(self, window: FrameSeq) -> np.ndarray:
-        """Per-frame features for one native-geometry window (no gradients)."""
-        self._check_window(window)
-        leaves = self.params.as_tensors(train=False)
-        return trunk_graph(self._input_tensor(window), leaves).value
+    def trunk_graph(
+        self, window: FrameSeq, leaves: dict[str, nn.Tensor], n_windows: int = 1
+    ) -> nn.Tensor:
+        """Trunk forward over ``n_windows`` stacked windows as a graph node."""
+        self._check_window(window, n_windows)
+        return trunk_graph(nn.Tensor(window.values[:, list(self.channels)]), leaves, n_windows)
 
-    def trunk_graph(self, window: FrameSeq, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
-        """Trunk forward as a graph node, for stage-1 training."""
-        self._check_window(window)
-        return trunk_graph(self._input_tensor(window), leaves)
-
-    def head_forward(self, features, leaves: dict[str, nn.Tensor] | None = None):
-        """Task prediction from per-frame features (logit, frame scores, or steps)."""
+    def head_forward(self, features, leaves: dict[str, nn.Tensor] | None = None, n_seqs: int = 1):
+        """Task prediction from the per-frame features of ``n_seqs`` stacked
+        windows (logits, frame scores, or steps)."""
         if leaves is None:
             leaves = self.params.as_tensors(train=False)
         feats = nn.as_tensor(features)
@@ -86,13 +86,14 @@ class TaskModel:
                 f"head of {self.task_id!r} expects width {self.feature_dim}, "
                 f"got {feats.cols}"
             )
-        return head_graph(feats, leaves, self.kind)
+        return head_graph(feats, leaves, self.kind, n_seqs=n_seqs)
 
-    def _check_window(self, window: FrameSeq) -> None:
-        if abs(window.fps - self.native_fps) > 1e-9 or window.n_frames != self.native_frames:
+    def _check_window(self, window: FrameSeq, n_windows: int) -> None:
+        frames = n_windows * self.native_frames
+        if abs(window.fps - self.native_fps) > 1e-9 or window.n_frames != frames:
             raise DimensionError(
-                f"model {self.task_id!r} expects {self.native_frames} frames at "
-                f"{self.native_fps} fps, got {window.n_frames} at {window.fps}"
+                f"model {self.task_id!r} expects {n_windows} x {self.native_frames} frames "
+                f"at {self.native_fps} fps, got {window.n_frames} at {window.fps}"
             )
         if window.n_channels <= max(self.channels):
             raise DimensionError(
@@ -104,22 +105,30 @@ class TaskModel:
         return self.params.checksum()
 
 
-def trunk_graph(x: nn.Tensor, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
+def trunk_graph(x: nn.Tensor, leaves: dict[str, nn.Tensor], n_windows: int = 1) -> nn.Tensor:
     h = nn.gelu(nn.linear(x, leaves["trunk/w1"], leaves["trunk/b1"]))
     h = nn.linear(h, leaves["trunk/w2"], leaves["trunk/b2"])
-    return nn.causal_mix(h, leaves["trunk/mix"])
+    return nn.causal_mix(h, leaves["trunk/mix"], n_windows)
 
 
-def head_graph(features: nn.Tensor, leaves: Mapping[str, nn.Tensor], kind: str, prefix: str = "head"):
-    """Head output for one sample: a 1x1 logit (binary), one score per frame
-    (localization), or one (verb, noun) logit pair per future step (sequence)."""
+def head_graph(
+    features: nn.Tensor,
+    leaves: Mapping[str, nn.Tensor],
+    kind: str,
+    prefix: str = "head",
+    n_seqs: int = 1,
+):
+    """Head output for the ``n_seqs`` samples whose per-frame features are
+    stacked in ``features``: one logit row per sample (binary), one score per
+    frame (localization), or one (verb, noun) pair of logit rows per future
+    step (sequence)."""
     if kind == KIND_BINARY:
-        pooled = nn.mean_rows(features)
+        pooled = nn.mean_rows(features, n_seqs)
         return nn.linear(pooled, leaves[f"{prefix}/w"], leaves[f"{prefix}/b"])
     if kind == KIND_LOCALIZATION:
         return nn.linear(features, leaves[f"{prefix}/w"], leaves[f"{prefix}/b"])
     if kind == KIND_SEQUENCE:
-        pooled = nn.mean_rows(features)
+        pooled = nn.mean_rows(features, n_seqs)
         steps = []
         z = 0
         while f"{prefix}/step{z}/verb_w" in leaves:
@@ -161,14 +170,17 @@ def add_head_params(
         raise ValueError(f"unknown task kind: {kind!r}")
 
 
-def readout(kind: str, output, frame_times_s: np.ndarray):
-    """The predicted value of a head output: the logit as a float, the time of
-    the earliest top-scoring frame, or the argmax (verb, noun) of each step."""
+def readout(kind: str, output, frame_times_s: np.ndarray) -> list:
+    """The predicted value of each sample in a head output: the logit as a
+    float, the time of the earliest top-scoring frame, or the argmax
+    (verb, noun) of each step."""
     if kind == KIND_BINARY:
-        return output.item()
+        return [float(z) for z in output.value.reshape(-1)]
     if kind == KIND_LOCALIZATION:
-        return float(frame_times_s[int(np.argmax(output.value.reshape(-1)))])
-    return [(int(np.argmax(v.value)), int(np.argmax(n.value))) for v, n in output]
+        scores = output.value.reshape(-1, len(frame_times_s))
+        return [float(frame_times_s[i]) for i in np.argmax(scores, axis=1)]
+    steps = [(np.argmax(v.value, axis=1), np.argmax(n.value, axis=1)) for v, n in output]
+    return [[(int(v[i]), int(n[i])) for v, n in steps] for i in range(len(steps[0][0]))]
 
 
 def init_task_model(

@@ -2,8 +2,9 @@
 
 A model trained on short windows at its own frame rate is applied to a longer
 clip by (1) subsampling the clip down to the model's FPS, (2) planning sliding
-windows of the model's native duration, (3) running the model per window and
-(4) averaging per-frame features where windows overlap.
+windows of the model's native duration, (3) running the model once over all
+the clip's windows stacked, each from its own causal start, and (4) averaging
+per-frame features where windows overlap.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float
 
 
 def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence:
-    """Run a frozen model's trunk over each planned window and merge outputs.
+    """Run a frozen model's trunk over every planned window in one call and
+    merge outputs.
 
     The result keeps one feature row per clip frame, averaging rows that fall
     in several windows.
@@ -205,31 +207,23 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence
         )
 
     win_f = plan.frames_per_window
-    times = clip.frame_times()
-    window_rows = []
-    window_starts = []
-    for offset_s in plan.offsets_s:
-        start = frame_count(plan.fps, offset_s)
-        window = FrameSeq(
-            clip.values[start : start + win_f],
-            fps=plan.fps,
-            duration_s=plan.window_s,
+    starts = [frame_count(plan.fps, offset_s) for offset_s in plan.offsets_s]
+    rows = (np.asarray(starts)[:, None] + np.arange(win_f)).reshape(-1)
+    windows = FrameSeq(
+        clip.values[rows], fps=plan.fps, duration_s=plan.n_windows * plan.window_s
+    )
+    feats = np.asarray(model.trunk_forward(windows, plan.n_windows), dtype=np.float64)
+    if feats.shape[0] != rows.size:
+        raise AlignmentError(
+            f"trunk returned {feats.shape[0]} rows for {plan.n_windows} {win_f}-frame windows"
         )
-        feats = np.asarray(model.trunk_forward(window), dtype=np.float64)
-        if feats.shape[0] != win_f:
-            raise AlignmentError(
-                f"trunk returned {feats.shape[0]} rows for a {win_f}-frame window"
-            )
-        window_rows.append(feats)
-        window_starts.append(start)
 
-    dim = window_rows[0].shape[1]
-    total = np.zeros((clip.n_frames, dim), dtype=np.float64)
+    total = np.zeros((clip.n_frames, feats.shape[1]), dtype=np.float64)
     counts = np.zeros(clip.n_frames, dtype=np.int64)
-    for start, feats in zip(window_starts, window_rows):
-        total[start : start + win_f] += feats
+    for start, window_feats in zip(starts, feats.reshape(plan.n_windows, win_f, -1)):
+        total[start : start + win_f] += window_feats
         counts[start : start + win_f] += 1
     if np.any(counts == 0):
         raise AlignmentError("window plan leaves frames uncovered")
     merged = total / counts[:, None]
-    return FeatureSequence(model.task_id, merged.astype(np.float32), times)
+    return FeatureSequence(model.task_id, merged.astype(np.float32), clip.frame_times())

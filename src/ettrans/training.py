@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -92,25 +92,32 @@ def optimizer_step(
 # losses
 
 
-def loss(output, label, kind: str) -> nn.Tensor:
-    """Scalar training loss of one head output of the given task kind; a
-    localization label is the target frame index."""
+def batch_loss(output, labels: Sequence, kind: str) -> nn.Tensor:
+    """Summed training loss of the samples a head output of the given task
+    kind holds, one label each; a localization label is the target frame
+    index."""
     if kind == tm.KIND_BINARY:
-        return nn.sigmoid_cross_entropy(output, float(label))
+        return nn.sigmoid_cross_entropy(output, [float(label) for label in labels])
     if kind == tm.KIND_LOCALIZATION:
-        return nn.softmax_cross_entropy(output, int(label))
+        return nn.softmax_cross_entropy(output, [int(label) for label in labels])
     if kind == tm.KIND_SEQUENCE:
-        if len(output) != len(label):
-            raise ValueError(f"{len(output)} predicted steps for {len(label)} labels")
+        for label in labels:
+            if len(output) != len(label):
+                raise ValueError(f"{len(output)} predicted steps for {len(label)} labels")
         total = None
-        for (verb_logits, noun_logits), (v, n) in zip(output, label):
+        for z, (verb_logits, noun_logits) in enumerate(output):
             term = nn.add(
-                nn.softmax_cross_entropy(verb_logits, v),
-                nn.softmax_cross_entropy(noun_logits, n),
+                nn.softmax_cross_entropy(verb_logits, [label[z][0] for label in labels]),
+                nn.softmax_cross_entropy(noun_logits, [label[z][1] for label in labels]),
             )
             total = term if total is None else nn.add(total, term)
         return nn.scale(total, 1.0 / (2.0 * len(output)))
     raise ValueError(f"unknown task kind: {kind!r}")
+
+
+def loss(output, label, kind: str) -> nn.Tensor:
+    """Scalar training loss of a one-sample head output."""
+    return batch_loss(output, [label], kind)
 
 
 def localization_target_index(label: LocalizationLabel, frame_times_s: np.ndarray) -> int:
@@ -118,12 +125,12 @@ def localization_target_index(label: LocalizationLabel, frame_times_s: np.ndarra
     return int(np.argmin(np.abs(np.asarray(frame_times_s) - label.time_s)))
 
 
-def _label_loss(output, label, kind: str, frame_times_s: np.ndarray) -> nn.Tensor:
-    """``loss`` against a dataset label; ``frame_times_s`` are the times of
-    the frames a localization head scored."""
+def _label_loss(output, labels: Sequence, kind: str, frame_times_s: np.ndarray) -> nn.Tensor:
+    """``batch_loss`` against dataset labels; ``frame_times_s`` are the times
+    of the frames a localization head scored in each sample."""
     if kind == tm.KIND_LOCALIZATION:
-        label = localization_target_index(label, frame_times_s)
-    return loss(output, label, kind)
+        labels = [localization_target_index(label, frame_times_s) for label in labels]
+    return batch_loss(output, labels, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +150,10 @@ class TrainReport:
     wall_clock_s: float = 0.0
 
     @property
-    def best_val_metric(self) -> float:
-        return self.val_metrics[self.best_epoch]
+    def best_val_metric(self) -> float | None:
+        """The best epoch's validation metric; None if no epoch improved on
+        the starting best (e.g. a NaN metric in every epoch)."""
+        return self.val_metrics[self.best_epoch] if self.best_epoch >= 0 else None
 
     def to_dict(self) -> dict:
         return {
@@ -156,7 +165,7 @@ class TrainReport:
             "val_metrics": self.val_metrics,
             "best_epoch": self.best_epoch,
             "stopped_epoch": self.stopped_epoch,
-            "best_val_metric": self.val_metrics[self.best_epoch] if self.val_metrics else None,
+            "best_val_metric": self.best_val_metric,
             "wall_clock_s": self.wall_clock_s,
         }
 
@@ -165,11 +174,27 @@ def _improved(candidate: float, best: float, greater_is_better: bool) -> bool:
     return candidate > best if greater_is_better else candidate < best
 
 
+LossTerms = Callable[[list, dict[str, nn.Tensor]], Iterable[nn.Tensor]]
+
+
+def _backward_terms(build_loss: LossTerms, batch: list, leaves, where: str) -> float:
+    """Backpropagate every loss term ``build_loss`` yields for one minibatch
+    into ``leaves``; returns their summed value."""
+    total = 0.0
+    for term in build_loss(batch, leaves):
+        value = float(term.value)
+        if not np.isfinite(value):
+            raise TrainingDivergedError(f"non-finite loss {value} {where}")
+        total += value
+        term.backward()
+    return total
+
+
 def fit(
     params: nn.ParamSet,
     train_samples: Sequence,
     val_samples: Sequence,
-    build_loss: Callable[[object, dict[str, nn.Tensor]], nn.Tensor],
+    build_loss: LossTerms,
     evaluate: Callable[[Sequence, nn.ParamSet], tuple[float, float]],
     metric_name: str,
     greater_is_better: bool,
@@ -178,8 +203,10 @@ def fit(
 ) -> TrainReport:
     """Minibatch Adam with early stopping; restores the best-epoch parameters.
 
-    ``build_loss`` maps (sample, leaves) to a scalar graph node. ``evaluate``
-    returns (mean loss, metric) for a sample set at the current parameters.
+    ``build_loss`` maps (minibatch, leaves) to the minibatch's loss terms:
+    scalar graph nodes whose values sum to the minibatch's summed loss.
+    ``evaluate`` returns (mean loss, metric) for a sample set at the current
+    parameters.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
@@ -194,17 +221,10 @@ def fit(
         order = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, hyper.batch_size):
-            batch = order[lo : lo + hyper.batch_size]
+            batch = [train_samples[idx] for idx in order[lo : lo + hyper.batch_size]]
             leaves = params.as_tensors()
-            for idx in batch:
-                sample_loss = build_loss(train_samples[idx], leaves)
-                value = float(sample_loss.value)
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(
-                        f"non-finite loss {value} at epoch {epoch}, sample {idx}"
-                    )
-                epoch_loss += value
-                sample_loss.backward()
+            where = f"at epoch {epoch}, step {lo // hyper.batch_size}"
+            epoch_loss += _backward_terms(build_loss, batch, leaves, where)
             grads = {
                 name: g / len(batch) for name, g in nn.collect_grads(leaves).items()
             }
@@ -234,7 +254,7 @@ def fit(
 def run_steps(
     params: nn.ParamSet,
     samples: Sequence,
-    build_loss: Callable[[object, dict[str, nn.Tensor]], nn.Tensor],
+    build_loss: LossTerms,
     n_steps: int,
     hyper: TrainHyper,
 ) -> list[float]:
@@ -245,16 +265,9 @@ def run_steps(
     """
     state = OptimState.for_params(params, hyper)
     losses = []
-    for _ in range(n_steps):
+    for step in range(n_steps):
         leaves = params.as_tensors()
-        total = 0.0
-        for sample in samples:
-            sample_loss = build_loss(sample, leaves)
-            value = float(sample_loss.value)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(f"non-finite loss {value}")
-            total += value
-            sample_loss.backward()
+        total = _backward_terms(build_loss, samples, leaves, f"at step {step}")
         grads = {name: g / len(samples) for name, g in nn.collect_grads(leaves).items()}
         optimizer_step(params, grads, state)
         losses.append(total / len(samples))
@@ -264,27 +277,41 @@ def run_steps(
 # ---------------------------------------------------------------------------
 # forward, loss and readout shared by both stages
 #
-# A stage's ``forward(sample, leaves)`` returns (head output, times of the
-# scored frames, label); the loss and the prediction are read from that one
-# output.
+# A stage's ``forward(samples, leaves)`` runs one graph over a list of
+# samples and returns (head output, times of each sample's scored frames,
+# labels); the loss and the predictions are read from that one output. Stage
+# 1 runs a whole minibatch per graph (validation in minibatch-sized graphs),
+# stage 2 one sample per graph (``STAGE2_GRAPH_SAMPLES``).
 
 
-def _build_loss(kind: str, forward: Callable):
-    def build_loss(sample, leaves):
-        output, frame_times_s, label = forward(sample, leaves)
-        return _label_loss(output, label, kind, frame_times_s)
+def _chunks(samples: Sequence, size: int | None):
+    """Consecutive runs of ``size`` samples; None keeps them in one run."""
+    size = size or len(samples)
+    return (list(samples[lo : lo + size]) for lo in range(0, len(samples), size))
+
+
+def _build_loss(kind: str, forward: Callable, graph_samples: int | None) -> LossTerms:
+    """Loss terms of a minibatch: one per graph of ``graph_samples`` samples,
+    or one for the whole minibatch if None."""
+
+    def build_loss(batch, leaves):
+        for part in _chunks(batch, graph_samples):
+            output, frame_times_s, labels = forward(part, leaves)
+            yield _label_loss(output, labels, kind, frame_times_s)
 
     return build_loss
 
 
-def _predictions(samples: Sequence, leaves, kind: str, forward: Callable) -> tuple[list, list, float]:
+def _predictions(
+    samples: Sequence, leaves, kind: str, forward: Callable, graph_samples: int | None
+) -> tuple[list, list, float]:
     preds, labels = [], []
     total_loss = 0.0
-    for sample in samples:
-        output, frame_times_s, label = forward(sample, leaves)
-        total_loss += float(_label_loss(output, label, kind, frame_times_s).value)
-        preds.append(tm.readout(kind, output, frame_times_s))
-        labels.append(label)
+    for part in _chunks(samples, graph_samples):
+        output, frame_times_s, part_labels = forward(part, leaves)
+        total_loss += float(_label_loss(output, part_labels, kind, frame_times_s).value)
+        preds.extend(tm.readout(kind, output, frame_times_s))
+        labels.extend(part_labels)
     return preds, labels, total_loss / len(samples)
 
 
@@ -333,6 +360,30 @@ def _stage1_samples(dataset: SyntheticDataset, task_id: str) -> list[tuple[Frame
     return list(zip(dataset.clips, dataset.task_labels(task_id)))
 
 
+def _stage1_forward(model: tm.TaskModel) -> Callable:
+    """Trunk and head over native-geometry clips stacked along the frame
+    axis, each clip from its own causal start."""
+
+    def forward(samples, leaves):
+        clips, labels = zip(*samples)
+        first = clips[0]
+        stacked = FrameSeq(
+            np.concatenate([clip.values for clip in clips]),
+            fps=first.fps,
+            duration_s=len(clips) * first.duration_s,
+        )
+        features = model.trunk_graph(stacked, leaves, len(clips))
+        output = model.head_forward(features, leaves, len(clips))
+        return output, first.frame_times(), list(labels)
+
+    return forward
+
+
+def stage1_build_loss(model: tm.TaskModel) -> LossTerms:
+    """One summed loss term per minibatch, from one graph over all of it."""
+    return _build_loss(model.kind, _stage1_forward(model), None)
+
+
 def train_stage1(
     model: tm.TaskModel,
     train_set: SyntheticDataset,
@@ -345,15 +396,11 @@ def train_stage1(
     train_samples = _stage1_samples(train_set, task_id)
     val_samples = _stage1_samples(val_set, task_id)
     metric_name, greater = _metric_for_kind(model.kind)
-
-    def forward(sample, leaves):
-        clip, label = sample
-        output = model.head_forward(model.trunk_graph(clip, leaves), leaves)
-        return output, clip.frame_times(), label
+    forward = _stage1_forward(model)
 
     def evaluate(samples, params):
         preds, labels, mean_loss = _predictions(
-            samples, params.as_tensors(train=False), model.kind, forward
+            samples, params.as_tensors(train=False), model.kind, forward, hyper.batch_size
         )
         metric, _ = _score_predictions(model.kind, preds, labels)
         return mean_loss, metric
@@ -362,7 +409,7 @@ def train_stage1(
         model.params,
         train_samples,
         val_samples,
-        _build_loss(model.kind, forward),
+        stage1_build_loss(model),
         evaluate,
         metric_name,
         greater,
@@ -379,18 +426,23 @@ def train_stage1(
 
 Stage2Sample = tuple[dict[str, FeatureSequence], object]
 
+# Samples per stage-2 graph. One graph over a 32-sample minibatch at 96
+# tokens holds ~9x the numpy memory of a one-sample graph, so stage 2 stays
+# per-sample.
+STAGE2_GRAPH_SAMPLES = 1
+
 
 def _stage2_forward(config: tr.TranslatorConfig) -> Callable:
-    def forward(sample: Stage2Sample, leaves):
-        features, label = sample
+    def forward(samples: list[Stage2Sample], leaves):
+        [(features, label)] = samples
         output = tr.translate(features, leaves, config)
-        return output, features[config.primary_task_id].frame_times_s, label
+        return output, features[config.primary_task_id].frame_times_s, [label]
 
     return forward
 
 
-def stage2_build_loss(config: tr.TranslatorConfig):
-    return _build_loss(config.decoder_kind, _stage2_forward(config))
+def stage2_build_loss(config: tr.TranslatorConfig) -> LossTerms:
+    return _build_loss(config.decoder_kind, _stage2_forward(config), STAGE2_GRAPH_SAMPLES)
 
 
 def stage2_predictions(
@@ -398,7 +450,11 @@ def stage2_predictions(
 ) -> tuple[list, list, float]:
     """Forward every sample without gradients; returns preds, labels, mean loss."""
     return _predictions(
-        samples, params.as_tensors(train=False), config.decoder_kind, _stage2_forward(config)
+        samples,
+        params.as_tensors(train=False),
+        config.decoder_kind,
+        _stage2_forward(config),
+        STAGE2_GRAPH_SAMPLES,
     )
 
 

@@ -396,9 +396,18 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("stage1_max_epochs = 3", "stage1_max_epochs = 0"),
         ("lr = 0.003", "lr = -1"),
         ("stage1_patience = 2", "stage1_patience = 2\nstage1_batch_size = 0"),
+        ("lr = 0.003", "lr = 0.003\nbeta1 = 1.0"),
+        ("lr = 0.003", "lr = 0.003\nbeta2 = 1.0"),
+        ("lr = 0.003", "lr = 0.003\nbeta1 = -0.1"),
+        ("lr = 0.003", "lr = 0.003\neps = 0"),
+        ("lr = 0.003", "lr = 0.003\neps = nan"),
+        ("stage1_patience = 2", "stage1_patience = 2\nstage1_beta1 = 1.0"),
+        ("stage1_patience = 2", "stage1_patience = 2\nstage1_beta2 = 1.5"),
+        ("stage1_patience = 2", "stage1_patience = 2\nstage1_eps = inf"),
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
-         "stage1_batch_size"],
+         "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
+         "stage1_beta1", "stage1_beta2", "stage1_eps"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1

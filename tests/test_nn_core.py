@@ -334,6 +334,104 @@ def test_grad_check_every_parameterized_operation(seed):
     assert worst < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# stacked sequences and row-batched losses
+
+
+def test_stacked_sequence_ops_equal_per_sequence_ops():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(4 * 5, 3))
+    taps = rng.normal(size=4)
+    mixed = nn.causal_mix(x, taps, n_seqs=4).value
+    pooled = nn.mean_rows(x, n_seqs=4).value
+    assert mixed.shape == (20, 3)
+    assert pooled.shape == (4, 3)
+    for i in range(4):
+        seq = x[5 * i : 5 * (i + 1)]
+        np.testing.assert_array_equal(mixed[5 * i : 5 * (i + 1)], nn.causal_mix(seq, taps).value)
+        np.testing.assert_array_equal(pooled[i : i + 1], nn.mean_rows(seq).value)
+
+
+def test_stacked_sequence_ops_reject_uneven_splits():
+    with pytest.raises(DimensionError):
+        nn.causal_mix(np.zeros((7, 2)), np.ones(3), n_seqs=2)
+    with pytest.raises(DimensionError):
+        nn.mean_rows(np.zeros((7, 2)), n_seqs=3)
+    with pytest.raises(DimensionError):
+        nn.mean_rows(np.zeros((6, 2)), n_seqs=0)
+
+
+def test_row_batched_losses_equal_sum_of_per_row_losses():
+    rng = np.random.default_rng(22)
+    logits = rng.normal(size=(5, 1))
+    targets = rng.integers(2, size=5).astype(float)
+    got = nn.sigmoid_cross_entropy(logits, targets).item()
+    want = sum(nn.sigmoid_cross_entropy(z.reshape(1, 1), t).item() for z, t in zip(logits, targets))
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    scores = rng.normal(size=(4, 6))
+    labels = rng.integers(6, size=4)
+    want = sum(nn.softmax_cross_entropy(row, int(k)).item() for row, k in zip(scores, labels))
+    assert nn.softmax_cross_entropy(scores, labels).item() == pytest.approx(want, rel=1e-12)
+    # the same four score vectors held as one column
+    column = scores.reshape(-1, 1)
+    assert nn.softmax_cross_entropy(column, labels).item() == pytest.approx(want, rel=1e-12)
+
+
+def test_row_batched_losses_reject_mismatched_targets():
+    with pytest.raises(DimensionError):
+        nn.sigmoid_cross_entropy(np.zeros((3, 1)), [0.0, 1.0])
+    with pytest.raises(DimensionError):
+        nn.softmax_cross_entropy(np.zeros((3, 4)), [0, 1])
+    with pytest.raises(DimensionError):
+        nn.softmax_cross_entropy(np.zeros((3, 4)), 1)
+    with pytest.raises(ValueError):
+        nn.softmax_cross_entropy(np.zeros((2, 4)), [0, 4])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_stacked_sequences_and_row_batched_losses(seed):
+    rng = np.random.default_rng(100 + seed)
+    worst = 0.0
+
+    # three stacked 4-row sequences, read out with unequal weights per row so
+    # every boundary row carries its own gradient
+    params = nn.ParamSet()
+    params.add("x", rng.normal(size=(3 * 4, 2)))
+    params.add("taps", rng.normal(size=4))
+    readout = rng.normal(size=(3 * 4, 2))
+    worst = max(
+        worst,
+        nn.grad_check(
+            lambda p: nn.sum_all(nn.mul(nn.causal_mix(p["x"], p["taps"], 3), readout)), params
+        ),
+    )
+
+    params = nn.ParamSet()
+    params.add("x", rng.normal(size=(3 * 4, 5)))
+    readout = rng.normal(size=(3, 5))
+    worst = max(
+        worst, nn.grad_check(lambda p: nn.sum_all(nn.mul(nn.mean_rows(p["x"], 3), readout)), params)
+    )
+
+    params = nn.ParamSet()
+    params.add("logits", rng.normal(size=(5, 1)))
+    targets = rng.integers(2, size=5).astype(float)
+    worst = max(
+        worst, nn.grad_check(lambda p: nn.sigmoid_cross_entropy(p["logits"], targets), params)
+    )
+
+    labels = rng.integers(6, size=4)
+    for shape in ((4, 6), (4 * 6, 1)):
+        params = nn.ParamSet()
+        params.add("scores", rng.normal(size=shape))
+        worst = max(
+            worst, nn.grad_check(lambda p: nn.softmax_cross_entropy(p["scores"], labels), params)
+        )
+
+    assert worst < 1e-4
+
+
 def test_grad_check_rejects_nonfinite_base_point():
     params = nn.ParamSet()
     params.add("w", np.asarray(np.inf))

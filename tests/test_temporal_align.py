@@ -20,7 +20,8 @@ def make_clip(duration_s, fps, channels=3, seed=0):
 
 @dataclass
 class LinearStub:
-    """Frozen stand-in whose trunk is a fixed channel mix, easy to replicate."""
+    """Frozen stand-in whose trunk is a fixed per-frame channel mix, easy to
+    replicate; with no temporal context it ignores window boundaries."""
 
     task_id: str = "stub"
     native_fps: float = 2.0
@@ -28,7 +29,7 @@ class LinearStub:
     frozen: bool = True
     matrix: np.ndarray = field(default_factory=lambda: np.arange(6.0).reshape(3, 2))
 
-    def trunk_forward(self, window):
+    def trunk_forward(self, window, n_windows=1):
         return window.values @ self.matrix
 
 
@@ -184,6 +185,61 @@ def test_extract_overlapping_windows_match_materialize_and_average_oracle():
         counts[start : start + win_f] += 1
     expected = (totals / counts[:, None]).astype(np.float32)
     np.testing.assert_array_equal(seq.values, expected)
+
+
+def test_extract_with_task_model_restarts_causal_history_per_window():
+    from scipy.special import erf
+
+    from ettrans import task_models as tm
+
+    model = tm.init_task_model(
+        "real", "binary", (0, 2), 3, native_fps=2.0, native_window_s=2.0,
+        rng=np.random.default_rng(7), hidden=5,
+    )
+    rng = np.random.default_rng(8)
+    for name in model.params.names():
+        model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
+    taps = model.params["trunk/mix"].value
+    assert np.all(np.abs(taps[1:]) > 1e-3)  # the mix reaches back across frames
+    model.stage1_complete = True
+    tm.freeze(model)
+    clip = make_clip(5.0, 2.0, seed=9)
+    plan = ta.plan_windows(5.0, 2.0, 0.5, 2.0)  # one-frame stride
+    seq = ta.extract_features(clip, model, plan)
+
+    p = {name: model.params[name].value for name in model.params.names()}
+
+    def per_frame(x):
+        h = x @ p["trunk/w1"] + p["trunk/b1"]
+        h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
+        return h @ p["trunk/w2"] + p["trunk/b2"]
+
+    def mix(frames):
+        out = np.zeros_like(frames)
+        for t in range(len(frames)):
+            for tau in range(len(taps)):
+                if t - tau >= 0:
+                    out[t] += taps[tau] * frames[t - tau]
+        return out
+
+    win_f = plan.frames_per_window
+    x = clip.values[:, [0, 2]]
+    totals = np.zeros((clip.n_frames, 3))
+    counts = np.zeros(clip.n_frames)
+    for offset in plan.offsets_s:
+        start = round(offset * plan.fps)
+        totals[start : start + win_f] += mix(per_frame(x[start : start + win_f]))
+        counts[start : start + win_f] += 1
+    expected = totals / counts[:, None]
+    np.testing.assert_allclose(seq.values, expected, rtol=1e-5, atol=1e-6)
+
+    # history carried over from one window into the next would differ
+    leaked = np.zeros((clip.n_frames, 3))
+    whole = mix(per_frame(x))
+    for offset in plan.offsets_s:
+        start = round(offset * plan.fps)
+        leaked[start : start + win_f] += whole[start : start + win_f]
+    assert np.abs(leaked / counts[:, None] - expected).max() > 1e-2
 
 
 def test_extract_rejects_fps_mismatch():

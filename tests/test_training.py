@@ -175,6 +175,63 @@ def test_stage1_divergence_aborts_with_report():
             tg.train_stage1(model, train, val, tg.TrainHyper(lr=1e80, max_epochs=5), seed=6)
 
 
+def _stage1_kind_setup(kind, seed, n=7):
+    extra = dict(horizon=2, n_verbs=3, n_nouns=4) if kind == "sequence" else {}
+    spec = st.TaskSpec("t", kind, (0, 1, 2), 1.0, 1.0, 2.0, 2.0, signal=0.5, **extra)
+    data = st.generate([spec], n, seed=seed, split="train")
+    model = tm.init_task_model(
+        "t", kind, spec.channels, 4, 2.0, 2.0, np.random.default_rng(seed), hidden=5, **extra
+    )
+    rng = np.random.default_rng(seed + 1)
+    for name in model.params.names():  # a generic point: every tap and bias matters
+        model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
+    return model, list(zip(data.clips, data.task_labels("t")))
+
+
+@pytest.mark.parametrize("kind", ["binary", "localization", "sequence"])
+def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
+    model, samples = _stage1_kind_setup(kind, seed=11)
+
+    leaves = model.params.as_tensors()
+    terms = list(tg.stage1_build_loss(model)(samples, leaves))
+    assert len(terms) == 1  # one graph for the whole minibatch
+    terms[0].backward()
+    batched = nn.collect_grads(leaves)
+
+    leaves = model.params.as_tensors()
+    total = 0.0
+    for clip, label in samples:
+        output = model.head_forward(model.trunk_graph(clip, leaves), leaves)
+        if kind == "localization":
+            label = tg.localization_target_index(label, clip.frame_times())
+        term = tg.loss(output, label, kind)
+        total += term.item()
+        term.backward()
+    per_sample = nn.collect_grads(leaves)
+
+    assert terms[0].item() == pytest.approx(total, rel=1e-12, abs=1e-12)
+    assert set(batched) == set(per_sample)
+    for name, grad in per_sample.items():
+        np.testing.assert_allclose(batched[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_fit_without_an_improving_epoch_reports_no_best_metric():
+    params = nn.ParamSet()
+    params.add("w", np.zeros(2))
+
+    def build_loss(batch, leaves):
+        yield nn.sum_all(nn.mul(leaves["w"], leaves["w"]))
+
+    report = tg.fit(
+        params, [0, 1, 2], [0], build_loss, lambda samples, p: (0.0, float("nan")),
+        "accuracy", True, tg.TrainHyper(max_epochs=3, patience=5), seed=0,
+    )
+    assert report.best_epoch == -1
+    assert report.stopped_epoch == 2
+    assert report.best_val_metric is None
+    assert report.to_dict()["best_val_metric"] is None
+
+
 # ---------------------------------------------------------------------------
 # stage 2
 

@@ -200,7 +200,8 @@ def _loc_leaves():
 
 def _decode_localization(span, times):
     scores = tm.head_graph(nn.Tensor(span), _loc_leaves(), tm.KIND_LOCALIZATION, "dec")
-    return scores, tm.readout(tm.KIND_LOCALIZATION, scores, times)
+    [when] = tm.readout(tm.KIND_LOCALIZATION, scores, times)
+    return scores, when
 
 
 def test_decode_localization_single_frame_span():
@@ -284,7 +285,7 @@ def test_decode_sequence_arity_and_argmax_scan_oracle():
     for (v1, n1), (v2, n2) in zip(steps, again):
         np.testing.assert_array_equal(v1.value, v2.value)
         np.testing.assert_array_equal(n1.value, n2.value)
-    actions = tm.readout(tm.KIND_SEQUENCE, steps, None)
+    [actions] = tm.readout(tm.KIND_SEQUENCE, steps, None)
     assert len(actions) == 3
     for (verb, noun), action in zip(steps, actions):
         assert verb.shape == (1, 5)
