@@ -314,6 +314,8 @@ def validate_config(config: ExperimentConfig) -> None:
     for prefix, hyper in (("", config.stage2), ("stage1_", config.stage1)):
         if not (0 < hyper.lr < math.inf and min(hyper.batch_size, hyper.max_epochs) >= 1):
             raise ConfigError(f"need 0 < {prefix}lr < inf and {prefix}batch_size, {prefix}max_epochs >= 1")
+        if hyper.patience < 0:
+            raise ConfigError(f"need {prefix}patience >= 0, got {hyper.patience}")
         # Adam divides by 1 - beta**t and by sqrt(v_hat) + eps
         if not (0 <= hyper.beta1 < 1 and 0 <= hyper.beta2 < 1 and 0 < hyper.eps < math.inf):
             raise ConfigError(
@@ -330,6 +332,15 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(
                 f"task {spec.task_id!r} window {spec.native_window_s} s exceeds "
                 f"clip duration {config.duration_s} s"
+            )
+        # the window plan needs a positive stride, and one no longer than the
+        # window unless a single window covers the clip
+        if not t.stride_s > 0:
+            raise ConfigError(f"task {spec.task_id!r} stride_s={t.stride_s} must be positive")
+        if t.stride_s > spec.native_window_s and spec.native_window_s < config.duration_s:
+            raise ConfigError(
+                f"task {spec.task_id!r} stride_s={t.stride_s} exceeds its "
+                f"{spec.native_window_s} s window and would leave frames uncovered"
             )
         for label, value in (("stride_s", t.stride_s), ("native_window_s", spec.native_window_s)):
             frames = value * spec.native_fps
@@ -740,6 +751,35 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
 
         err = nn.grad_check(stacked_loss, stacked_params)
         record(f"grad_stacked_trunk_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
+
+        # a 3-sample translator graph as in stage 2: per-sample attention,
+        # the localization primary span cut per sample and the row-batched
+        # loss, at a generic point
+        tconfig = tr.TranslatorConfig(
+            task_dims=(("p", 3, 2), ("a", 2, 3)), d_model=4, n_layers=1, n_heads=2,
+            d_ff=8, primary_task_id="p", decoder_kind=tm.KIND_LOCALIZATION,
+        )
+        # dec/b and the last ffn_b2 shift every frame score alike, which the
+        # softmax ignores: their gradients are exactly zero, so they stay fixed
+        constant = ("dec/b", "enc0/ffn_b2")
+        tparams = nn.ParamSet()
+        for name, param in tr.init_translator_params(tconfig, rng).items():
+            value = rng.normal(0.0, 0.5, size=param.value.shape)
+            tparams.add(name, value, trainable=name not in constant)
+        group = [
+            {
+                t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.5)
+                for t, t_k, d_k in tconfig.task_dims
+            }
+            for _ in range(3)
+        ]
+
+        def translator_loss(p):
+            output = tr.translate(group, p, tconfig)
+            return tg.batch_loss(output, [0, 2, 1], tm.KIND_LOCALIZATION)
+
+        err = nn.grad_check(translator_loss, tparams)
+        record(f"grad_stacked_translator_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
     ap = metrics_mod.average_precision([0.9, 0.8, 0.1], [1, 0, 1])
     record("metric_ap_example", abs(ap - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12, f"ap={ap}")

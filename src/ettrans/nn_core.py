@@ -130,9 +130,16 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 # elementwise / arithmetic ops
 
 
-def add(a, b) -> Tensor:
+def add(a, b, n_seqs: int = 1) -> Tensor:
+    """a + b with numpy broadcasting. With ``n_seqs`` > 1, ``a``'s rows hold
+    ``n_seqs`` stacked equal-length sequences and ``b`` is broadcast against
+    each of them."""
     a, b = as_tensor(a), as_tensor(b)
-    value = a.value + b.value
+    if n_seqs == 1:
+        value = a.value + b.value
+    else:
+        split = (n_seqs, _sequence_length(a, n_seqs, "add")) + a.shape[1:]
+        value = (a.value.reshape(split) + b.value).reshape(a.shape)
     same_shape = a.shape == b.shape == value.shape
 
     def vjp(g: Array) -> None:
@@ -141,7 +148,8 @@ def add(a, b) -> Tensor:
             _accumulate(b, g)
         else:
             _accumulate(a, _unbroadcast(g, a.shape).astype(a.dtype, copy=False))
-            _accumulate(b, _unbroadcast(g, b.shape).astype(b.dtype, copy=False))
+            gb = g if n_seqs == 1 else g.reshape(split)
+            _accumulate(b, _unbroadcast(gb, b.shape).astype(b.dtype, copy=False))
 
     return _node(value, (a, b), vjp)
 
@@ -212,28 +220,38 @@ def gelu(a) -> Tensor:
 # structural ops
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+def concat_rows(parts: Sequence[Tensor], n_seqs: int = 1) -> Tensor:
+    """Join parts along the rows. Each part holds ``n_seqs`` stacked
+    equal-length sequences; sequence i of the result is sequence i of every
+    part, in part order."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat_rows needs at least one part")
-    value = np.concatenate([p.value for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.rows for p in parts])
+    lengths = [_sequence_length(p, n_seqs, "concat_rows") for p in parts]
+    blocks = [p.value.reshape((n_seqs, n) + p.shape[1:]) for p, n in zip(parts, lengths)]
+    joined = np.concatenate(blocks, axis=1)
+    offsets = np.cumsum([0] + lengths)
 
     def vjp(g: Array) -> None:
+        g = g.reshape(joined.shape)
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(part, g[lo:hi])
+            _accumulate(part, g[:, lo:hi].reshape(part.shape))
 
-    return _node(value, parts, vjp)
+    return _node(joined.reshape((-1,) + joined.shape[2:]), parts, vjp)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
+def slice_rows(a, start: int, stop: int, n_seqs: int = 1) -> Tensor:
+    """Rows ``start:stop`` of each of the ``n_seqs`` stacked equal-length
+    sequences in ``a``'s rows, stacked in sequence order."""
     a = as_tensor(a)
-    value = a.value[start:stop].copy()
+    split = (n_seqs, _sequence_length(a, n_seqs, "slice_rows")) + a.shape[1:]
+    cut = np.array(a.value.reshape(split)[:, start:stop])
+    value = cut.reshape((-1,) + a.shape[1:])
 
     def vjp(g: Array) -> None:
-        full = np.zeros_like(a.value)
-        full[start:stop] = g
-        _accumulate(a, full)
+        full = np.zeros(split, dtype=a.dtype)
+        full[:, start:stop] = g.reshape(cut.shape)
+        _accumulate(a, full.reshape(a.shape))
 
     return _node(value, (a,), vjp)
 
@@ -619,44 +637,52 @@ def init_encoder_layer_arrays(rng: np.random.Generator, d: int, d_ff: int) -> di
     }
 
 
-def scaled_dot_attention(q, k, v, n_heads: int, weights_out: list | None = None) -> Tensor:
+def scaled_dot_attention(
+    q, k, v, n_heads: int, weights_out: list | None = None, n_seqs: int = 1
+) -> Tensor:
     """Per-head softmax(Q Kt / sqrt(dh)) V with heads batched in one node.
 
-    Inputs are full-width (T x D) projections; column block i holds head i.
-    Pass ``weights_out`` to capture the (heads x T x T) attention matrices
-    (a debug path; every row of every head sums to 1).
+    Inputs are full-width (n_seqs*T x D) projections whose rows hold
+    ``n_seqs`` stacked sequences of T tokens; column block i holds head i.
+    Each sequence attends only within itself. Pass ``weights_out`` to
+    capture the attention matrices (a debug path): one (heads x T x T) array
+    is appended per sequence, in sequence order, and every row of every head
+    sums to 1.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    t_len, d = q.shape
-    if k.shape != (t_len, d) or v.shape != (t_len, d):
+    rows, d = q.shape
+    if k.shape != (rows, d) or v.shape != (rows, d):
         raise DimensionError(
             f"attention projections disagree: q={q.shape}, k={k.shape}, v={v.shape}"
         )
     if d % n_heads != 0:
         raise DimensionError(f"width {d} is not divisible by {n_heads} heads")
+    t_len = _sequence_length(q, n_seqs, "scaled_dot_attention")
     dh = d // n_heads
     inv = 1.0 / math.sqrt(dh)
 
-    def split(m: Array) -> Array:
-        return m.reshape(t_len, n_heads, dh).transpose(1, 0, 2)  # heads x T x dh
+    def split(m: Array) -> Array:  # n_seqs x heads x T x dh
+        return m.reshape(n_seqs, t_len, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def join(m: Array) -> Array:
+        return m.transpose(0, 2, 1, 3).reshape(rows, d)
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    scores = (qh @ kh.transpose(0, 2, 1)) * inv
-    scores -= scores.max(axis=2, keepdims=True)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv
+    scores -= scores.max(axis=3, keepdims=True)
     attn = np.exp(scores)
-    attn /= attn.sum(axis=2, keepdims=True)
+    attn /= attn.sum(axis=3, keepdims=True)
     if weights_out is not None:
-        weights_out.append(attn.copy())
-    out = (attn @ vh).transpose(1, 0, 2).reshape(t_len, d)
+        weights_out.extend(attn.copy())
+    out = join(attn @ vh)
 
     def vjp(g: Array) -> None:
-        gh = g.reshape(t_len, n_heads, dh).transpose(1, 0, 2)
-        d_attn = gh @ vh.transpose(0, 2, 1)
-        d_v = attn.transpose(0, 2, 1) @ gh
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=2, keepdims=True))
+        gh = split(g)
+        d_attn = gh @ vh.transpose(0, 1, 3, 2)
+        d_v = attn.transpose(0, 1, 3, 2) @ gh
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=3, keepdims=True))
         d_q = (d_scores @ kh) * inv
-        d_k = (d_scores.transpose(0, 2, 1) @ qh) * inv
-        join = lambda m: m.transpose(1, 0, 2).reshape(t_len, d)
+        d_k = (d_scores.transpose(0, 1, 3, 2) @ qh) * inv
         _accumulate(q, join(d_q))
         _accumulate(k, join(d_k))
         _accumulate(v, join(d_v))
@@ -664,8 +690,11 @@ def scaled_dot_attention(q, k, v, n_heads: int, weights_out: list | None = None)
     return _node(out, (q, k, v), vjp)
 
 
-def multi_head_attention(x, p: EncoderLayerParams, weights_out: list | None = None) -> Tensor:
-    """Scaled dot-product self-attention over token rows."""
+def multi_head_attention(
+    x, p: EncoderLayerParams, weights_out: list | None = None, n_seqs: int = 1
+) -> Tensor:
+    """Scaled dot-product self-attention within each of the ``n_seqs``
+    stacked token sequences in ``x``'s rows."""
     x = as_tensor(x)
     d = x.cols
     if d != p.width:
@@ -673,7 +702,7 @@ def multi_head_attention(x, p: EncoderLayerParams, weights_out: list | None = No
     q = linear(x, p.wq, p.bq)
     k = linear(x, p.wk)
     v = linear(x, p.wv, p.bv)
-    attended = scaled_dot_attention(q, k, v, p.n_heads, weights_out)
+    attended = scaled_dot_attention(q, k, v, p.n_heads, weights_out, n_seqs)
     return linear(attended, p.wo, p.bo)
 
 
@@ -686,13 +715,17 @@ def encoder_layer(
     p: EncoderLayerParams,
     norm_first: bool = True,
     weights_out: list | None = None,
+    n_seqs: int = 1,
 ) -> Tensor:
-    """One transformer encoder layer; pre-norm residual by default."""
+    """One transformer encoder layer over ``n_seqs`` stacked token sequences;
+    pre-norm residual by default. Only attention mixes rows, and it stays
+    within each sequence."""
     x = as_tensor(x)
     if norm_first:
-        h = add(x, multi_head_attention(layer_norm(x, p.ln1_gamma, p.ln1_beta), p, weights_out))
+        normed = layer_norm(x, p.ln1_gamma, p.ln1_beta)
+        h = add(x, multi_head_attention(normed, p, weights_out, n_seqs))
         return add(h, feed_forward(layer_norm(h, p.ln2_gamma, p.ln2_beta), p))
-    h = layer_norm(add(x, multi_head_attention(x, p, weights_out)), p.ln1_gamma, p.ln1_beta)
+    h = layer_norm(add(x, multi_head_attention(x, p, weights_out, n_seqs)), p.ln1_gamma, p.ln1_beta)
     return layer_norm(add(h, feed_forward(h, p)), p.ln2_gamma, p.ln2_beta)
 
 

@@ -281,7 +281,7 @@ def run_steps(
 # samples and returns (head output, times of each sample's scored frames,
 # labels); the loss and the predictions are read from that one output. Stage
 # 1 runs a whole minibatch per graph (validation in minibatch-sized graphs),
-# stage 2 one sample per graph (``STAGE2_GRAPH_SAMPLES``).
+# stage 2 groups of samples capped by token count (``_stage2_graph_samples``).
 
 
 def _chunks(samples: Sequence, size: int | None):
@@ -426,23 +426,29 @@ def train_stage1(
 
 Stage2Sample = tuple[dict[str, FeatureSequence], object]
 
-# Samples per stage-2 graph. One graph over a 32-sample minibatch at 96
-# tokens holds ~9x the numpy memory of a one-sample graph, so stage 2 stays
-# per-sample.
-STAGE2_GRAPH_SAMPLES = 1
+# Tokens per stage-2 graph. Attention memory grows with samples x tokens^2,
+# so a graph holds as many samples as fit in this many tokens, at least one.
+_STAGE2_GRAPH_TOKENS = 128
+
+
+def _stage2_graph_samples(config: tr.TranslatorConfig) -> int:
+    return max(1, _STAGE2_GRAPH_TOKENS // config.total_tokens)
 
 
 def _stage2_forward(config: tr.TranslatorConfig) -> Callable:
     def forward(samples: list[Stage2Sample], leaves):
-        [(features, label)] = samples
+        features, labels = zip(*samples)
         output = tr.translate(features, leaves, config)
-        return output, features[config.primary_task_id].frame_times_s, [label]
+        return output, features[0][config.primary_task_id].frame_times_s, list(labels)
 
     return forward
 
 
 def stage2_build_loss(config: tr.TranslatorConfig) -> LossTerms:
-    return _build_loss(config.decoder_kind, _stage2_forward(config), STAGE2_GRAPH_SAMPLES)
+    """One summed loss term per group of ``_stage2_graph_samples`` samples."""
+    return _build_loss(
+        config.decoder_kind, _stage2_forward(config), _stage2_graph_samples(config)
+    )
 
 
 def stage2_predictions(
@@ -454,7 +460,7 @@ def stage2_predictions(
         params.as_tensors(train=False),
         config.decoder_kind,
         _stage2_forward(config),
-        STAGE2_GRAPH_SAMPLES,
+        _stage2_graph_samples(config),
     )
 
 

@@ -5,8 +5,10 @@ space; the projected sequences are concatenated (primary task first, then
 auxiliaries in declared order), a learned task positional embedding is added,
 a transformer encoder stack mixes tokens across tasks and time, and the
 primary task kind's head from ``task_models`` (under the ``dec/`` prefix)
-decodes the encoded tokens. Only parameters created here receive gradients;
-upstream task models stay frozen.
+decodes the encoded tokens. A group of samples runs as one graph: their
+tokens are stacked sample by sample and attention stays within each sample.
+Only parameters created here receive gradients; upstream task models stay
+frozen.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import nn_core as nn
 from . import task_models
-from .errors import DimensionError
+from .errors import AlignmentError, DimensionError
 from .temporal_align import FeatureSequence, FrameSeq, extract_features, plan_windows, resample
 
 
@@ -91,16 +93,19 @@ def init_translator_params(config: TranslatorConfig, rng: np.random.Generator) -
 
 @dataclass
 class TokenSequence:
-    """Concatenated projected tokens plus the task -> (start, length) span map."""
+    """Projected tokens of ``n_seqs`` samples, stacked sample by sample, plus
+    the task -> (start, length) span map that holds within each sample."""
 
     tokens: nn.Tensor
     spans: dict[str, tuple[int, int]]
+    n_seqs: int = 1
 
     def __post_init__(self):
         total = sum(length for _, length in self.spans.values())
-        if total != self.tokens.rows:
+        if total * self.n_seqs != self.tokens.rows:
             raise DimensionError(
-                f"spans cover {total} tokens but sequence has {self.tokens.rows}"
+                f"spans cover {total} tokens for each of {self.n_seqs} samples "
+                f"but the sequence has {self.tokens.rows}"
             )
 
 
@@ -117,21 +122,24 @@ def project(h_k, p_k) -> nn.Tensor:
 
 
 def assemble_tokens(
-    projected: Sequence[tuple[str, nn.Tensor]], task_pos
+    projected: Sequence[tuple[str, nn.Tensor]], task_pos, n_seqs: int = 1
 ) -> TokenSequence:
-    """Concatenate projected task blocks in order and add positional embeddings."""
+    """Concatenate projected task blocks in order, per sample, and add the
+    positional embeddings to each sample's tokens. Every block holds
+    ``n_seqs`` samples' rows, stacked sample by sample."""
     task_pos = nn.as_tensor(task_pos)
     spans = {}
     start = 0
     for task_id, block in projected:
-        spans[task_id] = (start, block.rows)
-        start += block.rows
+        length = block.rows // n_seqs
+        spans[task_id] = (start, length)
+        start += length
     if task_pos.rows != start:
         raise DimensionError(
             f"positional embedding has {task_pos.rows} rows, tokens total {start}"
         )
-    stacked = nn.concat_rows([block for _, block in projected])
-    return TokenSequence(nn.add(stacked, task_pos), spans)
+    stacked = nn.concat_rows([block for _, block in projected], n_seqs)
+    return TokenSequence(nn.add(stacked, task_pos, n_seqs), spans, n_seqs)
 
 
 def encode(
@@ -140,13 +148,17 @@ def encode(
     norm_first: bool = True,
     weights_out: list | None = None,
 ) -> TokenSequence:
-    """Apply the encoder stack; the span map is carried through unchanged."""
+    """Apply the encoder stack; the span map is carried through unchanged.
+
+    ``weights_out`` receives, layer by layer, one (heads x T x T) attention
+    array per sample.
+    """
     if len(layers) < 1:
         raise ValueError("need at least one encoder layer")
     h = z0.tokens
     for layer in layers:
-        h = nn.encoder_layer(h, layer, norm_first=norm_first, weights_out=weights_out)
-    return TokenSequence(h, dict(z0.spans))
+        h = nn.encoder_layer(h, layer, norm_first, weights_out, z0.n_seqs)
+    return TokenSequence(h, dict(z0.spans), z0.n_seqs)
 
 
 def encoder_layers_from(
@@ -159,35 +171,49 @@ def encoder_layers_from(
 
 
 def translate(
-    features: Mapping[str, FeatureSequence],
+    features: Sequence[Mapping[str, FeatureSequence]],
     leaves: Mapping[str, nn.Tensor],
     config: TranslatorConfig,
     weights_out: list | None = None,
 ):
-    """Project, assemble, encode and decode one sample's feature sequences.
+    """Project, assemble, encode and decode a group of samples' feature
+    sequences in one graph, each sample's tokens attending only to its own.
 
-    Returns the raw head output for the primary task kind; a localization
-    head scores only the primary task's tokens.
+    Returns the raw head output for the primary task kind over the group, in
+    sample order; a localization head scores only the primary task's tokens.
+    The samples must share their primary frame times, which a localization
+    readout maps scores to. ``weights_out`` receives, layer by layer, one
+    (heads x T x T) attention array per sample.
     """
+    n = len(features)
+    if n < 1:
+        raise DimensionError("translate needs at least one sample")
     projected = []
     for task_id, t_k, d_k in config.task_dims:
-        if task_id not in features:
-            raise DimensionError(f"missing features for task {task_id!r}")
-        seq = features[task_id]
-        if seq.n_frames != t_k or seq.feature_dim != d_k:
-            raise DimensionError(
-                f"task {task_id!r}: expected {t_k}x{d_k} features, "
-                f"got {seq.n_frames}x{seq.feature_dim}"
-            )
-        projected.append((task_id, project(seq, leaves[f"proj/{task_id}"])))
-    z0 = assemble_tokens(projected, leaves["task_pos"])
+        blocks = []
+        for sample in features:
+            if task_id not in sample:
+                raise DimensionError(f"missing features for task {task_id!r}")
+            seq = sample[task_id]
+            if seq.n_frames != t_k or seq.feature_dim != d_k:
+                raise DimensionError(
+                    f"task {task_id!r}: expected {t_k}x{d_k} features, "
+                    f"got {seq.n_frames}x{seq.feature_dim}"
+                )
+            blocks.append(seq.values)
+        projected.append((task_id, project(np.concatenate(blocks), leaves[f"proj/{task_id}"])))
+    primary_times = features[0][config.primary_task_id].frame_times_s
+    for sample in features[1:]:
+        if not np.array_equal(sample[config.primary_task_id].frame_times_s, primary_times):
+            raise AlignmentError("samples in one group have different primary frame times")
+    z0 = assemble_tokens(projected, leaves["task_pos"], n)
     z_out = encode(z0, encoder_layers_from(leaves, config), config.norm_first, weights_out)
 
     tokens = z_out.tokens
     if config.decoder_kind == task_models.KIND_LOCALIZATION:
         start, length = z_out.spans[config.primary_task_id]
-        tokens = nn.slice_rows(tokens, start, start + length)
-    return task_models.head_graph(tokens, leaves, config.decoder_kind, "dec")
+        tokens = nn.slice_rows(tokens, start, start + length, n)
+    return task_models.head_graph(tokens, leaves, config.decoder_kind, "dec", n)
 
 
 def align_and_extract(

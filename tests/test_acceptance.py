@@ -198,7 +198,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
         def full_loss(leaves):
             total = None
             for feats, label in batch:
-                term = tg.loss(tr.translate(feats, leaves, cfg), label, cfg.decoder_kind)
+                term = tg.loss(tr.translate([feats], leaves, cfg), label, cfg.decoder_kind)
                 total = term if total is None else nn.add(total, term)
             return nn.scale(total, 0.5)
 

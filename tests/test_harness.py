@@ -404,10 +404,15 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("stage1_patience = 2", "stage1_patience = 2\nstage1_beta1 = 1.0"),
         ("stage1_patience = 2", "stage1_patience = 2\nstage1_beta2 = 1.5"),
         ("stage1_patience = 2", "stage1_patience = 2\nstage1_eps = inf"),
+        ("stride_s = 0.5", "stride_s = 0"),
+        ("stride_s = 0.5", "stride_s = 2.0"),
+        ("\npatience = 2", "\npatience = -1"),
+        ("stage1_patience = 2", "stage1_patience = -1"),
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
          "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
-         "stage1_beta1", "stage1_beta2", "stage1_eps"],
+         "stage1_beta1", "stage1_beta2", "stage1_eps", "stride_zero", "stride_over_window",
+         "patience", "stage1_patience"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1

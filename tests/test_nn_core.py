@@ -432,6 +432,75 @@ def test_grad_check_stacked_sequences_and_row_batched_losses(seed):
     assert worst < 1e-4
 
 
+def test_stacked_attention_concat_and_slice_equal_per_sequence_ops():
+    rng = np.random.default_rng(23)
+    n, t, d, heads = 3, 5, 8, 2
+    q, k, v = (rng.normal(size=(n * t, d)) for _ in range(3))
+    captured = []
+    attended = nn.scaled_dot_attention(q, k, v, heads, captured, n_seqs=n).value
+    layer = rand_layer(rng, d, 16, heads)
+    x = rng.normal(size=(n * t, d))
+    encoded = nn.encoder_layer(x, layer, n_seqs=n).value
+    first = rng.normal(size=(n * 2, d))
+    joined = nn.concat_rows([first, x], n_seqs=n).value
+    cut = nn.slice_rows(x, 1, 4, n_seqs=n).value
+    pos = rng.normal(size=(t, d))
+    shifted = nn.add(x, pos, n_seqs=n).value
+    assert len(captured) == n
+    for i in range(n):
+        rows = slice(t * i, t * (i + 1))
+        alone = []
+        want = nn.scaled_dot_attention(q[rows], k[rows], v[rows], heads, alone).value
+        np.testing.assert_allclose(attended[rows], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(captured[i], alone[0], rtol=1e-12, atol=1e-12)
+        want = nn.encoder_layer(x[rows], layer).value
+        np.testing.assert_allclose(encoded[rows], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(
+            joined[(t + 2) * i : (t + 2) * (i + 1)],
+            nn.concat_rows([first[2 * i : 2 * (i + 1)], x[rows]]).value,
+        )
+        np.testing.assert_array_equal(cut[3 * i : 3 * (i + 1)], nn.slice_rows(x[rows], 1, 4).value)
+        np.testing.assert_array_equal(shifted[rows], nn.add(x[rows], pos).value)
+    # attention over the stacked rows as one sequence lets tokens attend
+    # across sequences, which the per-sequence results rule out
+    leaky = nn.scaled_dot_attention(q, k, v, heads).value
+    assert not np.allclose(leaky, attended, atol=1e-6)
+
+
+def test_stacked_attention_concat_and_slice_reject_uneven_splits():
+    with pytest.raises(DimensionError):
+        nn.scaled_dot_attention(*(np.zeros((7, 4)) for _ in range(3)), 2, n_seqs=2)
+    with pytest.raises(DimensionError):
+        nn.concat_rows([np.zeros((4, 2)), np.zeros((3, 2))], n_seqs=2)
+    with pytest.raises(DimensionError):
+        nn.slice_rows(np.zeros((7, 2)), 0, 1, n_seqs=2)
+    with pytest.raises(DimensionError):
+        nn.add(np.zeros((7, 2)), np.zeros((3, 2)), n_seqs=2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grad_check_stacked_attention_concat_and_slice(seed):
+    """Three stacked sequences through attention, a per-sequence join, a
+    positional add and a per-sequence cut, read out with unequal weights."""
+    rng = np.random.default_rng(200 + seed)
+    n, d = 3, 4
+    params = nn.ParamSet()
+    for name, arr in rand_layer_arrays(rng, d, 8).items():
+        params.add(name, arr)
+    params.add("a", rng.normal(size=(n * 2, d)))
+    params.add("b", rng.normal(size=(n * 3, d)))
+    params.add("pos", rng.normal(size=(5, d)))
+    readout = rng.normal(size=(n * 2, d))
+
+    def f(p):
+        layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
+        tokens = nn.add(nn.concat_rows([p["a"], p["b"]], n), p["pos"], n)
+        attended = nn.multi_head_attention(tokens, layer, n_seqs=n)
+        return nn.sum_all(nn.mul(nn.slice_rows(attended, 1, 3, n), readout))
+
+    assert nn.grad_check(f, params) < 1e-4
+
+
 def test_grad_check_rejects_nonfinite_base_point():
     params = nn.ParamSet()
     params.add("w", np.asarray(np.inf))

@@ -253,6 +253,76 @@ def stage2_setup(seed=0, n=24):
     return config, model, samples
 
 
+def _stage2_kind_setup(kind, seed, n=7):
+    """Translator at a generic point over two tasks of 24 + 16 = 40 tokens,
+    so a stage-2 graph holds 128 // 40 = 3 samples."""
+    rng = np.random.default_rng(seed)
+    extra = dict(horizon=2, n_verbs=3, n_nouns=4) if kind == tm.KIND_SEQUENCE else {}
+    dims = (("p", 24, 6), ("a", 16, 5))
+    config = tr.TranslatorConfig(
+        task_dims=dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+        primary_task_id="p", decoder_kind=kind, **extra,
+    )
+    params = tr.init_translator_params(config, rng)
+    for name in params.names():
+        params[name].value = rng.normal(0.0, 0.3, size=params[name].value.shape)
+    samples = []
+    for _ in range(n):
+        feats = {
+            t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.25)
+            for t, t_k, d_k in dims
+        }
+        if kind == tm.KIND_BINARY:
+            label = int(rng.integers(2))
+        elif kind == tm.KIND_LOCALIZATION:
+            frame = int(rng.integers(24))
+            label = st.LocalizationLabel(frame=frame, time_s=0.25 * frame)
+        else:
+            label = [(int(rng.integers(3)), int(rng.integers(4))) for _ in range(2)]
+        samples.append((feats, label))
+    return config, params, samples
+
+
+@pytest.mark.parametrize("kind", ["binary", "localization", "sequence"])
+def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
+    config, params, samples = _stage2_kind_setup(kind, seed=12)
+
+    leaves = params.as_tensors()
+    terms = list(tg.stage2_build_loss(config)(samples, leaves))
+    assert len(terms) == 3  # graphs of 3, 3 and 1 samples
+    for term in terms:
+        term.backward()
+    batched = nn.collect_grads(leaves)
+    batched_total = sum(term.item() for term in terms)
+
+    leaves = params.as_tensors()
+    total = 0.0
+    for feats, label in samples:
+        output = tr.translate([feats], leaves, config)
+        if kind == "localization":
+            label = tg.localization_target_index(label, feats["p"].frame_times_s)
+        term = tg.loss(output, label, kind)
+        total += term.item()
+        term.backward()
+    per_sample = nn.collect_grads(leaves)
+
+    assert batched_total == pytest.approx(total, rel=1e-12, abs=1e-12)
+    assert set(batched) == set(per_sample)
+    for name, grad in per_sample.items():
+        np.testing.assert_allclose(batched[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    preds, labels, _ = tg.stage2_predictions(samples, params, config)
+    leaves = params.as_tensors(train=False)
+    for (feats, label), pred, got_label in zip(samples, preds, labels):
+        output = tr.translate([feats], leaves, config)
+        [want] = tm.readout(kind, output, feats["p"].frame_times_s)
+        assert got_label is label
+        if kind == "binary":
+            assert pred == pytest.approx(want, rel=1e-12, abs=1e-12)
+        else:
+            assert pred == want
+
+
 def test_stage2_verifies_frozen_checksums():
     config, model, samples = stage2_setup()
     params, report, checksums = tg.train_stage2(
