@@ -1,9 +1,10 @@
 """Experiment harness: config files, feature cache, seeded end-to-end runs.
 
 A run executes, per seed: generate data, then stage-1-train and freeze each
-task model the arms need, once; then per arm: extract and cache features,
-train the translator, evaluate, and emit one JSON report. Reports are
-byte-stable for identical configs and seeds apart from wall-clock fields.
+task model the arms need, and extract (through the cache) each needed task's
+features for each split, once; then per arm: train the translator on those
+features, evaluate, and emit one JSON report. Reports are byte-stable for
+identical configs and seeds apart from wall-clock fields.
 Arms:
 
 * ``translator``        all task tokens, stage-1-trained frozen models
@@ -37,12 +38,12 @@ from . import task_models as tm
 from . import training as tg
 from . import translator as tr
 from .errors import CacheFormatError, CacheVersionError, ConfigError
-from .temporal_align import FeatureSequence, frame_count
+from .temporal_align import FeatureSequence, FrameSeq, frame_count, stack_clips
 
 ARMS = ("translator", "primary_only", "frozen_random_ablation")
 
 CACHE_MAGIC = b"ETTF"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _CACHE_DTYPE_F32 = 0
 
 _TASK_ID_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -358,16 +359,20 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def cache_store(path: str | Path, seq: FeatureSequence) -> None:
-    """Write one feature sequence in the binary cache format (bit-exact),
-    atomically."""
+    """Write one feature sequence, of one clip or of a whole split, in the
+    binary cache format (bit-exact), atomically.
+
+    Layout (little-endian): magic, u16 version, u16 task id length, task id,
+    u8 rank (2 or 3), one u32 per axis of the value array (a split's sample
+    count first), u8 dtype tag, float32 values, float64 frame times.
+    """
     task_bytes = seq.task_id.encode("utf-8")
-    t_k, d_k = seq.values.shape
+    shape = seq.values.shape
     header = (
         CACHE_MAGIC
-        + struct.pack("<H", CACHE_VERSION)
-        + struct.pack("<H", len(task_bytes))
+        + struct.pack("<HH", CACHE_VERSION, len(task_bytes))
         + task_bytes
-        + struct.pack("<IIB", t_k, d_k, _CACHE_DTYPE_F32)
+        + struct.pack(f"<B{len(shape)}IB", len(shape), *shape, _CACHE_DTYPE_F32)
     )
     values = np.ascontiguousarray(seq.values, dtype="<f4").tobytes()
     times = np.ascontiguousarray(seq.frame_times_s, dtype="<f8").tobytes()
@@ -378,8 +383,10 @@ def cache_store(path: str | Path, seq: FeatureSequence) -> None:
     os.replace(tmp, path)
 
 
-def cache_file_size(task_id: str, t_k: int, d_k: int) -> int:
-    return 4 + 2 + 2 + len(task_id.encode("utf-8")) + 4 + 4 + 1 + 4 * t_k * d_k + 8 * t_k
+def cache_file_size(task_id: str, *shape: int) -> int:
+    """Bytes of the cache file of a value array of this shape."""
+    header = 4 + 2 + 2 + len(task_id.encode("utf-8")) + 1 + 4 * len(shape) + 1
+    return header + 4 * math.prod(shape) + 8 * shape[-2]
 
 
 def cache_load(path: str | Path) -> FeatureSequence:
@@ -407,17 +414,21 @@ def cache_load(path: str | Path) -> FeatureSequence:
         )
     (id_len,) = struct.unpack("<H", take(2, "task id length"))
     task_id = take(id_len, "task id").decode("utf-8")
-    t_k, d_k, dtype_tag = struct.unpack("<IIB", take(9, "shape header"))
+    (rank,) = struct.unpack("<B", take(1, "rank"))
+    if rank not in (2, 3):
+        raise CacheFormatError(f"value rank {rank} at offset {offset - 1}; need 2 or 3")
+    shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape"))
+    (dtype_tag,) = struct.unpack("<B", take(1, "dtype tag"))
     if dtype_tag != _CACHE_DTYPE_F32:
         raise CacheFormatError(f"unknown dtype tag {dtype_tag} at offset {offset - 1}")
-    values = np.frombuffer(take(4 * t_k * d_k, "feature values"), dtype="<f4").reshape(t_k, d_k)
-    times = np.frombuffer(take(8 * t_k, "timestamps"), dtype="<f8")
+    values = np.frombuffer(take(4 * math.prod(shape), "feature values"), dtype="<f4")
+    times = np.frombuffer(take(8 * shape[-2], "timestamps"), dtype="<f8")
     if offset != len(blob):
         raise CacheFormatError(
             f"{len(blob) - offset} trailing bytes after offset {offset}"
         )
     try:
-        return FeatureSequence(task_id, values.copy(), times.copy())
+        return FeatureSequence(task_id, values.reshape(shape).copy(), times.copy())
     except Exception as exc:
         raise CacheFormatError(f"decoded content is not a valid feature sequence: {exc}") from exc
 
@@ -472,45 +483,41 @@ def _bayes_summary(config: ExperimentConfig) -> dict:
     return out
 
 
-def _cached_features(
-    cache_dir: Path, model: tm.TaskModel, clip, stride_s: float
+def _split_features(
+    cache_dir: Path, model: tm.TaskModel, clips: FrameSeq, stride_s: float
 ) -> FeatureSequence:
-    """Features of one clip, keyed on everything they are computed from: the
-    model's parameters and input geometry, the stride and the clip itself."""
+    """One task's features over a stacked split, in one cache file keyed on
+    everything they are computed from: the model's parameters and input
+    geometry, the stride and the clips themselves (their count included)."""
     digest = hashlib.sha256(
         repr(
             (
                 model.checksum(), model.channels, model.native_fps, model.native_window_s,
-                stride_s, clip.fps, clip.duration_s, clip.values.shape, clip.values.dtype.str,
+                stride_s, clips.fps, clips.duration_s, clips.values.shape, clips.values.dtype.str,
             )
         ).encode()
     )
-    digest.update(np.ascontiguousarray(clip.values).tobytes())
+    digest.update(np.ascontiguousarray(clips.values).tobytes())
     path = cache_dir / f"{model.task_id}_{digest.hexdigest()[:32]}.ettf"
     if path.exists():
         return cache_load(path)
-    seq = tr.align_and_extract(clip, model, stride_s)
+    seq = tr.align_and_extract(clips, model, stride_s)
     cache_store(path, seq)
     return seq
 
 
 def _stage2_samples(
-    config: ExperimentConfig,
-    dataset: st.SyntheticDataset,
-    models: Mapping[str, tm.TaskModel],
-    task_ids: Sequence[str],
-    cache_dir: Path,
+    features: Mapping[str, FeatureSequence], labels: Sequence, task_ids: Sequence[str]
 ) -> list[tg.Stage2Sample]:
-    primary_id = config.primary.spec.task_id
-    labels = dataset.task_labels(primary_id)
-    samples = []
-    for clip, label in zip(dataset.clips, labels):
-        features = {}
-        for task_id in task_ids:
-            stride = config.task(task_id).stride_s
-            features[task_id] = _cached_features(cache_dir, models[task_id], clip, stride)
-        samples.append((features, label))
-    return samples
+    """Per-sample feature dicts of a split: float32 views into its arrays."""
+    return [
+        (
+            {t: FeatureSequence(t, features[t].values[i], features[t].frame_times_s)
+             for t in task_ids},
+            label,
+        )
+        for i, label in enumerate(labels)
+    ]
 
 
 def run_seed(
@@ -518,10 +525,11 @@ def run_seed(
 ) -> dict[str, dict]:
     """Run every arm of one seed and return ``{arm: report}``.
 
-    The datasets and the frozen task models depend only on (config, seed), so
-    they are made here once and shared by the arms: a task model is
-    stage-1-trained if any trained arm reads it, and untrained models are
-    built only for ``frozen_random_ablation``.
+    The datasets, the frozen task models and their features depend only on
+    (config, seed), so they are made here once and shared by the arms: a task
+    model is stage-1-trained if any trained arm reads it, untrained models are
+    built only for ``frozen_random_ablation``, and each model's features are
+    extracted once per split.
     """
     specs = [t.spec for t in config.tasks]
     datasets = {
@@ -579,11 +587,27 @@ def run_seed(
             for model in untrained.values():
                 tm.freeze(model)
 
+    cache_dir = Path(out_dir) / "cache"
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    clips = {split: stack_clips(ds.clips) for split, ds in datasets.items()}
+
+    def extract(models: Mapping[str, tm.TaskModel]) -> dict[str, dict[str, FeatureSequence]]:
+        return {
+            split: {
+                t: _split_features(cache_dir, model, split_clips, config.task(t).stride_s)
+                for t, model in models.items()
+            }
+            for split, split_clips in clips.items()
+        }
+
+    trained_features, untrained_features = extract(trained), extract(untrained)
     reports = {}
     for arm in arms:
-        ablation = arm == "frozen_random_ablation"
-        models, stage1 = (untrained, {}) if ablation else (trained, stage1_reports)
-        reports[arm] = run_arm_seed(config, arm, seed, out_dir, datasets, models, stage1)
+        if arm == "frozen_random_ablation":
+            shared = (untrained, untrained_features, {})
+        else:
+            shared = (trained, trained_features, stage1_reports)
+        reports[arm] = run_arm_seed(config, arm, seed, datasets, *shared)
     return reports
 
 
@@ -591,20 +615,18 @@ def run_arm_seed(
     config: ExperimentConfig,
     arm: str,
     seed: int,
-    out_dir: Path,
     datasets: Mapping[str, st.SyntheticDataset],
     models: Mapping[str, tm.TaskModel],
+    features: Mapping[str, Mapping[str, FeatureSequence]],
     stage1_reports: Mapping[str, dict],
 ) -> dict:
-    """Extract features (through the cache), train and evaluate one arm's
-    translator on the seed's datasets and frozen task models; return the
-    arm's report."""
+    """Train and evaluate one arm's translator on the seed's datasets, frozen
+    task models and their extracted features; return the arm's report."""
     t_start = time.perf_counter()
-    cache_dir = Path(out_dir) / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
     tconfig = config.translator_config(arm)
+    primary_id = config.primary.spec.task_id
     split_samples = {
-        split: _stage2_samples(config, ds, models, tconfig.task_ids, cache_dir)
+        split: _stage2_samples(features[split], ds.task_labels(primary_id), tconfig.task_ids)
         for split, ds in datasets.items()
     }
 
@@ -759,13 +781,9 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
             task_dims=(("p", 3, 2), ("a", 2, 3)), d_model=4, n_layers=1, n_heads=2,
             d_ff=8, primary_task_id="p", decoder_kind=tm.KIND_LOCALIZATION,
         )
-        # dec/b and the last ffn_b2 shift every frame score alike, which the
-        # softmax ignores: their gradients are exactly zero, so they stay fixed
-        constant = ("dec/b", "enc0/ffn_b2")
         tparams = nn.ParamSet()
         for name, param in tr.init_translator_params(tconfig, rng).items():
-            value = rng.normal(0.0, 0.5, size=param.value.shape)
-            tparams.add(name, value, trainable=name not in constant)
+            tparams.add(name, rng.normal(0.0, 0.5, size=param.value.shape))
         group = [
             {
                 t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.5)

@@ -2,14 +2,18 @@
 
 A model trained on short windows at its own frame rate is applied to a longer
 clip by (1) subsampling the clip down to the model's FPS, (2) planning sliding
-windows of the model's native duration, (3) running the model once over all
-the clip's windows stacked, each from its own causal start, and (4) averaging
-per-frame features where windows overlap.
+windows of the model's native duration, (3) running the model over the
+clip's windows stacked, each from its own causal start, and (4) averaging
+per-frame features where windows overlap. A whole split of clips of one
+geometry goes through the same steps at once: one resampling index and one
+window plan serve every clip, and the clips' windows are stacked into trunk
+calls of at most ``_EXTRACT_CHUNK_ROWS`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +26,11 @@ from .errors import (
 
 _FRAME_ALIGN_TOL = 1e-9
 
+# Window rows per trunk call in extraction: as many whole clips as fit, at
+# least one. A whole dense split stacked at once would hold megabytes per
+# activation.
+_EXTRACT_CHUNK_ROWS = 4096
+
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
@@ -33,32 +42,34 @@ def frame_count(fps: float, duration_s: float) -> int:
 
 @dataclass
 class FrameSeq:
-    """An ordered stack of per-frame channel vectors at a fixed frame rate."""
+    """An ordered stack of per-frame channel vectors at a fixed frame rate:
+    one clip (frames x channels) or a split of clips of one geometry
+    (clips x frames x channels)."""
 
-    values: np.ndarray  # frames x channels
+    values: np.ndarray
     fps: float
     duration_s: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
-        if self.values.ndim != 2:
-            raise AlignmentError(f"frame values must be 2-d, got shape {self.values.shape}")
+        if self.values.ndim not in (2, 3):
+            raise AlignmentError(f"frame values must be 2-d or 3-d, got shape {self.values.shape}")
         if self.fps <= 0:
             raise AlignmentError(f"fps must be positive, got {self.fps}")
         expected = frame_count(self.fps, self.duration_s)
-        if self.values.shape[0] != expected:
+        if self.n_frames != expected:
             raise AlignmentError(
-                f"{self.values.shape[0]} frames but {self.fps} fps over "
+                f"{self.n_frames} frames but {self.fps} fps over "
                 f"{self.duration_s} s implies {expected}"
             )
 
     @property
     def n_frames(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def n_channels(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def frame_times(self) -> np.ndarray:
         return np.arange(self.n_frames, dtype=np.float64) / self.fps
@@ -85,40 +96,60 @@ class WindowPlan:
 
 @dataclass
 class FeatureSequence:
-    """Per-frame features from one task model over a whole clip.
+    """Per-frame features from one task model over a whole clip
+    (frames x feature_dim), or over every clip of a split
+    (clips x frames x feature_dim) sharing one set of frame times.
 
     Values are float32, the interchange precision of the on-disk feature
     cache; timestamps stay float64.
     """
 
     task_id: str
-    values: np.ndarray  # frames x feature_dim, float32
+    values: np.ndarray
     frame_times_s: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
         self.frame_times_s = np.asarray(self.frame_times_s, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise AlignmentError(f"feature values must be 2-d, got shape {self.values.shape}")
-        if self.frame_times_s.shape != (self.values.shape[0],):
+        if self.values.ndim not in (2, 3):
             raise AlignmentError(
-                f"{self.values.shape[0]} feature rows but "
+                f"feature values must be 2-d or 3-d, got shape {self.values.shape}"
+            )
+        if self.frame_times_s.shape != (self.n_frames,):
+            raise AlignmentError(
+                f"{self.n_frames} feature rows but "
                 f"{self.frame_times_s.shape[0]} timestamps"
             )
-        if self.values.shape[0] > 1 and not np.all(np.diff(self.frame_times_s) > 0):
+        if self.n_frames > 1 and not np.all(np.diff(self.frame_times_s) > 0):
             raise AlignmentError("timestamps must be strictly increasing")
 
     @property
     def n_frames(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def feature_dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
+
+
+def stack_clips(clips: Sequence[FrameSeq]) -> FrameSeq:
+    """A split's clips as one (clips x frames x channels) sequence; clips
+    that differ in fps, duration, shape or dtype are refused."""
+    if not clips:
+        raise AlignmentError("cannot stack an empty split")
+    first = clips[0]
+    geometry = (first.fps, first.duration_s, first.values.shape, first.values.dtype)
+    for i, clip in enumerate(clips):
+        if (clip.fps, clip.duration_s, clip.values.shape, clip.values.dtype) != geometry:
+            raise AlignmentError(f"clip {i} differs from clip 0 in fps, duration, shape or dtype")
+    return FrameSeq(
+        np.stack([clip.values for clip in clips]), fps=first.fps, duration_s=first.duration_s
+    )
 
 
 def resample(clip: FrameSeq, target_fps: float) -> FrameSeq:
-    """Subsample a clip to a lower frame rate by nearest source index.
+    """Subsample a clip, or every clip of a split, to a lower frame rate by
+    nearest source index.
 
     Frame j of the output comes from source index round(j * source/target),
     clamped into range. Duration is preserved; upsampling is refused.
@@ -135,7 +166,7 @@ def resample(clip: FrameSeq, target_fps: float) -> FrameSeq:
         [min(_round_half_up(j * ratio), clip.n_frames - 1) for j in range(n_out)],
         dtype=np.intp,
     )
-    return FrameSeq(clip.values[idx].copy(), fps=target_fps, duration_s=clip.duration_s)
+    return FrameSeq(clip.values[..., idx, :], fps=target_fps, duration_s=clip.duration_s)
 
 
 def _check_frame_aligned(name: str, seconds: float, fps: float) -> None:
@@ -184,11 +215,12 @@ def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float
 
 
 def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence:
-    """Run a frozen model's trunk over every planned window in one call and
-    merge outputs.
+    """Run a frozen model's trunk over every planned window of a clip, or of
+    every clip of a split, and merge outputs.
 
     The result keeps one feature row per clip frame, averaging rows that fall
-    in several windows.
+    in several windows. Clips' windows are stacked into trunk calls of at most
+    ``_EXTRACT_CHUNK_ROWS`` rows (at least one clip per call).
     """
     if abs(clip.fps - plan.fps) > _FRAME_ALIGN_TOL:
         raise AlignmentError(f"clip at {clip.fps} fps but plan was made for {plan.fps} fps")
@@ -209,21 +241,30 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence
     win_f = plan.frames_per_window
     starts = [frame_count(plan.fps, offset_s) for offset_s in plan.offsets_s]
     rows = (np.asarray(starts)[:, None] + np.arange(win_f)).reshape(-1)
-    windows = FrameSeq(
-        clip.values[rows], fps=plan.fps, duration_s=plan.n_windows * plan.window_s
-    )
-    feats = np.asarray(model.trunk_forward(windows, plan.n_windows), dtype=np.float64)
-    if feats.shape[0] != rows.size:
-        raise AlignmentError(
-            f"trunk returned {feats.shape[0]} rows for {plan.n_windows} {win_f}-frame windows"
-        )
-
-    total = np.zeros((clip.n_frames, feats.shape[1]), dtype=np.float64)
-    counts = np.zeros(clip.n_frames, dtype=np.int64)
-    for start, window_feats in zip(starts, feats.reshape(plan.n_windows, win_f, -1)):
-        total[start : start + win_f] += window_feats
-        counts[start : start + win_f] += 1
+    counts = np.bincount(rows, minlength=clip.n_frames)
     if np.any(counts == 0):
         raise AlignmentError("window plan leaves frames uncovered")
-    merged = total / counts[:, None]
-    return FeatureSequence(model.task_id, merged.astype(np.float32), clip.frame_times())
+
+    clips = clip.values.reshape(-1, clip.n_frames, clip.n_channels)
+    step = max(1, _EXTRACT_CHUNK_ROWS // rows.size)
+    merged = []
+    for lo in range(0, len(clips), step):
+        chunk = clips[lo : lo + step, rows]
+        n_windows = len(chunk) * plan.n_windows
+        windows = FrameSeq(
+            chunk.reshape(-1, clip.n_channels), fps=plan.fps, duration_s=n_windows * plan.window_s
+        )
+        feats = np.asarray(model.trunk_forward(windows, n_windows), dtype=np.float64)
+        if feats.shape[0] != n_windows * win_f:
+            raise AlignmentError(
+                f"trunk returned {feats.shape[0]} rows for {n_windows} {win_f}-frame windows"
+            )
+        feats = feats.reshape(len(chunk), plan.n_windows, win_f, -1)
+        # overlap-add in plan order, vectorized over the chunk's clips
+        total = np.zeros((len(chunk), clip.n_frames, feats.shape[-1]), dtype=np.float64)
+        for w, start in enumerate(starts):
+            total[:, start : start + win_f] += feats[:, w]
+        merged.append((total / counts[:, None]).astype(np.float32))
+    values = np.concatenate(merged)
+    values = values.reshape(clip.values.shape[:-1] + values.shape[-1:])
+    return FeatureSequence(model.task_id, values, clip.frame_times())

@@ -115,11 +115,6 @@ def batch_loss(output, labels: Sequence, kind: str) -> nn.Tensor:
     raise ValueError(f"unknown task kind: {kind!r}")
 
 
-def loss(output, label, kind: str) -> nn.Tensor:
-    """Scalar training loss of a one-sample head output."""
-    return batch_loss(output, [label], kind)
-
-
 def localization_target_index(label: LocalizationLabel, frame_times_s: np.ndarray) -> int:
     """Index of the frame whose timestamp is nearest the labeled change time."""
     return int(np.argmin(np.abs(np.asarray(frame_times_s) - label.time_s)))

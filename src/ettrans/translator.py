@@ -111,8 +111,7 @@ class TokenSequence:
 
 def project(h_k, p_k) -> nn.Tensor:
     """Map one task's features into the shared latent space (bare matrix product)."""
-    values = h_k.values if isinstance(h_k, FeatureSequence) else h_k
-    x = nn.as_tensor(values)
+    x = nn.as_tensor(h_k)
     p_k = nn.as_tensor(p_k)
     if x.cols != p_k.rows:
         raise DimensionError(
@@ -221,7 +220,8 @@ def align_and_extract(
     model: task_models.TaskModel,
     stride_s: float,
 ) -> FeatureSequence:
-    """Resample a clip to one model's native fps, slide windows, extract."""
+    """Resample a clip, or a split of clips (``temporal_align.stack_clips``),
+    to one model's native fps, plan windows once for all of them, extract."""
     clip_k = resample(clip, model.native_fps)
     plan = plan_windows(clip_k.duration_s, model.native_window_s, stride_s, model.native_fps)
     return extract_features(clip_k, model, plan)

@@ -198,7 +198,8 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
         def full_loss(leaves):
             total = None
             for feats, label in batch:
-                term = tg.loss(tr.translate([feats], leaves, cfg), label, cfg.decoder_kind)
+                output = tr.translate([feats], leaves, cfg)
+                term = tg.batch_loss(output, [label], cfg.decoder_kind)
                 total = term if total is None else nn.add(total, term)
             return nn.scale(total, 0.5)
 
@@ -226,7 +227,7 @@ def test_criterion_5_task_block_permutation_property():
         t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.25)
         for t, t_k, d_k in dims
     }
-    projected = {t: tr.project(feats[t], leaves[f"proj/{t}"]) for t, _, _ in dims}
+    projected = {t: tr.project(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in dims}
     layers = tr.encoder_layers_from(leaves, cfg)
     logits = []
     for order in itertools.permutations(cfg.task_ids):

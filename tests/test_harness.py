@@ -179,6 +179,8 @@ def test_cache_round_trip_is_bit_exact(tmp_path):
 
 
 def test_cache_file_size_matches_arithmetic(tmp_path):
+    """v2 header: 4 magic + 2 version + 2 id length + id + 1 rank + 4 per axis
+    + 1 dtype tag."""
     rng = np.random.default_rng(1)
     for i in range(20):
         seq = random_feature_sequence(rng, task_id=f"t{i}")
@@ -188,7 +190,15 @@ def test_cache_file_size_matches_arithmetic(tmp_path):
         assert path.stat().st_size == harness.cache_file_size(seq.task_id, t_k, d_k)
         assert (
             harness.cache_file_size(seq.task_id, t_k, d_k)
-            == 17 + len(seq.task_id.encode()) + 4 * t_k * d_k + 8 * t_k
+            == 18 + len(seq.task_id.encode()) + 4 * t_k * d_k + 8 * t_k
+        )
+        n = int(rng.integers(1, 6))
+        split = FeatureSequence(seq.task_id, np.stack([seq.values] * n), seq.frame_times_s)
+        harness.cache_store(path, split)
+        assert path.stat().st_size == harness.cache_file_size(seq.task_id, n, t_k, d_k)
+        assert (
+            harness.cache_file_size(seq.task_id, n, t_k, d_k)
+            == 22 + len(seq.task_id.encode()) + 4 * n * t_k * d_k + 8 * t_k
         )
 
 
@@ -222,6 +232,70 @@ def test_cache_rejects_bad_magic_version_and_trailer(tmp_path):
         harness.cache_load(bad)
 
     bad.write_bytes(blob + b"\x00")
+    with pytest.raises(CacheFormatError, match="trailing"):
+        harness.cache_load(bad)
+
+
+def random_split_features(rng, task_id="demo", n=5):
+    seq = random_feature_sequence(rng, task_id)
+    values = rng.normal(size=(n,) + seq.values.shape).astype(np.float32)
+    return FeatureSequence(task_id, values, seq.frame_times_s)
+
+
+def test_cache_round_trips_a_split_bit_exact(tmp_path):
+    rng = np.random.default_rng(3)
+    for i in range(10):
+        seq = random_split_features(rng, f"task_{i}", n=int(rng.integers(1, 9)))
+        path = tmp_path / f"{i}.ettf"
+        harness.cache_store(path, seq)
+        loaded = harness.cache_load(path)
+        assert loaded.task_id == seq.task_id
+        assert loaded.values.shape == seq.values.shape
+        assert loaded.values.tobytes() == seq.values.tobytes()
+        assert loaded.frame_times_s.tobytes() == seq.frame_times_s.tobytes()
+
+
+def test_cache_rejects_a_version_1_file(tmp_path):
+    """The one-clip layout before the header recorded the value rank."""
+    values = np.arange(6, dtype="<f4").reshape(3, 2)
+    times = np.arange(3, dtype="<f8") * 0.5
+    blob = (
+        b"ETTF" + struct.pack("<HH", 1, 4) + b"demo" + struct.pack("<IIB", 3, 2, 0)
+        + values.tobytes() + times.tobytes()
+    )
+    path = tmp_path / "v1.ettf"
+    path.write_bytes(blob)
+    with pytest.raises(CacheVersionError):
+        harness.cache_load(path)
+
+
+def test_cache_rejects_corrupt_split_files(tmp_path):
+    seq = random_split_features(np.random.default_rng(4), "demo", n=4)
+    path = tmp_path / "split.ettf"
+    harness.cache_store(path, seq)
+    blob = path.read_bytes()
+    count_at = 4 + 2 + 2 + len(b"demo") + 1  # the sample count, first axis
+    assert struct.unpack_from("<BI", blob, count_at - 1) == (3, 4)
+    bad = tmp_path / "bad.ettf"
+    for count in (3, 5, 0):
+        bad.write_bytes(blob[:count_at] + struct.pack("<I", count) + blob[count_at + 4 :])
+        with pytest.raises(CacheFormatError):
+            harness.cache_load(bad)
+    for rank in (0, 1, 4):
+        bad.write_bytes(blob[: count_at - 1] + struct.pack("<B", rank) + blob[count_at:])
+        with pytest.raises(CacheFormatError):
+            harness.cache_load(bad)
+    # a self-consistent rank-1 file: three values, no frame axis
+    bad.write_bytes(
+        blob[:8] + b"demo" + struct.pack("<BIB", 1, 3, 0) + np.zeros(3, dtype="<f4").tobytes()
+    )
+    with pytest.raises(CacheFormatError, match="rank"):
+        harness.cache_load(bad)
+    for cut in range(0, len(blob), 97):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(CacheFormatError):
+            harness.cache_load(bad)
+    bad.write_bytes(blob + b"\x00" * 4)
     with pytest.raises(CacheFormatError, match="trailing"):
         harness.cache_load(bad)
 
@@ -345,6 +419,49 @@ def test_feature_cache_is_reused_across_arms(tiny_config, tmp_path):
     assert cache_files  # populated by the first arm
     harness.run_experiment(tiny_config, out, arms=("primary_only",))
     assert set(p.name for p in (out / "cache").iterdir()) == cache_files
+
+
+def _count_cache_calls(monkeypatch):
+    stored, loaded = [], []
+    store, load = harness.cache_store, harness.cache_load
+
+    def counting_store(path, seq):
+        stored.append((seq.task_id, seq.values.shape[0]))
+        return store(path, seq)
+
+    def counting_load(path):
+        seq = load(path)
+        loaded.append((seq.task_id, seq.values.shape[0]))
+        return seq
+
+    monkeypatch.setattr(harness, "cache_store", counting_store)
+    monkeypatch.setattr(harness, "cache_load", counting_load)
+    return stored, loaded
+
+
+def test_cold_run_extracts_each_split_and_task_once_and_rerun_reads_them(
+    tiny_config, tmp_path, monkeypatch
+):
+    stored, loaded = _count_cache_calls(monkeypatch)
+    arms = ("translator", "primary_only")
+    out = tmp_path / "run"
+    harness.run_experiment(tiny_config, out, arms=arms)
+    per_split_and_task = sorted(
+        (task_id, n) for task_id in ("helper", "primary") for n in (48, 24, 24)
+    )
+    assert loaded == []
+    assert sorted(stored) == per_split_and_task
+    assert len(list((out / "cache").iterdir())) == 6
+    cold = {arm: json.loads((out / f"report_{arm}_seed0.json").read_text()) for arm in arms}
+
+    stored.clear()
+    harness.run_experiment(tiny_config, out, arms=arms)
+    assert stored == []
+    assert sorted(loaded) == per_split_and_task
+    assert len(list((out / "cache").iterdir())) == 6
+    for arm in arms:
+        warm = json.loads((out / f"report_{arm}_seed0.json").read_text())
+        assert strip_wall_clock(warm) == strip_wall_clock(cold[arm])
 
 
 def test_changed_config_into_used_directory_matches_fresh_directory(tmp_path):

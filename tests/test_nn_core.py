@@ -501,6 +501,43 @@ def test_grad_check_stacked_attention_concat_and_slice(seed):
     assert nn.grad_check(f, params) < 1e-4
 
 
+def test_grad_check_passes_an_exactly_zero_gradient():
+    """A shift of every score leaves a softmax loss unchanged: the analytic
+    partial is zero up to roundoff and the central difference is roundoff."""
+    rng = np.random.default_rng(5)
+    params = nn.ParamSet()
+    params.add("scores", rng.normal(size=(6, 1)))
+    params.add("shift", np.zeros(1))
+    f = lambda p: nn.softmax_cross_entropy(nn.add(p["scores"], p["shift"]), 2)
+    leaves = params.as_tensors()
+    f(leaves).backward()
+    assert abs(leaves["shift"].grad[0]) < 1e-15
+    assert nn.grad_check(f, params) < 1e-4
+
+
+def _scale_dropping_small_partials(a, c):
+    """Elementwise a * c whose VJP drops the partials of entries with
+    |c| < 1e-6: a wrong derivative on near-zero-gradient entries only."""
+    a = nn.as_tensor(a)
+
+    def vjp(g):
+        partial = g * c
+        partial[np.abs(c) < 1e-6] = 0.0
+        nn._accumulate(a, partial)
+
+    return nn._node(a.value * c, (a,), vjp)
+
+
+def test_grad_check_fails_a_wrong_vjp_on_a_near_zero_gradient():
+    c = np.array([1.0, 2e-7, -0.5])
+    params = nn.ParamSet()
+    params.add("w", np.array([0.3, -1.2, 2.0]))
+    right = nn.grad_check(lambda p: nn.sum_all(nn.mul(p["w"], c)), params)
+    assert right < 1e-4
+    wrong = nn.grad_check(lambda p: nn.sum_all(_scale_dropping_small_partials(p["w"], c)), params)
+    assert wrong > 1e-4
+
+
 def test_grad_check_rejects_nonfinite_base_point():
     params = nn.ParamSet()
     params.add("w", np.asarray(np.inf))

@@ -272,6 +272,95 @@ def test_extract_output_is_finite_full_length_and_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# split extraction
+
+
+def _per_window_oracle(clip, model, stride_s):
+    """The per-clip path in plain numpy: resample by index enumeration, then
+    one trunk call per window and an overlap-add in window order."""
+    ratio = clip.fps / model.native_fps
+    n_out = ta.frame_count(model.native_fps, clip.duration_s)
+    x = clip.values[[min(int(np.floor(j * ratio + 0.5)), clip.n_frames - 1) for j in range(n_out)]]
+    win_f = model.native_frames
+    stride_f = round(stride_s * model.native_fps)
+    starts = list(range(0, n_out - win_f + 1, stride_f))
+    if starts[-1] + win_f < n_out:
+        starts.append(n_out - win_f)
+    totals = np.zeros((n_out, model.feature_dim))
+    counts = np.zeros(n_out, dtype=np.int64)
+    for start in starts:
+        window = ta.FrameSeq(x[start : start + win_f], fps=model.native_fps,
+                             duration_s=model.native_window_s)
+        totals[start : start + win_f] += model.trunk_forward(window)
+        counts[start : start + win_f] += 1
+    return (totals / counts[:, None]).astype(np.float32)
+
+
+def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
+    from ettrans import task_models as tm
+    from ettrans import translator as tr
+
+    model = tm.init_task_model(
+        "real", "binary", (0, 2, 3), 5, native_fps=4.0, native_window_s=2.0,
+        rng=np.random.default_rng(17), hidden=7,
+    )
+    rng = np.random.default_rng(18)
+    for name in model.params.names():
+        model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
+    model.stage1_complete = True
+    tm.freeze(model)
+    calls = []
+    trunk_forward = model.trunk_forward
+
+    def counting_trunk_forward(window, n_windows=1):
+        calls.append(n_windows)
+        return trunk_forward(window, n_windows)
+
+    clips = [make_clip(7.5, 8.0, channels=4, seed=30 + i) for i in range(7)]
+    split = ta.stack_clips(clips)
+    # 30 frames at 4 fps, 8-frame windows at a 3-frame stride: 8 windows plus
+    # an end-aligned tail, up to 3 overlapping a frame, 72 rows a clip; 250
+    # rows hold 3 clips, so 7 clips make chunks of 3, 3 and 1
+    monkeypatch.setattr(ta, "_EXTRACT_CHUNK_ROWS", 250)
+    monkeypatch.setattr(model, "trunk_forward", counting_trunk_forward)
+    seq = tr.align_and_extract(split, model, 0.75)
+    monkeypatch.undo()
+
+    assert calls == [27, 27, 9]
+    assert seq.values.shape == (7, 30, 5) and seq.values.dtype == np.float32
+    np.testing.assert_array_equal(seq.frame_times_s, np.arange(30) / 4.0)
+    expected = np.stack([_per_window_oracle(clip, model, 0.75) for clip in clips])
+    assert seq.values.tobytes() == expected.tobytes()
+    # one clip on its own goes through the same path
+    alone = tr.align_and_extract(clips[6], model, 0.75)
+    assert alone.values.tobytes() == expected[6].tobytes()
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        ((4, 3), np.float64, 2.0, 2.0),
+        ((12, 3), np.float64, 4.0, 3.0),
+        ((8, 4), np.float64, 4.0, 2.0),
+        ((8, 3), np.float32, 4.0, 2.0),
+    ],
+    ids=["fps", "duration", "channels", "dtype"],
+)
+def test_split_of_mixed_geometry_is_refused(odd):
+    shape, dtype, fps, duration_s = odd
+    clips = [make_clip(2.0, 4.0, seed=1), make_clip(2.0, 4.0, seed=2)]
+    assert ta.stack_clips(clips).values.shape == (2, 8, 3)
+    clips.append(ta.FrameSeq(np.zeros(shape, dtype=dtype), fps=fps, duration_s=duration_s))
+    with pytest.raises(AlignmentError):
+        ta.stack_clips(clips)
+
+
+def test_empty_split_is_refused():
+    with pytest.raises(AlignmentError):
+        ta.stack_clips([])
+
+
+# ---------------------------------------------------------------------------
 # container invariants
 
 

@@ -18,12 +18,12 @@ from ettrans.temporal_align import FeatureSequence
 
 def test_binary_loss_closed_form():
     logit = nn.Tensor(np.array([[0.0]]))
-    assert tg.loss(logit, 1, "binary").item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert tg.batch_loss(logit, [1], "binary").item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_localization_loss_closed_form_uniform_scores():
     scores = nn.Tensor(np.zeros((16, 1)))
-    got = tg.loss(scores, 5, "localization").item()
+    got = tg.batch_loss(scores, [5], "localization").item()
     assert got == pytest.approx(math.log(16.0), abs=1e-12)
 
 
@@ -32,14 +32,14 @@ def test_losses_match_direct_formula_oracle():
 
     z = float(rng.normal())
     y = int(rng.integers(2))
-    got = tg.loss(nn.Tensor(np.array([[z]])), y, "binary").item()
+    got = tg.batch_loss(nn.Tensor(np.array([[z]])), [y], "binary").item()
     p = 1.0 / (1.0 + math.exp(-z))
     expected = -(y * math.log(p) + (1 - y) * math.log(1 - p))
     assert got == pytest.approx(expected, abs=1e-10)
 
     scores = rng.normal(size=(9, 1))
     target = 4
-    got = tg.loss(nn.Tensor(scores), target, "localization").item()
+    got = tg.batch_loss(nn.Tensor(scores), [target], "localization").item()
     probs = np.exp(scores.ravel()) / np.exp(scores.ravel()).sum()
     assert got == pytest.approx(-math.log(probs[target]), abs=1e-10)
 
@@ -48,7 +48,7 @@ def test_losses_match_direct_formula_oracle():
         for _ in range(3)
     ]
     labels = [(int(rng.integers(5)), int(rng.integers(7))) for _ in range(3)]
-    got = tg.loss(steps, labels, "sequence").item()
+    got = tg.batch_loss(steps, [labels], "sequence").item()
     total = 0.0
     for (verb, noun), (v, n) in zip(steps, labels):
         for logits, idx in ((verb.value.ravel(), v), (noun.value.ravel(), n)):
@@ -60,9 +60,9 @@ def test_losses_match_direct_formula_oracle():
 
 def test_loss_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
-        tg.loss(nn.Tensor(np.zeros((4, 1))), 4, "localization")
+        tg.batch_loss(nn.Tensor(np.zeros((4, 1))), [4], "localization")
     with pytest.raises(ValueError):
-        tg.loss(nn.Tensor(np.array([[0.0]])), 2.0, "binary")
+        tg.batch_loss(nn.Tensor(np.array([[0.0]])), [2.0], "binary")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
         output = model.head_forward(model.trunk_graph(clip, leaves), leaves)
         if kind == "localization":
             label = tg.localization_target_index(label, clip.frame_times())
-        term = tg.loss(output, label, kind)
+        term = tg.batch_loss(output, [label], kind)
         total += term.item()
         term.backward()
     per_sample = nn.collect_grads(leaves)
@@ -301,7 +301,7 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
         output = tr.translate([feats], leaves, config)
         if kind == "localization":
             label = tg.localization_target_index(label, feats["p"].frame_times_s)
-        term = tg.loss(output, label, kind)
+        term = tg.batch_loss(output, [label], kind)
         total += term.item()
         term.backward()
     per_sample = nn.collect_grads(leaves)

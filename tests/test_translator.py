@@ -247,7 +247,7 @@ def test_translate_localization_scores_each_primary_frame_only():
     scores = tr.translate([feats], leaves, config)
     assert scores.shape == (4, 1)  # primary "p" has 4 frames of 8 tokens
 
-    projected = [(t, tr.project(feats[t], leaves[f"proj/{t}"])) for t in config.task_ids]
+    projected = [(t, tr.project(feats[t].values, leaves[f"proj/{t}"])) for t in config.task_ids]
     encoded = tr.encode(
         tr.assemble_tokens(projected, leaves["task_pos"]),
         tr.encoder_layers_from(leaves, config),
@@ -353,7 +353,7 @@ def test_translate_block_permutation_invariant_with_zero_positions():
     feats = toy_features(seed=17)
 
     projected = {
-        t: tr.project(feats[t], leaves[f"proj/{t}"]) for t, _, _ in config.task_dims
+        t: tr.project(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in config.task_dims
     }
     layers = tr.encoder_layers_from(leaves, config)
     logits = []
@@ -452,7 +452,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
 
     # one full training step over the translator touches nothing frozen
     leaves = params.as_tensors()
-    loss = tg.loss(tr.translate([feats], leaves, config), 1, config.decoder_kind)
+    loss = tg.batch_loss(tr.translate([feats], leaves, config), [1], config.decoder_kind)
     loss.backward()
     grads = nn.collect_grads(leaves)
     assert set(grads) == set(params.trainable_names())
