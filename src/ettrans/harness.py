@@ -601,13 +601,14 @@ def run_seed(
         }
 
     trained_features, untrained_features = extract(trained), extract(untrained)
+    bayes = _bayes_summary(config)
     reports = {}
     for arm in arms:
         if arm == "frozen_random_ablation":
             shared = (untrained, untrained_features, {})
         else:
             shared = (trained, trained_features, stage1_reports)
-        reports[arm] = run_arm_seed(config, arm, seed, datasets, *shared)
+        reports[arm] = run_arm_seed(config, arm, seed, datasets, *shared, bayes)
     return reports
 
 
@@ -619,9 +620,11 @@ def run_arm_seed(
     models: Mapping[str, tm.TaskModel],
     features: Mapping[str, Mapping[str, FeatureSequence]],
     stage1_reports: Mapping[str, dict],
+    bayes: dict,
 ) -> dict:
     """Train and evaluate one arm's translator on the seed's datasets, frozen
-    task models and their extracted features; return the arm's report."""
+    task models and their extracted features; return the arm's report, which
+    carries the config's Bayes summary ``bayes`` (``_bayes_summary``)."""
     t_start = time.perf_counter()
     tconfig = config.translator_config(arm)
     primary_id = config.primary.spec.task_id
@@ -649,7 +652,7 @@ def run_arm_seed(
         "split": "test",
         "n_samples": config.n_test,
         "metrics": test_metrics,
-        "bayes": _bayes_summary(config),
+        "bayes": bayes,
         "stage1": {t: r for t, r in stage1_reports.items() if t in tconfig.task_ids},
         "frozen_check": {
             "ok": checksums_after == checksums_at_freeze,
@@ -672,14 +675,20 @@ def run_experiment(
     seeds: Sequence[int] | None = None,
 ) -> dict:
     """Run all requested arms for each seed (one job per seed) and write
-    reports plus an aggregate with mean and stddev across seeds per arm."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    reports plus an aggregate with mean and stddev across seeds per arm.
+    Unknown arms and an empty or negative seed list raise ``ConfigError``
+    before the output directory is created."""
     use_arms = tuple(arms) if arms else config.arms
     for arm in use_arms:
         if arm not in ARMS:
-            raise ConfigError(f"unknown arm {arm!r}")
+            raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
     use_seeds = tuple(seeds) if seeds is not None else tuple(range(config.seeds))
+    if not use_seeds:
+        raise ConfigError("no seeds to run; need at least one")
+    if min(use_seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {list(use_seeds)}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     job = functools.partial(run_seed, config, use_arms, out_dir=out_dir)
     workers = int(os.environ.get("ETT_NUM_WORKERS", "1"))
@@ -758,6 +767,31 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
 
         err = nn.grad_check(enc_loss, enc_params)
         record(f"grad_encoder_layer_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
+
+        def post_norm_loss(p):
+            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
+            return nn.mean_all(nn.encoder_layer(p["tokens"], layer, norm_first=False))
+
+        err = nn.grad_check(post_norm_loss, enc_params)
+        record(f"grad_encoder_layer_post_norm_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
+
+        # three 3-token sequences in one layer, each attending only to
+        # itself, read out with unequal weights; drawn from their own
+        # generator so the checks below keep their points
+        stack_rng = np.random.default_rng([seed, 3])
+        stacked_enc = nn.ParamSet()
+        for name in enc_params.names():
+            if name != "tokens":
+                stacked_enc.add(name, enc_params[name].value)
+        stacked_enc.add("tokens", stack_rng.normal(size=(3 * 3, 8)))
+        readout = stack_rng.normal(size=(3 * 3, 8))
+
+        def stacked_enc_loss(p):
+            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
+            return nn.sum_all(nn.mul(nn.encoder_layer(p["tokens"], layer, n_seqs=3), readout))
+
+        err = nn.grad_check(stacked_enc_loss, stacked_enc)
+        record(f"grad_encoder_layer_stacked_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
         # three 4-frame windows stacked as in extraction and stage 1, through
         # trunk, binary head and row-batched loss, at a generic point

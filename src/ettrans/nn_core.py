@@ -127,6 +127,98 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 # ---------------------------------------------------------------------------
+# numpy kernels
+#
+# Forward/backward pairs on plain arrays. Each forward returns its value and
+# what its backward needs. The graph ops wrap them one op per node, and
+# ``encoder_layer`` chains them inside a single node.
+
+LAYER_NORM_EPS = 1e-5
+
+
+def _gelu_forward(x: Array) -> tuple[Array, Array]:
+    cdf = erf(x / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
+def _gelu_backward(g: Array, x: Array, cdf: Array) -> Array:
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    pdf *= x
+    pdf += cdf
+    return g * pdf
+
+
+def _layer_norm_forward(
+    x: Array, gamma: Array, beta: Array, eps: float
+) -> tuple[Array, tuple[Array, Array]]:
+    """Row-normalized ``x`` times gamma plus beta; saves (xhat, 1/std)."""
+    inv_d = 1.0 / x.shape[1]
+    xhat = x - x.sum(axis=1, keepdims=True) * inv_d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) * inv_d + eps)
+    xhat *= inv
+    value = xhat * gamma
+    value += beta
+    return value, (xhat, inv)
+
+
+def _layer_norm_backward(
+    g: Array, saved: tuple[Array, Array], gamma: Array
+) -> tuple[Array, Array, Array]:
+    """Gradients (dx, dgamma, dbeta) of ``_layer_norm_forward``."""
+    xhat, inv = saved
+    inv_d = 1.0 / xhat.shape[1]
+    dxhat = g * gamma
+    proj = (dxhat * xhat).sum(axis=1, keepdims=True) * inv_d
+    dx = dxhat - dxhat.sum(axis=1, keepdims=True) * inv_d
+    dx -= xhat * proj
+    dx *= inv
+    return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def _attention_forward(
+    qkv: Array, n_heads: int, n_seqs: int, weights_out: list | None
+) -> tuple[Array, tuple[Array, Array, Array, Array]]:
+    """Per-head softmax(Q Kt / sqrt(dh)) V within each sequence.
+
+    ``qkv`` is [Q | K | V], (n_seqs*T x 3D). Returns the (n_seqs*T x D)
+    result and the per-head (q / sqrt(dh), k, v, attention) arrays, each
+    n_seqs x heads x T x (dh or T), that the backward needs.
+    """
+    rows, d = qkv.shape[0], qkv.shape[1] // 3
+    t_len, dh = rows // n_seqs, d // n_heads
+    heads = qkv.reshape(n_seqs, t_len, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    qh = heads[0] * (1.0 / math.sqrt(dh))
+    kh, vh = heads[1], heads[2]
+    attn = qh @ kh.swapaxes(2, 3)
+    attn -= attn.max(axis=3, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=3, keepdims=True)
+    if weights_out is not None:
+        weights_out.extend(attn.copy())
+    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
+    return out, (qh, kh, vh, attn)
+
+
+def _attention_backward(g: Array, saved: tuple[Array, Array, Array, Array]) -> Array:
+    """Gradient of ``_attention_forward`` with respect to [Q | K | V]."""
+    qh, kh, vh, attn = saved
+    n_seqs, n_heads, t_len, dh = qh.shape
+    gh = g.reshape(n_seqs, t_len, n_heads, dh).transpose(0, 2, 1, 3)
+    d_scores = gh @ vh.swapaxes(2, 3)
+    d_scores -= (d_scores * attn).sum(axis=3, keepdims=True)
+    d_scores *= attn
+    d_qkv = np.empty((n_seqs, t_len, 3, n_heads, dh), dtype=d_scores.dtype)
+    d_heads = d_qkv.transpose(2, 0, 3, 1, 4)
+    np.matmul(d_scores, kh, out=d_heads[0])
+    d_heads[0] *= 1.0 / math.sqrt(dh)
+    np.matmul(d_scores.swapaxes(2, 3), qh, out=d_heads[1])
+    np.matmul(attn.swapaxes(2, 3), gh, out=d_heads[2])
+    return d_qkv.reshape(n_seqs * t_len, 3 * n_heads * dh)
+
+
+# ---------------------------------------------------------------------------
 # elementwise / arithmetic ops
 
 
@@ -205,13 +297,10 @@ def matmul(a, b) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = as_tensor(a)
-    x = a.value
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-    value = x * cdf
+    value, cdf = _gelu_forward(a.value)
 
     def vjp(g: Array) -> None:
-        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        _accumulate(a, (g * (cdf + x * pdf)).astype(a.dtype, copy=False))
+        _accumulate(a, _gelu_backward(g, a.value, cdf).astype(a.dtype, copy=False))
 
     return _node(value.astype(a.dtype, copy=False), (a,), vjp)
 
@@ -355,7 +444,7 @@ def linear(x, w, b=None) -> Tensor:
     return _node(value, (x, w, b), vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Per-row normalization to mean 0 / variance 1, then scale and shift."""
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
@@ -368,23 +457,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm: input has {d} columns but gamma/beta have shapes "
             f"{gamma.shape}/{beta.shape}"
         )
-    xv = x.value
-    mu = xv.mean(axis=1, keepdims=True)
-    xc = xv - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    value = xhat * gamma.value + beta.value
+    value, saved = _layer_norm_forward(x.value, gamma.value, beta.value, eps)
 
     def vjp(g: Array) -> None:
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
-        dxhat = g * gamma.value
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
+        dx, dgamma, dbeta = _layer_norm_backward(g, saved, gamma.value)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
         _accumulate(x, dx.astype(x.dtype, copy=False))
 
     return _node(value.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
@@ -610,6 +688,16 @@ class EncoderLayerParams:
             raise DimensionError("feed-forward weights do not map back to model width")
         if self.ffn_w1.value.shape[1] != self.ffn_w2.value.shape[0]:
             raise DimensionError("feed-forward hidden widths disagree")
+        # encoder_layer broadcasts these vectors without per-op checks
+        d_ff = self.ffn_w1.value.shape[1]
+        vectors = ("bq", "bv", "bo", "ffn_b1", "ffn_b2",
+                   "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
+        for name in vectors:
+            width = d_ff if name == "ffn_b1" else d
+            if getattr(self, name).value.shape != (width,):
+                raise DimensionError(
+                    f"{name} must have shape ({width},), got {getattr(self, name).shape}"
+                )
 
     @property
     def width(self) -> int:
@@ -657,35 +745,15 @@ def scaled_dot_attention(
         )
     if d % n_heads != 0:
         raise DimensionError(f"width {d} is not divisible by {n_heads} heads")
-    t_len = _sequence_length(q, n_seqs, "scaled_dot_attention")
-    dh = d // n_heads
-    inv = 1.0 / math.sqrt(dh)
-
-    def split(m: Array) -> Array:  # n_seqs x heads x T x dh
-        return m.reshape(n_seqs, t_len, n_heads, dh).transpose(0, 2, 1, 3)
-
-    def join(m: Array) -> Array:
-        return m.transpose(0, 2, 1, 3).reshape(rows, d)
-
-    qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * inv
-    scores -= scores.max(axis=3, keepdims=True)
-    attn = np.exp(scores)
-    attn /= attn.sum(axis=3, keepdims=True)
-    if weights_out is not None:
-        weights_out.extend(attn.copy())
-    out = join(attn @ vh)
+    _sequence_length(q, n_seqs, "scaled_dot_attention")
+    qkv = np.concatenate((q.value, k.value, v.value), axis=1)
+    out, saved = _attention_forward(qkv, n_heads, n_seqs, weights_out)
 
     def vjp(g: Array) -> None:
-        gh = split(g)
-        d_attn = gh @ vh.transpose(0, 1, 3, 2)
-        d_v = attn.transpose(0, 1, 3, 2) @ gh
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=3, keepdims=True))
-        d_q = (d_scores @ kh) * inv
-        d_k = (d_scores.transpose(0, 1, 3, 2) @ qh) * inv
-        _accumulate(q, join(d_q))
-        _accumulate(k, join(d_k))
-        _accumulate(v, join(d_v))
+        d_qkv = _attention_backward(g, saved)
+        _accumulate(q, d_qkv[:, :d])
+        _accumulate(k, d_qkv[:, d : 2 * d])
+        _accumulate(v, d_qkv[:, 2 * d :])
 
     return _node(out, (q, k, v), vjp)
 
@@ -706,10 +774,6 @@ def multi_head_attention(
     return linear(attended, p.wo, p.bo)
 
 
-def feed_forward(x, p: EncoderLayerParams) -> Tensor:
-    return linear(gelu(linear(x, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
-
-
 def encoder_layer(
     x,
     p: EncoderLayerParams,
@@ -719,14 +783,90 @@ def encoder_layer(
 ) -> Tensor:
     """One transformer encoder layer over ``n_seqs`` stacked token sequences;
     pre-norm residual by default. Only attention mixes rows, and it stays
-    within each sequence."""
+    within each sequence.
+
+    The layer is one graph node: the forward pass chains the numpy kernels
+    and one analytic VJP covers the whole layer. It computes the same
+    function as ``layer_norm``, ``multi_head_attention``, ``linear``,
+    ``gelu`` and ``add`` composed, with Q, K and V in one matmul.
+    ``weights_out`` receives one (heads x T x T) attention array per
+    sequence, as from ``scaled_dot_attention``.
+    """
     x = as_tensor(x)
+    if x.value.ndim != 2 or x.cols != p.width:
+        raise DimensionError(f"input of shape {x.shape} does not match layer width {p.width}")
+    _sequence_length(x, n_seqs, "encoder_layer")
+    d = p.width
+    w_qkv = np.concatenate((p.wq.value, p.wk.value, p.wv.value), axis=1)
+    b_qkv = np.concatenate((p.bq.value, np.zeros_like(p.bq.value), p.bv.value))
+    wo, w1, w2 = p.wo.value, p.ffn_w1.value, p.ffn_w2.value
+    g1, g2 = p.ln1_gamma.value, p.ln2_gamma.value
+    xv = x.value
+
+    # attention block: pre-norm adds to x, post-norm normalizes the sum
     if norm_first:
-        normed = layer_norm(x, p.ln1_gamma, p.ln1_beta)
-        h = add(x, multi_head_attention(normed, p, weights_out, n_seqs))
-        return add(h, feed_forward(layer_norm(h, p.ln2_gamma, p.ln2_beta), p))
-    h = layer_norm(add(x, multi_head_attention(x, p, weights_out, n_seqs)), p.ln1_gamma, p.ln1_beta)
-    return layer_norm(add(h, feed_forward(h, p)), p.ln2_gamma, p.ln2_beta)
+        attn_in, ln1 = _layer_norm_forward(xv, g1, p.ln1_beta.value, LAYER_NORM_EPS)
+    else:
+        attn_in = xv
+    qkv = attn_in @ w_qkv
+    qkv += b_qkv
+    attended, attn_saved = _attention_forward(qkv, p.n_heads, n_seqs, weights_out)
+    h = attended @ wo
+    h += p.bo.value
+    h += xv
+    if norm_first:
+        ffn_in, ln2 = _layer_norm_forward(h, g2, p.ln2_beta.value, LAYER_NORM_EPS)
+    else:
+        h, ln1 = _layer_norm_forward(h, g1, p.ln1_beta.value, LAYER_NORM_EPS)
+        ffn_in = h
+
+    # feed-forward block
+    hidden = ffn_in @ w1
+    hidden += p.ffn_b1.value
+    act, cdf = _gelu_forward(hidden)
+    out = act @ w2
+    out += p.ffn_b2.value
+    out += h
+    if not norm_first:
+        out, ln2 = _layer_norm_forward(out, g2, p.ln2_beta.value, LAYER_NORM_EPS)
+
+    def vjp(g: Array) -> None:
+        # d_out: gradient at the second residual sum; d_h: at h, the first
+        # residual sum for pre-norm and its normalized value for post-norm
+        if norm_first:
+            d_out = g
+        else:
+            d_out, d_g2, d_be2 = _layer_norm_backward(g, ln2, g2)
+        d_hidden = _gelu_backward(d_out @ w2.T, hidden, cdf)
+        d_h = d_hidden @ w1.T
+        grads = {
+            "ffn_w2": act.T @ d_out, "ffn_b2": d_out.sum(axis=0),
+            "ffn_w1": ffn_in.T @ d_hidden, "ffn_b1": d_hidden.sum(axis=0),
+        }
+        if norm_first:
+            d_h, d_g2, d_be2 = _layer_norm_backward(d_h, ln2, g2)
+        d_h += d_out
+        if not norm_first:  # now at the first residual sum
+            d_h, d_g1, d_be1 = _layer_norm_backward(d_h, ln1, g1)
+        d_qkv = _attention_backward(d_h @ wo.T, attn_saved)
+        d_w_qkv = attn_in.T @ d_qkv
+        d_b_qkv = d_qkv.sum(axis=0)
+        d_x = d_qkv @ w_qkv.T
+        if norm_first:
+            d_x, d_g1, d_be1 = _layer_norm_backward(d_x, ln1, g1)
+        d_x += d_h
+        grads.update(
+            wq=d_w_qkv[:, :d], wk=d_w_qkv[:, d : 2 * d], wv=d_w_qkv[:, 2 * d :],
+            bq=d_b_qkv[:d], bv=d_b_qkv[2 * d :],
+            wo=attended.T @ d_h, bo=d_h.sum(axis=0),
+            ln1_gamma=d_g1, ln1_beta=d_be1, ln2_gamma=d_g2, ln2_beta=d_be2,
+        )
+        _accumulate(x, d_x)
+        for name in ENCODER_PARAM_FIELDS:
+            _accumulate(getattr(p, name), grads[name])
+
+    parents = (x,) + tuple(getattr(p, name) for name in ENCODER_PARAM_FIELDS)
+    return _node(out, parents, vjp)
 
 
 # ---------------------------------------------------------------------------

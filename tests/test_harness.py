@@ -540,6 +540,34 @@ def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--seeds", "0"],
+        ["--seeds", "-1"],
+        ["--arm", "bogus"],
+        ["--arm", "translator", "--arm", "bogus"],
+    ],
+    ids=["zero_seeds", "negative_seeds", "unknown_arm", "one_unknown_arm"],
+)
+def test_cli_rejects_bad_seeds_and_arms_before_running(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [[], [-1], [0, -2]])
+def test_run_experiment_rejects_empty_or_negative_seeds_before_writing(
+    tiny_config, tmp_path, seeds
+):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        harness.run_experiment(tiny_config, out, seeds=seeds)
+    assert not out.exists()
+
+
 def test_cli_config_required_without_check():
     assert cli.main(["run"]) == 2
 

@@ -189,6 +189,15 @@ def test_attention_weight_rows_sum_to_one():
     np.testing.assert_allclose(weights.sum(axis=2), np.ones((4, 7)), atol=1e-6)
 
 
+@pytest.mark.parametrize("name", ["bq", "bv", "bo", "ffn_b1", "ffn_b2", "ln1_gamma", "ln2_beta"])
+def test_encoder_layer_params_reject_misshaped_vectors(name):
+    arrays = nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16)
+    arrays[name] = np.zeros(1)
+    tensors = {k: nn.Tensor(v) for k, v in arrays.items()}
+    with pytest.raises(DimensionError):
+        nn.EncoderLayerParams.from_tensors(tensors, "", 2)
+
+
 def test_attention_rejects_indivisible_heads():
     rng = np.random.default_rng(5)
     arrays = nn.init_encoder_layer_arrays(rng, 6, 12)
@@ -242,6 +251,92 @@ def test_encoder_layer_post_norm_variant_runs():
     post = nn.encoder_layer(nn.Tensor(x), p, norm_first=False).value
     assert pre.shape == post.shape == (4, 8)
     assert not np.allclose(pre, post)
+
+
+# ---------------------------------------------------------------------------
+# fused encoder layer against the public-op composition
+
+
+def composed_encoder_layer(x, p, norm_first=True, weights_out=None, n_seqs=1):
+    """The encoder layer as a composition of public graph ops: the reference
+    the fused single-node ``encoder_layer`` must reproduce."""
+
+    def feed_forward(h):
+        return nn.linear(nn.gelu(nn.linear(h, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
+
+    if norm_first:
+        normed = nn.layer_norm(x, p.ln1_gamma, p.ln1_beta)
+        h = nn.add(x, nn.multi_head_attention(normed, p, weights_out, n_seqs))
+        return nn.add(h, feed_forward(nn.layer_norm(h, p.ln2_gamma, p.ln2_beta)))
+    attended = nn.multi_head_attention(x, p, weights_out, n_seqs)
+    h = nn.layer_norm(nn.add(x, attended), p.ln1_gamma, p.ln1_beta)
+    return nn.layer_norm(nn.add(h, feed_forward(h)), p.ln2_gamma, p.ln2_beta)
+
+
+def per_sequence_composed_layer(x, p, norm_first, weights_out, n_seqs):
+    """``composed_encoder_layer`` run on each stacked sequence alone, so no
+    attention can cross a sequence boundary, and the results stacked."""
+    t = x.rows // n_seqs
+    return nn.concat_rows([
+        composed_encoder_layer(nn.slice_rows(x, i * t, (i + 1) * t), p, norm_first, weights_out)
+        for i in range(n_seqs)
+    ])
+
+
+def layer_value_and_grads(layer_fn, arrays, x0, readout, norm_first, n_seqs):
+    leaves = {k: nn.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+    x = nn.Tensor(x0, requires_grad=True)
+    weights = []
+    out = layer_fn(x, nn.EncoderLayerParams.from_tensors(leaves, "", 2), norm_first, weights, n_seqs)
+    nn.sum_all(nn.mul(out, readout)).backward()
+    return out.value, x.grad, {k: t.grad for k, t in leaves.items()}, weights
+
+
+def max_rel_diff(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_seqs", [1, 3])
+@pytest.mark.parametrize("norm_first", [True, False])
+def test_fused_encoder_layer_matches_public_op_composition(norm_first, n_seqs):
+    rng = np.random.default_rng(40 + n_seqs + 10 * norm_first)
+    arrays = rand_layer_arrays(rng, 8, 16)
+    x0 = rng.normal(size=(n_seqs * 5, 8))
+    readout = rng.normal(size=x0.shape)
+    value, dx, grads, weights = layer_value_and_grads(
+        nn.encoder_layer, arrays, x0, readout, norm_first, n_seqs
+    )
+    want_value, want_dx, want_grads, want_weights = layer_value_and_grads(
+        per_sequence_composed_layer, arrays, x0, readout, norm_first, n_seqs
+    )
+    assert max_rel_diff(value, want_value) <= 1e-12
+    assert max_rel_diff(dx, want_dx) <= 1e-12
+    assert sorted(grads) == sorted(nn.ENCODER_PARAM_FIELDS)
+    for name in nn.ENCODER_PARAM_FIELDS:
+        assert max_rel_diff(grads[name], want_grads[name]) <= 1e-12, name
+    # one (heads x T x T) array per sequence, as scaled_dot_attention captures
+    assert len(weights) == len(want_weights) == n_seqs
+    for got, want in zip(weights, want_weights):
+        assert got.shape == want.shape == (2, 5, 5)
+        assert max_rel_diff(got, want) <= 1e-12
+        np.testing.assert_allclose(got.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("norm_first", [True, False])
+def test_grad_check_fused_encoder_layer_three_sequences(norm_first):
+    rng = np.random.default_rng(60 + norm_first)
+    params = nn.ParamSet()
+    for name, arr in rand_layer_arrays(rng, 8, 16).items():
+        params.add(name, arr)
+    params.add("tokens", rng.normal(size=(3 * 4, 8)))
+    readout = rng.normal(size=(3 * 4, 8))
+
+    def f(p):
+        layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
+        out = nn.encoder_layer(p["tokens"], layer, norm_first, n_seqs=3)
+        return nn.sum_all(nn.mul(out, readout))
+
+    assert nn.grad_check(f, params) < 1e-4
 
 
 # ---------------------------------------------------------------------------
