@@ -38,7 +38,7 @@ from . import task_models as tm
 from . import training as tg
 from . import translator as tr
 from .errors import CacheFormatError, CacheVersionError, ConfigError
-from .temporal_align import FeatureSequence, FrameSeq, frame_count, stack_clips
+from .temporal_align import FeatureSequence, FrameSeq, frame_count
 
 ARMS = ("translator", "primary_only", "frozen_random_ablation")
 
@@ -506,20 +506,6 @@ def _split_features(
     return seq
 
 
-def _stage2_samples(
-    features: Mapping[str, FeatureSequence], labels: Sequence, task_ids: Sequence[str]
-) -> list[tg.Stage2Sample]:
-    """Per-sample feature dicts of a split: float32 views into its arrays."""
-    return [
-        (
-            {t: FeatureSequence(t, features[t].values[i], features[t].frame_times_s)
-             for t in task_ids},
-            label,
-        )
-        for i, label in enumerate(labels)
-    ]
-
-
 def run_seed(
     config: ExperimentConfig, arms: Sequence[str], seed: int, out_dir: Path
 ) -> dict[str, dict]:
@@ -589,15 +575,14 @@ def run_seed(
 
     cache_dir = Path(out_dir) / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
-    clips = {split: stack_clips(ds.clips) for split, ds in datasets.items()}
 
     def extract(models: Mapping[str, tm.TaskModel]) -> dict[str, dict[str, FeatureSequence]]:
         return {
             split: {
-                t: _split_features(cache_dir, model, split_clips, config.task(t).stride_s)
+                t: _split_features(cache_dir, model, ds.clips, config.task(t).stride_s)
                 for t, model in models.items()
             }
-            for split, split_clips in clips.items()
+            for split, ds in datasets.items()
         }
 
     trained_features, untrained_features = extract(trained), extract(untrained)
@@ -628,20 +613,14 @@ def run_arm_seed(
     t_start = time.perf_counter()
     tconfig = config.translator_config(arm)
     primary_id = config.primary.spec.task_id
-    split_samples = {
-        split: _stage2_samples(features[split], ds.task_labels(primary_id), tconfig.task_ids)
-        for split, ds in datasets.items()
+    splits = {
+        split: (features[split], ds.task_labels(primary_id)) for split, ds in datasets.items()
     }
 
     params, train_report, checksums_at_freeze = tg.train_stage2(
-        split_samples["train"],
-        split_samples["val"],
-        tconfig,
-        models,
-        config.stage2,
-        seed,
+        splits["train"], splits["val"], tconfig, models, config.stage2, seed
     )
-    test_metrics = tg.evaluate_stage2(split_samples["test"], params, tconfig)
+    test_metrics = tg.evaluate_stage2(splits["test"], params, tconfig)
 
     checksums_after = {t: models[t].checksum() for t in tconfig.task_ids}
     return {
@@ -676,8 +655,9 @@ def run_experiment(
 ) -> dict:
     """Run all requested arms for each seed (one job per seed) and write
     reports plus an aggregate with mean and stddev across seeds per arm.
-    Unknown arms and an empty or negative seed list raise ``ConfigError``
-    before the output directory is created."""
+    Unknown arms, an empty or negative seed list and an ``ETT_NUM_WORKERS``
+    that is not a positive integer raise ``ConfigError`` before the output
+    directory is created."""
     use_arms = tuple(arms) if arms else config.arms
     for arm in use_arms:
         if arm not in ARMS:
@@ -687,11 +667,14 @@ def run_experiment(
         raise ConfigError("no seeds to run; need at least one")
     if min(use_seeds) < 0:
         raise ConfigError(f"seeds must be >= 0, got {list(use_seeds)}")
+    workers_env = os.environ.get("ETT_NUM_WORKERS", "1")
+    if not workers_env.strip().isdecimal() or int(workers_env) < 1:
+        raise ConfigError(f"ETT_NUM_WORKERS must be an integer >= 1, got {workers_env!r}")
+    workers = int(workers_env)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     job = functools.partial(run_seed, config, use_arms, out_dir=out_dir)
-    workers = int(os.environ.get("ETT_NUM_WORKERS", "1"))
     if workers > 1 and len(use_seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, use_seeds))
@@ -818,13 +801,14 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         tparams = nn.ParamSet()
         for name, param in tr.init_translator_params(tconfig, rng).items():
             tparams.add(name, rng.normal(0.0, 0.5, size=param.value.shape))
-        group = [
-            {
-                t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.5)
-                for t, t_k, d_k in tconfig.task_dims
-            }
+        draws = [
+            {t: rng.normal(size=(t_k, d_k)) for t, t_k, d_k in tconfig.task_dims}
             for _ in range(3)
         ]
+        group = {
+            t: FeatureSequence(t, np.stack([d[t] for d in draws]), np.arange(t_k) * 0.5)
+            for t, t_k, _ in tconfig.task_dims
+        }
 
         def translator_loss(p):
             output = tr.translate(group, p, tconfig)

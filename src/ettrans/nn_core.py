@@ -177,6 +177,14 @@ def _layer_norm_backward(
     return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
+def _softmax_inplace(z: Array) -> Array:
+    """Softmax over the last axis of a float array, in place; returns ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def _attention_forward(
     qkv: Array, n_heads: int, n_seqs: int, weights_out: list | None
 ) -> tuple[Array, tuple[Array, Array, Array, Array]]:
@@ -191,10 +199,7 @@ def _attention_forward(
     heads = qkv.reshape(n_seqs, t_len, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     qh = heads[0] * (1.0 / math.sqrt(dh))
     kh, vh = heads[1], heads[2]
-    attn = qh @ kh.swapaxes(2, 3)
-    attn -= attn.max(axis=3, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=3, keepdims=True)
+    attn = _softmax_inplace(qh @ kh.swapaxes(2, 3))
     if weights_out is not None:
         weights_out.extend(attn.copy())
     out = (attn @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
@@ -265,14 +270,6 @@ def scale(a, c: float) -> Tensor:
         _accumulate(a, (g * c).astype(a.dtype, copy=False))
 
     return _node(value, (a,), vjp)
-
-
-def neg(a) -> Tensor:
-    return scale(a, -1.0)
-
-
-def sub(a, b) -> Tensor:
-    return add(a, neg(b))
 
 
 def matmul(a, b) -> Tensor:
@@ -468,12 +465,6 @@ def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
     return _node(value.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
 
 
-def _softmax_value(z: Array, axis: int) -> Array:
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def softmax(x) -> Tensor:
     """Softmax of a vector; shift-invariant and overflow-safe."""
     x = as_tensor(x)
@@ -481,7 +472,7 @@ def softmax(x) -> Tensor:
         raise DimensionError(f"softmax expects a vector, got shape {x.shape}")
     if x.value.size == 0:
         raise ValueError("softmax of an empty vector is undefined")
-    y = _softmax_value(x.value, axis=0)
+    y = _softmax_inplace(x.value.copy())
 
     def vjp(g: Array) -> None:
         _accumulate(x, (y * (g - float(np.dot(g, y)))).astype(x.dtype, copy=False))

@@ -88,17 +88,18 @@ class LocalizationLabel:
 
 @dataclass
 class SyntheticDataset:
-    clips: list[FrameSeq]
+    """A split of clips, stacked as one (samples x frames x channels)
+    ``FrameSeq``, with one label per sample for each task."""
+
+    clips: FrameSeq
     labels: dict[str, list]
     specs: tuple[TaskSpec, ...]
     seed: int
     split: str
-    duration_s: float
-    fps: float
 
     @property
     def n_samples(self) -> int:
-        return len(self.clips)
+        return len(self.clips.values)
 
     def task_labels(self, task_id: str) -> list:
         return self.labels[task_id]
@@ -108,8 +109,8 @@ class SyntheticDataset:
             "split": self.split,
             "seed": self.seed,
             "n_samples": self.n_samples,
-            "duration_s": self.duration_s,
-            "fps": self.fps,
+            "duration_s": self.clips.duration_s,
+            "fps": self.clips.fps,
             "tasks": {},
         }
         for spec in self.specs:
@@ -179,7 +180,7 @@ def generate(
 
     Geometry defaults to the primary task's native window. Generation is
     deterministic given (specs, seed, split): each sample derives its own RNG
-    stream, so samples could be drawn in parallel without changing results.
+    stream, so the first k samples of a split do not depend on its size.
     Binary label marginals are checked against 50/50 when n is large enough
     to make the check meaningful.
     """
@@ -218,11 +219,10 @@ def generate(
                 noun_ch,
             )
 
-    clips: list[FrameSeq] = []
+    clips = np.zeros((n_samples, n_frames, n_channels), dtype=np.float64)
     labels: dict[str, list] = {s.task_id: [] for s in specs}
-    for i in range(n_samples):
+    for i, values in enumerate(clips):
         rng = _sample_rng(seed, split, i)
-        values = np.zeros((n_frames, n_channels), dtype=np.float64)
         primary_latent: int | None = None
         for spec in specs:
             group = list(spec.channels)
@@ -259,7 +259,6 @@ def generate(
                 labels[spec.task_id].append(tuple(future))
             if spec.noise_sigma > 0:
                 values[:, group] += rng.normal(0.0, spec.noise_sigma, size=(n_frames, len(group)))
-        clips.append(FrameSeq(values, fps=fps, duration_s=duration_s))
 
     for spec in specs:
         if spec.kind == KIND_BINARY and n_samples >= BALANCE_CHECK_MIN_N:
@@ -271,13 +270,11 @@ def generate(
                 )
 
     return SyntheticDataset(
-        clips=clips,
+        clips=FrameSeq(clips, fps=fps, duration_s=duration_s),
         labels=labels,
         specs=specs,
         seed=seed,
         split=split,
-        duration_s=duration_s,
-        fps=fps,
     )
 
 

@@ -13,7 +13,6 @@ calls of at most ``_EXTRACT_CHUNK_ROWS`` rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -120,7 +119,7 @@ class FeatureSequence:
                 f"{self.n_frames} feature rows but "
                 f"{self.frame_times_s.shape[0]} timestamps"
             )
-        if self.n_frames > 1 and not np.all(np.diff(self.frame_times_s) > 0):
+        if not (self.frame_times_s[1:] > self.frame_times_s[:-1]).all():
             raise AlignmentError("timestamps must be strictly increasing")
 
     @property
@@ -130,21 +129,6 @@ class FeatureSequence:
     @property
     def feature_dim(self) -> int:
         return self.values.shape[-1]
-
-
-def stack_clips(clips: Sequence[FrameSeq]) -> FrameSeq:
-    """A split's clips as one (clips x frames x channels) sequence; clips
-    that differ in fps, duration, shape or dtype are refused."""
-    if not clips:
-        raise AlignmentError("cannot stack an empty split")
-    first = clips[0]
-    geometry = (first.fps, first.duration_s, first.values.shape, first.values.dtype)
-    for i, clip in enumerate(clips):
-        if (clip.fps, clip.duration_s, clip.values.shape, clip.values.dtype) != geometry:
-            raise AlignmentError(f"clip {i} differs from clip 0 in fps, duration, shape or dtype")
-    return FrameSeq(
-        np.stack([clip.values for clip in clips]), fps=first.fps, duration_s=first.duration_s
-    )
 
 
 def resample(clip: FrameSeq, target_fps: float) -> FrameSeq:

@@ -5,6 +5,11 @@ Stage 2 freezes every task model and optimizes translator parameters only, on
 the primary dataset; the frozen models contribute constant features, so no
 gradient path into them exists. Both stages share one Adam loop with early
 stopping on a validation metric.
+
+A split stays stacked throughout: stage 1 reads a dataset's
+(samples x frames x channels) clips, stage 2 one (samples x frames x
+feature_dim) array per task plus the primary labels. A minibatch is an index
+vector into the split, and a graph reads its samples' rows by that vector.
 """
 
 from __future__ import annotations
@@ -169,28 +174,32 @@ def _improved(candidate: float, best: float, greater_is_better: bool) -> bool:
     return candidate > best if greater_is_better else candidate < best
 
 
-LossTerms = Callable[[list, dict[str, nn.Tensor]], Iterable[nn.Tensor]]
+LossTerms = Callable[[np.ndarray, dict[str, nn.Tensor]], Iterable[nn.Tensor]]
 
 
-def _backward_terms(build_loss: LossTerms, batch: list, leaves, where: str) -> float:
-    """Backpropagate every loss term ``build_loss`` yields for one minibatch
-    into ``leaves``; returns their summed value."""
+def _train_step(
+    params: nn.ParamSet, build_loss: LossTerms, idx: np.ndarray, state: OptimState, where: str
+) -> float:
+    """One Adam update on the mean loss of the minibatch ``idx``: backpropagate
+    every term ``build_loss`` yields, then step. Returns the summed loss."""
+    leaves = params.as_tensors()
     total = 0.0
-    for term in build_loss(batch, leaves):
+    for term in build_loss(idx, leaves):
         value = float(term.value)
         if not np.isfinite(value):
             raise TrainingDivergedError(f"non-finite loss {value} {where}")
         total += value
         term.backward()
+    grads = {name: g / len(idx) for name, g in nn.collect_grads(leaves).items()}
+    optimizer_step(params, grads, state)
     return total
 
 
 def fit(
     params: nn.ParamSet,
-    train_samples: Sequence,
-    val_samples: Sequence,
+    n_train: int,
     build_loss: LossTerms,
-    evaluate: Callable[[Sequence, nn.ParamSet], tuple[float, float]],
+    evaluate: Callable[[nn.ParamSet], tuple[float, float]],
     metric_name: str,
     greater_is_better: bool,
     hyper: TrainHyper,
@@ -198,10 +207,12 @@ def fit(
 ) -> TrainReport:
     """Minibatch Adam with early stopping; restores the best-epoch parameters.
 
-    ``build_loss`` maps (minibatch, leaves) to the minibatch's loss terms:
-    scalar graph nodes whose values sum to the minibatch's summed loss.
-    ``evaluate`` returns (mean loss, metric) for a sample set at the current
-    parameters.
+    Each epoch draws one seeded permutation of the ``n_train`` training
+    samples and cuts it into minibatches of ``hyper.batch_size`` indices.
+    ``build_loss`` maps (minibatch indices, leaves) to the minibatch's loss
+    terms: scalar graph nodes whose values sum to its summed loss.
+    ``evaluate`` returns (mean loss, metric) on the validation split at the
+    current parameters.
     """
     t_start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
@@ -210,23 +221,17 @@ def fit(
     best_metric = -np.inf if greater_is_better else np.inf
     best_values: dict[str, np.ndarray] | None = None
     since_best = 0
-    n = len(train_samples)
 
     for epoch in range(hyper.max_epochs):
-        order = rng.permutation(n)
+        order = rng.permutation(n_train)
         epoch_loss = 0.0
-        for lo in range(0, n, hyper.batch_size):
-            batch = [train_samples[idx] for idx in order[lo : lo + hyper.batch_size]]
-            leaves = params.as_tensors()
+        for lo in range(0, n_train, hyper.batch_size):
+            idx = order[lo : lo + hyper.batch_size]
             where = f"at epoch {epoch}, step {lo // hyper.batch_size}"
-            epoch_loss += _backward_terms(build_loss, batch, leaves, where)
-            grads = {
-                name: g / len(batch) for name, g in nn.collect_grads(leaves).items()
-            }
-            optimizer_step(params, grads, state)
-        report.train_losses.append(epoch_loss / n)
+            epoch_loss += _train_step(params, build_loss, idx, state, where)
+        report.train_losses.append(epoch_loss / n_train)
 
-        val_loss, val_metric = evaluate(val_samples, params)
+        val_loss, val_metric = evaluate(params)
         report.val_losses.append(val_loss)
         report.val_metrics.append(val_metric)
         if _improved(val_metric, best_metric, greater_is_better):
@@ -248,49 +253,49 @@ def fit(
 
 def run_steps(
     params: nn.ParamSet,
-    samples: Sequence,
+    n_samples: int,
     build_loss: LossTerms,
     n_steps: int,
     hyper: TrainHyper,
 ) -> list[float]:
-    """Full-batch updates without validation; returns the per-step mean loss.
+    """Full-batch updates over all ``n_samples`` samples without validation;
+    returns the per-step mean loss.
 
     Capacity sanity harness: how fast can this parameter set drive its
     training loss down on a tiny memorization set.
     """
     state = OptimState.for_params(params, hyper)
+    idx = np.arange(n_samples)
     losses = []
     for step in range(n_steps):
-        leaves = params.as_tensors()
-        total = _backward_terms(build_loss, samples, leaves, f"at step {step}")
-        grads = {name: g / len(samples) for name, g in nn.collect_grads(leaves).items()}
-        optimizer_step(params, grads, state)
-        losses.append(total / len(samples))
+        total = _train_step(params, build_loss, idx, state, f"at step {step}")
+        losses.append(total / n_samples)
     return losses
 
 
 # ---------------------------------------------------------------------------
 # forward, loss and readout shared by both stages
 #
-# A stage's ``forward(samples, leaves)`` runs one graph over a list of
-# samples and returns (head output, times of each sample's scored frames,
-# labels); the loss and the predictions are read from that one output. Stage
-# 1 runs a whole minibatch per graph (validation in minibatch-sized graphs),
-# stage 2 groups of samples capped by token count (``_stage2_graph_samples``).
+# A stage's ``forward(idx, leaves)`` runs one graph over the samples of one
+# split at the indices ``idx`` and returns (head output, times of each
+# sample's scored frames, labels); the loss and the predictions are read from
+# that one output. Stage 1 runs a whole minibatch per graph (validation in
+# minibatch-sized graphs), stage 2 groups of samples capped by token count
+# (``_stage2_graph_samples``).
 
 
-def _chunks(samples: Sequence, size: int | None):
-    """Consecutive runs of ``size`` samples; None keeps them in one run."""
-    size = size or len(samples)
-    return (list(samples[lo : lo + size]) for lo in range(0, len(samples), size))
+def _chunks(idx: np.ndarray, size: int | None):
+    """Consecutive runs of ``size`` indices; None keeps them in one run."""
+    size = size or len(idx)
+    return (idx[lo : lo + size] for lo in range(0, len(idx), size))
 
 
 def _build_loss(kind: str, forward: Callable, graph_samples: int | None) -> LossTerms:
     """Loss terms of a minibatch: one per graph of ``graph_samples`` samples,
     or one for the whole minibatch if None."""
 
-    def build_loss(batch, leaves):
-        for part in _chunks(batch, graph_samples):
+    def build_loss(idx, leaves):
+        for part in _chunks(idx, graph_samples):
             output, frame_times_s, labels = forward(part, leaves)
             yield _label_loss(output, labels, kind, frame_times_s)
 
@@ -298,16 +303,17 @@ def _build_loss(kind: str, forward: Callable, graph_samples: int | None) -> Loss
 
 
 def _predictions(
-    samples: Sequence, leaves, kind: str, forward: Callable, graph_samples: int | None
+    n_samples: int, leaves, kind: str, forward: Callable, graph_samples: int | None
 ) -> tuple[list, list, float]:
+    """Predictions, labels and mean loss over every sample of a split."""
     preds, labels = [], []
     total_loss = 0.0
-    for part in _chunks(samples, graph_samples):
+    for part in _chunks(np.arange(n_samples), graph_samples):
         output, frame_times_s, part_labels = forward(part, leaves)
         total_loss += float(_label_loss(output, part_labels, kind, frame_times_s).value)
         preds.extend(tm.readout(kind, output, frame_times_s))
         labels.extend(part_labels)
-    return preds, labels, total_loss / len(samples)
+    return preds, labels, total_loss / n_samples
 
 
 def _metric_for_kind(kind: str) -> tuple[str, bool]:
@@ -351,32 +357,29 @@ def _score_predictions(kind: str, preds: list, labels: list) -> tuple[float, dic
 # stage 1
 
 
-def _stage1_samples(dataset: SyntheticDataset, task_id: str) -> list[tuple[FrameSeq, object]]:
-    return list(zip(dataset.clips, dataset.task_labels(task_id)))
+def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
+    """Trunk and head over a native-geometry dataset's indexed clips stacked
+    along the frame axis, each clip from its own causal start."""
+    clips = dataset.clips
+    labels = dataset.task_labels(model.task_id)
 
-
-def _stage1_forward(model: tm.TaskModel) -> Callable:
-    """Trunk and head over native-geometry clips stacked along the frame
-    axis, each clip from its own causal start."""
-
-    def forward(samples, leaves):
-        clips, labels = zip(*samples)
-        first = clips[0]
+    def forward(idx, leaves):
         stacked = FrameSeq(
-            np.concatenate([clip.values for clip in clips]),
-            fps=first.fps,
-            duration_s=len(clips) * first.duration_s,
+            clips.values[idx].reshape(-1, clips.n_channels),
+            fps=clips.fps,
+            duration_s=len(idx) * clips.duration_s,
         )
-        features = model.trunk_graph(stacked, leaves, len(clips))
-        output = model.head_forward(features, leaves, len(clips))
-        return output, first.frame_times(), list(labels)
+        features = model.trunk_graph(stacked, leaves, len(idx))
+        output = model.head_forward(features, leaves, len(idx))
+        return output, clips.frame_times(), [labels[i] for i in idx]
 
     return forward
 
 
-def stage1_build_loss(model: tm.TaskModel) -> LossTerms:
-    """One summed loss term per minibatch, from one graph over all of it."""
-    return _build_loss(model.kind, _stage1_forward(model), None)
+def stage1_build_loss(model: tm.TaskModel, dataset: SyntheticDataset) -> LossTerms:
+    """One summed loss term per minibatch of ``dataset``, from one graph over
+    all of it."""
+    return _build_loss(model.kind, _stage1_forward(model, dataset), None)
 
 
 def train_stage1(
@@ -387,24 +390,21 @@ def train_stage1(
     seed: int,
 ) -> TrainReport:
     """Fit one task model on its own dataset; marks it stage-1 complete."""
-    task_id = model.task_id
-    train_samples = _stage1_samples(train_set, task_id)
-    val_samples = _stage1_samples(val_set, task_id)
     metric_name, greater = _metric_for_kind(model.kind)
-    forward = _stage1_forward(model)
+    val_forward = _stage1_forward(model, val_set)
 
-    def evaluate(samples, params):
+    def evaluate(params):
         preds, labels, mean_loss = _predictions(
-            samples, params.as_tensors(train=False), model.kind, forward, hyper.batch_size
+            val_set.n_samples, params.as_tensors(train=False), model.kind, val_forward,
+            hyper.batch_size,
         )
         metric, _ = _score_predictions(model.kind, preds, labels)
         return mean_loss, metric
 
     report = fit(
         model.params,
-        train_samples,
-        val_samples,
-        stage1_build_loss(model),
+        train_set.n_samples,
+        stage1_build_loss(model, train_set),
         evaluate,
         metric_name,
         greater,
@@ -419,7 +419,9 @@ def train_stage1(
 # stage 2
 
 
-Stage2Sample = tuple[dict[str, FeatureSequence], object]
+# A stage-2 split: each task's features over every sample, stacked
+# (samples x frames x feature_dim), and the primary labels, one per sample.
+Stage2Split = tuple[Mapping[str, FeatureSequence], Sequence]
 
 # Tokens per stage-2 graph. Attention memory grows with samples x tokens^2,
 # so a graph holds as many samples as fit in this many tokens, at least one.
@@ -430,47 +432,54 @@ def _stage2_graph_samples(config: tr.TranslatorConfig) -> int:
     return max(1, _STAGE2_GRAPH_TOKENS // config.total_tokens)
 
 
-def _stage2_forward(config: tr.TranslatorConfig) -> Callable:
-    def forward(samples: list[Stage2Sample], leaves):
-        features, labels = zip(*samples)
-        output = tr.translate(features, leaves, config)
-        return output, features[0][config.primary_task_id].frame_times_s, list(labels)
+def _stage2_forward(config: tr.TranslatorConfig, split: Stage2Split) -> Callable:
+    features, labels = split
+    frame_times_s = features[config.primary_task_id].frame_times_s
+
+    def forward(idx, leaves):
+        group = {
+            t: FeatureSequence(t, features[t].values[idx], features[t].frame_times_s)
+            for t in config.task_ids
+        }
+        output = tr.translate(group, leaves, config)
+        return output, frame_times_s, [labels[i] for i in idx]
 
     return forward
 
 
-def stage2_build_loss(config: tr.TranslatorConfig) -> LossTerms:
-    """One summed loss term per group of ``_stage2_graph_samples`` samples."""
+def stage2_build_loss(config: tr.TranslatorConfig, split: Stage2Split) -> LossTerms:
+    """One summed loss term per group of ``_stage2_graph_samples`` samples of
+    ``split``."""
     return _build_loss(
-        config.decoder_kind, _stage2_forward(config), _stage2_graph_samples(config)
+        config.decoder_kind, _stage2_forward(config, split), _stage2_graph_samples(config)
     )
 
 
 def stage2_predictions(
-    samples: Sequence[Stage2Sample], params: nn.ParamSet, config: tr.TranslatorConfig
+    split: Stage2Split, params: nn.ParamSet, config: tr.TranslatorConfig
 ) -> tuple[list, list, float]:
     """Forward every sample without gradients; returns preds, labels, mean loss."""
     return _predictions(
-        samples,
+        len(split[1]),
         params.as_tensors(train=False),
         config.decoder_kind,
-        _stage2_forward(config),
+        _stage2_forward(config, split),
         _stage2_graph_samples(config),
     )
 
 
 def evaluate_stage2(
-    samples: Sequence[Stage2Sample], params: nn.ParamSet, config: tr.TranslatorConfig
+    split: Stage2Split, params: nn.ParamSet, config: tr.TranslatorConfig
 ) -> dict[str, float]:
-    preds, labels, mean_loss = stage2_predictions(samples, params, config)
+    preds, labels, mean_loss = stage2_predictions(split, params, config)
     _, metric_dict = _score_predictions(config.decoder_kind, preds, labels)
     metric_dict["loss"] = mean_loss
     return metric_dict
 
 
 def train_stage2(
-    train_samples: Sequence[Stage2Sample],
-    val_samples: Sequence[Stage2Sample],
+    train: Stage2Split,
+    val: Stage2Split,
     config: tr.TranslatorConfig,
     models: Mapping[str, tm.TaskModel],
     hyper: TrainHyper,
@@ -497,16 +506,15 @@ def train_stage2(
     )
     metric_name, greater = _metric_for_kind(config.decoder_kind)
 
-    def evaluate(samples, current_params):
-        preds, labels, mean_loss = stage2_predictions(samples, current_params, config)
+    def evaluate(current_params):
+        preds, labels, mean_loss = stage2_predictions(val, current_params, config)
         metric, _ = _score_predictions(config.decoder_kind, preds, labels)
         return mean_loss, metric
 
     report = fit(
         params,
-        train_samples,
-        val_samples,
-        stage2_build_loss(config),
+        len(train[1]),
+        stage2_build_loss(config, train),
         evaluate,
         metric_name,
         greater,

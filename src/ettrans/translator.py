@@ -5,7 +5,8 @@ space; the projected sequences are concatenated (primary task first, then
 auxiliaries in declared order), a learned task positional embedding is added,
 a transformer encoder stack mixes tokens across tasks and time, and the
 primary task kind's head from ``task_models`` (under the ``dec/`` prefix)
-decodes the encoded tokens. A group of samples runs as one graph: their
+decodes the encoded tokens. A group of samples runs as one graph: each
+task's features arrive as one (samples x frames x feature_dim) array, the
 tokens are stacked sample by sample and attention stays within each sample.
 Only parameters created here receive gradients; upstream task models stay
 frozen.
@@ -13,6 +14,7 @@ frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import nn_core as nn
 from . import task_models
-from .errors import AlignmentError, DimensionError
+from .errors import DimensionError
 from .temporal_align import FeatureSequence, FrameSeq, extract_features, plan_windows, resample
 
 
@@ -170,41 +172,34 @@ def encoder_layers_from(
 
 
 def translate(
-    features: Sequence[Mapping[str, FeatureSequence]],
+    features: Mapping[str, FeatureSequence],
     leaves: Mapping[str, nn.Tensor],
     config: TranslatorConfig,
     weights_out: list | None = None,
 ):
-    """Project, assemble, encode and decode a group of samples' feature
-    sequences in one graph, each sample's tokens attending only to its own.
+    """Project, assemble, encode and decode a group of samples in one graph,
+    each sample's tokens attending only to its own.
 
-    Returns the raw head output for the primary task kind over the group, in
-    sample order; a localization head scores only the primary task's tokens.
-    The samples must share their primary frame times, which a localization
-    readout maps scores to. ``weights_out`` receives, layer by layer, one
-    (heads x T x T) attention array per sample.
+    ``features`` maps each task to the group's features: (samples x frames x
+    feature_dim), or (frames x feature_dim) for one sample. Returns the raw
+    head output for the primary task kind over the group, in sample order; a
+    localization head scores only the primary task's tokens. ``weights_out``
+    receives, layer by layer, one (heads x T x T) attention array per sample.
     """
-    n = len(features)
-    if n < 1:
-        raise DimensionError("translate needs at least one sample")
+    missing = [t for t in config.task_ids if t not in features]
+    if missing:
+        raise DimensionError(f"missing features for tasks {missing}")
+    group = features[config.primary_task_id].values.shape[:-2]
     projected = []
     for task_id, t_k, d_k in config.task_dims:
-        blocks = []
-        for sample in features:
-            if task_id not in sample:
-                raise DimensionError(f"missing features for task {task_id!r}")
-            seq = sample[task_id]
-            if seq.n_frames != t_k or seq.feature_dim != d_k:
-                raise DimensionError(
-                    f"task {task_id!r}: expected {t_k}x{d_k} features, "
-                    f"got {seq.n_frames}x{seq.feature_dim}"
-                )
-            blocks.append(seq.values)
-        projected.append((task_id, project(np.concatenate(blocks), leaves[f"proj/{task_id}"])))
-    primary_times = features[0][config.primary_task_id].frame_times_s
-    for sample in features[1:]:
-        if not np.array_equal(sample[config.primary_task_id].frame_times_s, primary_times):
-            raise AlignmentError("samples in one group have different primary frame times")
+        values = features[task_id].values
+        if values.shape != group + (t_k, d_k):
+            raise DimensionError(
+                f"task {task_id!r}: expected features of shape {group + (t_k, d_k)}, "
+                f"got {values.shape}"
+            )
+        projected.append((task_id, project(values.reshape(-1, d_k), leaves[f"proj/{task_id}"])))
+    n = math.prod(group)
     z0 = assemble_tokens(projected, leaves["task_pos"], n)
     z_out = encode(z0, encoder_layers_from(leaves, config), config.norm_first, weights_out)
 
@@ -220,8 +215,8 @@ def align_and_extract(
     model: task_models.TaskModel,
     stride_s: float,
 ) -> FeatureSequence:
-    """Resample a clip, or a split of clips (``temporal_align.stack_clips``),
-    to one model's native fps, plan windows once for all of them, extract."""
+    """Resample a clip, or a split of clips (samples x frames x channels), to
+    one model's native fps, plan windows once for all of them, extract."""
     clip_k = resample(clip, model.native_fps)
     plan = plan_windows(clip_k.duration_s, model.native_window_s, stride_s, model.native_fps)
     return extract_features(clip_k, model, plan)

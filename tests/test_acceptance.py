@@ -198,7 +198,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
         def full_loss(leaves):
             total = None
             for feats, label in batch:
-                output = tr.translate([feats], leaves, cfg)
+                output = tr.translate(feats, leaves, cfg)
                 term = tg.batch_loss(output, [label], cfg.decoder_kind)
                 total = term if total is None else nn.add(total, term)
             return nn.scale(total, 0.5)
@@ -381,11 +381,11 @@ def test_criterion_9_overfit_sanity(kind, lr):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         tm.freeze(model)
-    samples = [
-        ({"p": tr.align_and_extract(clip, model, spec.native_window_s)}, label)
-        for clip, label in zip(dataset.clips, dataset.task_labels("p"))
-    ]
-    t_p = samples[0][0]["p"].n_frames
+    split = (
+        {"p": tr.align_and_extract(dataset.clips, model, spec.native_window_s)},
+        dataset.task_labels("p"),
+    )
+    t_p = split[0]["p"].n_frames
     # pooled width must exceed the sample count for raw memorization capacity
     config = tr.TranslatorConfig(
         (("p", t_p, 8),), d_model=48, n_layers=1, n_heads=4, d_ff=64,
@@ -393,7 +393,8 @@ def test_criterion_9_overfit_sanity(kind, lr):
     )
     params = tr.init_translator_params(config, np.random.default_rng(1))
     losses = tg.run_steps(
-        params, samples, tg.stage2_build_loss(config), 500, tg.TrainHyper(lr=lr)
+        params, dataset.n_samples, tg.stage2_build_loss(config, split), 500,
+        tg.TrainHyper(lr=lr),
     )
     best = min(losses)
     step = next(i for i, l in enumerate(losses) if l == best)

@@ -568,6 +568,21 @@ def test_run_experiment_rejects_empty_or_negative_seeds_before_writing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["abc", "1.5", "", "0", "-1"])
+def test_run_experiment_rejects_a_bad_worker_count_before_writing(
+    tiny_config, tmp_path, capsys, monkeypatch, workers
+):
+    monkeypatch.setenv("ETT_NUM_WORKERS", workers)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        harness.run_experiment(tiny_config, out, seeds=[0])
+    assert not out.exists()
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    assert cli.main(["run", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not out.exists()
+
+
 def test_cli_config_required_without_check():
     assert cli.main(["run"]) == 2
 

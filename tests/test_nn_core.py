@@ -363,7 +363,7 @@ def test_grad_check_linear_under_squared_loss():
     y = rng.normal(size=(5, 2))
 
     def f(p):
-        diff = nn.sub(nn.linear(x, p["w"], p["b"]), y)
+        diff = nn.add(nn.linear(x, p["w"], p["b"]), -y)
         return nn.mean_all(nn.mul(diff, diff))
 
     assert nn.grad_check(f, params, eps=1e-5) < 1e-7

@@ -50,13 +50,16 @@ def test_generation_is_deterministic_per_seed_and_split():
     specs = [binary_spec("p"), st.TaskSpec("a", "localization", (2, 3), 0.5, 0.0, 2.0, 2.0)]
     a = st.generate(specs, 50, seed=3, split="train")
     b = st.generate(specs, 50, seed=3, split="train")
-    for clip_a, clip_b in zip(a.clips, b.clips):
-        assert clip_a.values.tobytes() == clip_b.values.tobytes()
+    assert a.clips.values.shape == (50, 4, 4)
+    assert a.clips.values.tobytes() == b.clips.values.tobytes()
     assert a.labels == b.labels
     c = st.generate(specs, 50, seed=3, split="val")
-    assert any(
-        x.values.tobytes() != y.values.tobytes() for x, y in zip(a.clips, c.clips)
-    )
+    assert any(x.tobytes() != y.tobytes() for x, y in zip(a.clips.values, c.clips.values))
+    # each sample draws from its own stream: a split's first k samples are
+    # the k-sample split
+    k = st.generate(specs, 17, seed=3, split="train")
+    assert k.clips.values.tobytes() == a.clips.values[:17].tobytes()
+    assert k.labels == {t: labels[:17] for t, labels in a.labels.items()}
 
 
 def test_binary_labels_balanced_at_scale():
@@ -69,7 +72,7 @@ def test_changepoints_uniform_over_valid_frames():
     spec = st.TaskSpec("loc", "localization", (0, 1), 0.5, 1.0, 4.0, 8.25, signal=1.0)
     ds = st.generate([spec], 5000, seed=5)
     frames = np.array([lab.frame for lab in ds.task_labels("loc")])
-    n_frames = ds.clips[0].n_frames
+    n_frames = ds.clips.n_frames
     assert frames.min() >= 1 and frames.max() <= n_frames - 1
     counts, _ = np.histogram(frames, bins=16, range=(1, n_frames))
     _, p_value = chisquare(counts)
@@ -118,10 +121,10 @@ def test_generate_rejects_bad_specs():
 def test_signal_lands_on_the_declared_channels():
     specs = [binary_spec("p", sigma=0.0, channels=(0, 1))]
     ds = st.generate(specs, 20, seed=7, n_channels=4)
-    for clip, label in zip(ds.clips, ds.task_labels("p")):
+    for clip, label in zip(ds.clips.values, ds.task_labels("p")):
         expected = (2 * label - 1) * 0.5
-        np.testing.assert_allclose(clip.values[:, :2], expected)
-        np.testing.assert_allclose(clip.values[:, 2:], 0.0)
+        np.testing.assert_allclose(clip[:, :2], expected)
+        np.testing.assert_allclose(clip[:, 2:], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
         return trunk_forward(window, n_windows)
 
     clips = [make_clip(7.5, 8.0, channels=4, seed=30 + i) for i in range(7)]
-    split = ta.stack_clips(clips)
+    split = ta.FrameSeq(np.stack([clip.values for clip in clips]), fps=8.0, duration_s=7.5)
     # 30 frames at 4 fps, 8-frame windows at a 3-frame stride: 8 windows plus
     # an end-aligned tail, up to 3 overlapping a frame, 72 rows a clip; 250
     # rows hold 3 clips, so 7 clips make chunks of 3, 3 and 1
@@ -334,30 +334,6 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
     # one clip on its own goes through the same path
     alone = tr.align_and_extract(clips[6], model, 0.75)
     assert alone.values.tobytes() == expected[6].tobytes()
-
-
-@pytest.mark.parametrize(
-    "odd",
-    [
-        ((4, 3), np.float64, 2.0, 2.0),
-        ((12, 3), np.float64, 4.0, 3.0),
-        ((8, 4), np.float64, 4.0, 2.0),
-        ((8, 3), np.float32, 4.0, 2.0),
-    ],
-    ids=["fps", "duration", "channels", "dtype"],
-)
-def test_split_of_mixed_geometry_is_refused(odd):
-    shape, dtype, fps, duration_s = odd
-    clips = [make_clip(2.0, 4.0, seed=1), make_clip(2.0, 4.0, seed=2)]
-    assert ta.stack_clips(clips).values.shape == (2, 8, 3)
-    clips.append(ta.FrameSeq(np.zeros(shape, dtype=dtype), fps=fps, duration_s=duration_s))
-    with pytest.raises(AlignmentError):
-        ta.stack_clips(clips)
-
-
-def test_empty_split_is_refused():
-    with pytest.raises(AlignmentError):
-        ta.stack_clips([])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from ettrans import task_models as tm
 from ettrans import training as tg
 from ettrans import translator as tr
 from ettrans.errors import ContractViolationError, TrainingDivergedError
-from ettrans.temporal_align import FeatureSequence
+from ettrans.temporal_align import FeatureSequence, FrameSeq
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +185,24 @@ def _stage1_kind_setup(kind, seed, n=7):
     rng = np.random.default_rng(seed + 1)
     for name in model.params.names():  # a generic point: every tap and bias matters
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
-    return model, list(zip(data.clips, data.task_labels("t")))
+    return model, data
 
 
 @pytest.mark.parametrize("kind", ["binary", "localization", "sequence"])
 def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
-    model, samples = _stage1_kind_setup(kind, seed=11)
+    model, data = _stage1_kind_setup(kind, seed=11)
 
     leaves = model.params.as_tensors()
-    terms = list(tg.stage1_build_loss(model)(samples, leaves))
+    idx = np.array([4, 0, 6, 2, 1, 5, 3])  # a minibatch is any order of indices
+    terms = list(tg.stage1_build_loss(model, data)(idx, leaves))
     assert len(terms) == 1  # one graph for the whole minibatch
     terms[0].backward()
     batched = nn.collect_grads(leaves)
 
     leaves = model.params.as_tensors()
     total = 0.0
-    for clip, label in samples:
+    for values, label in zip(data.clips.values, data.task_labels("t")):
+        clip = FrameSeq(values, fps=data.clips.fps, duration_s=data.clips.duration_s)
         output = model.head_forward(model.trunk_graph(clip, leaves), leaves)
         if kind == "localization":
             label = tg.localization_target_index(label, clip.frame_times())
@@ -219,11 +221,11 @@ def test_fit_without_an_improving_epoch_reports_no_best_metric():
     params = nn.ParamSet()
     params.add("w", np.zeros(2))
 
-    def build_loss(batch, leaves):
+    def build_loss(idx, leaves):
         yield nn.sum_all(nn.mul(leaves["w"], leaves["w"]))
 
     report = tg.fit(
-        params, [0, 1, 2], [0], build_loss, lambda samples, p: (0.0, float("nan")),
+        params, 3, build_loss, lambda p: (0.0, float("nan")),
         "accuracy", True, tg.TrainHyper(max_epochs=3, patience=5), seed=0,
     )
     assert report.best_epoch == -1
@@ -232,8 +234,45 @@ def test_fit_without_an_improving_epoch_reports_no_best_metric():
     assert report.to_dict()["best_val_metric"] is None
 
 
+def test_fit_hands_build_loss_each_epochs_seeded_permutation_in_minibatches():
+    params = nn.ParamSet()
+    params.add("w", np.zeros(2))
+    seen = []
+
+    def build_loss(idx, leaves):
+        seen.append(np.array(idx))
+        yield nn.sum_all(nn.mul(leaves["w"], leaves["w"]))
+
+    n, seed, epochs = 23, 7, 3
+    tg.fit(
+        params, n, build_loss, lambda p: (0.0, 0.0), "accuracy", True,
+        tg.TrainHyper(batch_size=5, max_epochs=epochs, patience=5), seed=seed,
+    )
+    assert len(seen) == 5 * epochs
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
+    for epoch in range(epochs):
+        batches = seen[5 * epoch : 5 * (epoch + 1)]
+        assert [len(idx) for idx in batches] == [5, 5, 5, 5, 3]
+        order = np.concatenate(batches)
+        assert sorted(order.tolist()) == list(range(n))  # each index once
+        np.testing.assert_array_equal(order, rng.permutation(n))
+    assert np.concatenate(seen[:5]).tolist() == [
+        5, 17, 11, 3, 18, 14, 10, 1, 22, 12, 2, 6, 0, 4, 8, 7, 20, 16, 21, 9, 15, 19, 13
+    ]
+
+
 # ---------------------------------------------------------------------------
 # stage 2
+
+
+def as_split(samples):
+    """Per-sample (features, label) pairs as one stage-2 split: each task's
+    features stacked in sample order, and the labels."""
+    features = {
+        t: FeatureSequence(t, np.stack([f[t].values for f, _ in samples]), seq.frame_times_s)
+        for t, seq in samples[0][0].items()
+    }
+    return features, [label for _, label in samples]
 
 
 def stage2_setup(seed=0, n=24):
@@ -286,9 +325,11 @@ def _stage2_kind_setup(kind, seed, n=7):
 @pytest.mark.parametrize("kind", ["binary", "localization", "sequence"])
 def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     config, params, samples = _stage2_kind_setup(kind, seed=12)
+    split = as_split(samples)
 
     leaves = params.as_tensors()
-    terms = list(tg.stage2_build_loss(config)(samples, leaves))
+    idx = np.array([4, 0, 6, 2, 1, 5, 3])  # a minibatch is any order of indices
+    terms = list(tg.stage2_build_loss(config, split)(idx, leaves))
     assert len(terms) == 3  # graphs of 3, 3 and 1 samples
     for term in terms:
         term.backward()
@@ -298,7 +339,7 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     leaves = params.as_tensors()
     total = 0.0
     for feats, label in samples:
-        output = tr.translate([feats], leaves, config)
+        output = tr.translate(feats, leaves, config)
         if kind == "localization":
             label = tg.localization_target_index(label, feats["p"].frame_times_s)
         term = tg.batch_loss(output, [label], kind)
@@ -311,10 +352,10 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     for name, grad in per_sample.items():
         np.testing.assert_allclose(batched[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
 
-    preds, labels, _ = tg.stage2_predictions(samples, params, config)
+    preds, labels, _ = tg.stage2_predictions(split, params, config)
     leaves = params.as_tensors(train=False)
     for (feats, label), pred, got_label in zip(samples, preds, labels):
-        output = tr.translate([feats], leaves, config)
+        output = tr.translate(feats, leaves, config)
         [want] = tm.readout(kind, output, feats["p"].frame_times_s)
         assert got_label is label
         if kind == "binary":
@@ -326,7 +367,8 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
 def test_stage2_verifies_frozen_checksums():
     config, model, samples = stage2_setup()
     params, report, checksums = tg.train_stage2(
-        samples[:16], samples[16:], config, {"p": model}, tg.TrainHyper(max_epochs=2), seed=0
+        as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
+        tg.TrainHyper(max_epochs=2), seed=0,
     )
     assert checksums == {"p": model.checksum()}
     assert report.stopped_epoch >= 0
@@ -336,7 +378,7 @@ def test_stage2_rejects_unfrozen_models():
     config, model, samples = stage2_setup(seed=1)
     model.frozen = False
     with pytest.raises(ContractViolationError):
-        tg.train_stage2(samples[:16], samples[16:], config, {"p": model},
+        tg.train_stage2(as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
                         tg.TrainHyper(max_epochs=1), seed=1)
 
 
@@ -346,10 +388,10 @@ def test_stage2_zero_learning_rate_keeps_initial_parameters():
         config, np.random.default_rng(np.random.SeedSequence([2, 0x7A51]))
     )
     init_values = init.values_copy()
-    leaves_metric = tg.evaluate_stage2(samples[16:], init, config)
+    leaves_metric = tg.evaluate_stage2(as_split(samples[16:]), init, config)
 
     params, report, _ = tg.train_stage2(
-        samples[:16], samples[16:], config, {"p": model},
+        as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
         tg.TrainHyper(lr=0.0, max_epochs=3), seed=2,
     )
     for name, value in init_values.items():
@@ -360,10 +402,10 @@ def test_stage2_zero_learning_rate_keeps_initial_parameters():
 def test_fit_restores_best_epoch_parameters():
     config, model, samples = stage2_setup(seed=3, n=32)
     params, report, _ = tg.train_stage2(
-        samples[:24], samples[24:], config, {"p": model},
+        as_split(samples[:24]), as_split(samples[24:]), config, {"p": model},
         tg.TrainHyper(max_epochs=6, patience=2), seed=3,
     )
-    metrics = tg.evaluate_stage2(samples[24:], params, config)
+    metrics = tg.evaluate_stage2(as_split(samples[24:]), params, config)
     assert metrics["accuracy"] == pytest.approx(report.best_val_metric)
 
 

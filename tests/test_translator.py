@@ -9,7 +9,7 @@ from ettrans import nn_core as nn
 from ettrans import task_models as tm
 from ettrans import translator as tr
 from ettrans import training as tg
-from ettrans.errors import AlignmentError, ContractViolationError, DimensionError
+from ettrans.errors import ContractViolationError, DimensionError
 from ettrans.temporal_align import FeatureSequence, FrameSeq
 
 TOY_DIMS = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
@@ -33,6 +33,14 @@ def toy_features(dims=TOY_DIMS, seed=0):
     return {
         t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.25)
         for t, t_k, d_k in dims
+    }
+
+
+def stack_group(samples):
+    """Per-sample feature mappings as one group: each task's values stacked."""
+    return {
+        t: FeatureSequence(t, np.stack([f[t].values for f in samples]), seq.frame_times_s)
+        for t, seq in samples[0].items()
     }
 
 
@@ -236,7 +244,7 @@ def test_decode_localization_requires_primary_span():
     feats = toy_features(seed=25)
     del feats["p"]
     with pytest.raises(DimensionError):
-        tr.translate([feats], params.as_tensors(train=False), config)
+        tr.translate(feats, params.as_tensors(train=False), config)
 
 
 def test_translate_localization_scores_each_primary_frame_only():
@@ -244,7 +252,7 @@ def test_translate_localization_scores_each_primary_frame_only():
     params = tr.init_translator_params(config, np.random.default_rng(26))
     leaves = params.as_tensors(train=False)
     feats = toy_features(seed=27)
-    scores = tr.translate([feats], leaves, config)
+    scores = tr.translate(feats, leaves, config)
     assert scores.shape == (4, 1)  # primary "p" has 4 frames of 8 tokens
 
     projected = [(t, tr.project(feats[t].values, leaves[f"proj/{t}"])) for t in config.task_ids]
@@ -310,7 +318,7 @@ def test_translate_matches_monolithic_reimplementation():
     rng = np.random.default_rng(14)
     params = tr.init_translator_params(config, rng)
     feats = toy_features(seed=15)
-    logit = tr.translate([feats], params.as_tensors(train=False), config).item()
+    logit = tr.translate(feats, params.as_tensors(train=False), config).item()
 
     def mono_ln(x, g, b):
         mu = x.mean(axis=1, keepdims=True)
@@ -385,7 +393,7 @@ def test_translate_pipeline_collapse_to_decoder():
                 else np.zeros_like(params[name].value)
             )
     feats = {"p": FeatureSequence("p", rng.normal(size=(4, 8)), np.arange(4) * 0.5)}
-    got = tr.translate([feats], params.as_tensors(train=False), config).item()
+    got = tr.translate(feats, params.as_tensors(train=False), config).item()
     raw = feats["p"].values.astype(np.float64) + params["task_pos"].value
     expected = (raw.mean(axis=0) @ params["dec/w"].value + params["dec/b"].value).item()
     assert got == pytest.approx(expected, abs=1e-12)
@@ -397,17 +405,12 @@ def test_translate_validates_feature_shapes():
     feats = toy_features(seed=20)
     feats["a"] = FeatureSequence("a", np.zeros((3, 10)), np.arange(3) * 0.5)
     with pytest.raises(DimensionError):
-        tr.translate([feats], params.as_tensors(train=False), config)
-
-
-def test_translate_refuses_a_group_with_different_primary_frame_times():
-    config = toy_config(decoder=tm.KIND_LOCALIZATION)
-    leaves = tr.init_translator_params(config, np.random.default_rng(30)).as_tensors(train=False)
-    first, second = toy_features(seed=31), toy_features(seed=32)
-    second["p"] = FeatureSequence("p", second["p"].values, np.arange(4) * 0.5)
-    with pytest.raises(AlignmentError):
-        tr.translate([first, second], leaves, config)
-    tr.translate([first, toy_features(seed=32)], leaves, config)  # equal times pass
+        tr.translate(feats, params.as_tensors(train=False), config)
+    # every task of a group holds the same number of samples
+    group = stack_group([toy_features(seed=20), toy_features(seed=21)])
+    group["b"] = stack_group([toy_features(seed=22)] * 3)["b"]
+    with pytest.raises(DimensionError):
+        tr.translate(group, params.as_tensors(train=False), config)
 
 
 def test_translate_group_captures_attention_per_sample_and_layer():
@@ -415,12 +418,12 @@ def test_translate_group_captures_attention_per_sample_and_layer():
     leaves = tr.init_translator_params(config, np.random.default_rng(33)).as_tensors(train=False)
     group = [toy_features(seed=34 + i) for i in range(3)]
     captured = []
-    logits = tr.translate(group, leaves, config, captured).value
+    logits = tr.translate(stack_group(group), leaves, config, captured).value
     assert logits.shape == (3, 1)
     assert len(captured) == config.n_layers * 3  # layer by layer, one array per sample
     for i, feats in enumerate(group):
         alone = []
-        logit = tr.translate([feats], leaves, config, alone).item()
+        logit = tr.translate(feats, leaves, config, alone).item()
         assert logits[i, 0] == pytest.approx(logit, rel=1e-12, abs=1e-12)
         for layer in range(config.n_layers):
             assert captured[3 * layer + i].shape == (2, 8, 8)
@@ -448,11 +451,11 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
         tm.freeze(model)
     checksum = model.checksum()
     feats = {"p": tr.align_and_extract(clip, model, 1.0)}
-    logit = tr.translate([feats], params.as_tensors(train=False), config).item()
+    logit = tr.translate(feats, params.as_tensors(train=False), config).item()
 
     # one full training step over the translator touches nothing frozen
     leaves = params.as_tensors()
-    loss = tg.batch_loss(tr.translate([feats], leaves, config), [1], config.decoder_kind)
+    loss = tg.batch_loss(tr.translate(feats, leaves, config), [1], config.decoder_kind)
     loss.backward()
     grads = nn.collect_grads(leaves)
     assert set(grads) == set(params.trainable_names())
@@ -462,7 +465,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
 
     again = {"p": tr.align_and_extract(clip, model, 1.0)}
     fresh = tr.init_translator_params(config, np.random.default_rng(23))
-    assert tr.translate([again], fresh.as_tensors(train=False), config).item() == pytest.approx(logit)
+    assert tr.translate(again, fresh.as_tensors(train=False), config).item() == pytest.approx(logit)
 
 
 def test_config_rejects_bad_shapes_and_orders():
