@@ -24,7 +24,6 @@ import re
 import struct
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -676,6 +675,9 @@ def run_experiment(
 
     job = functools.partial(run_seed, config, use_arms, out_dir=out_dir)
     if workers > 1 and len(use_seeds) > 1:
+        # imported here: it loads multiprocessing, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, use_seeds))
     else:
@@ -805,10 +807,7 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
             {t: rng.normal(size=(t_k, d_k)) for t, t_k, d_k in tconfig.task_dims}
             for _ in range(3)
         ]
-        group = {
-            t: FeatureSequence(t, np.stack([d[t] for d in draws]), np.arange(t_k) * 0.5)
-            for t, t_k, _ in tconfig.task_dims
-        }
+        group = {t: np.stack([d[t] for d in draws]) for t, _, _ in tconfig.task_dims}
 
         def translator_loss(p):
             output = tr.translate(group, p, tconfig)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import GenerationError
 from .task_models import KIND_BINARY, KIND_LOCALIZATION, KIND_SEQUENCE, TASK_KINDS
@@ -305,7 +304,11 @@ def bayes_optimal_accuracy(spec: TaskSpec, duration_s: float | None = None) -> f
     d = _separation(spec, duration_s)
     if np.isinf(d):
         return 1.0
-    return float(norm.cdf(d / 2.0))
+    return float(ndtr(d / 2.0))
+
+
+def _normal_pdf(x: np.ndarray) -> np.ndarray:
+    return np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi)
 
 
 def _aux_llr(v: np.ndarray, mu_v: float, q: float) -> np.ndarray:
@@ -329,8 +332,9 @@ def combined_bayes_accuracy(
 
     Only binary auxiliaries with corr_rho > 0 carry information about a binary
     primary; all others are ignored. One informative auxiliary is integrated
-    exactly; more than one falls back to seeded Monte Carlo over the optimal
-    decision rule.
+    over its statistic ``v`` by Gauss-Legendre quadrature on each side of
+    ``v = 0``, where the log-likelihood ratio changes sign; more than one falls
+    back to seeded Monte Carlo over the optimal decision rule.
     """
     if primary.kind != KIND_BINARY:
         raise ValueError("combined ceiling is defined for a binary primary task")
@@ -342,27 +346,25 @@ def combined_bayes_accuracy(
     ]
     informative = [(mu, q) for mu, q in informative if mu > 0]
     if not informative:
-        return float(norm.cdf(mu_u))
+        return float(ndtr(mu_u))
     if np.isinf(mu_u) or any(np.isinf(mu) for mu, _ in informative):
         raise ValueError("combined ceiling needs finite separations; got a zero-noise task")
 
     if len(informative) == 1:
         mu_v, q = informative[0]
-
-        def correct_given_v(v: float) -> float:
-            lam = float(_aux_llr(np.asarray(v), mu_v, q))
-            if mu_u > 0:
-                return float(norm.cdf(mu_u + lam / (2.0 * mu_u)))
-            return 1.0 if lam > 0 else (0.5 if lam == 0 else 0.0)
-
-        def integrand(v: float) -> float:
-            dens = q * norm.pdf(v - mu_v) + (1 - q) * norm.pdf(v + mu_v)
-            return dens * correct_given_v(v)
-
-        lo = -mu_v - 10.0
-        hi = mu_v + 10.0
-        acc, _ = quad(integrand, lo, hi, limit=200)
-        return float(acc)
+        # a 64-point Gauss-Legendre rule on each half of [-mu_v-10, mu_v+10]:
+        # lam changes sign at v = 0, where the mu_u = 0 integrand steps
+        x, w = np.polynomial.legendre.leggauss(64)
+        h = (mu_v + 10.0) / 2.0
+        v = np.concatenate([h * (x - 1.0), h * (x + 1.0)])
+        w = np.concatenate([h * w, h * w])
+        lam = _aux_llr(v, mu_v, q)
+        if mu_u > 0:
+            correct = ndtr(mu_u + lam / (2.0 * mu_u))
+        else:
+            correct = 0.5 * (1.0 + np.sign(lam))
+        dens = q * _normal_pdf(v - mu_v) + (1 - q) * _normal_pdf(v + mu_v)
+        return float(np.sum(w * dens * correct))
 
     rng = np.random.default_rng(mc_seed)
     s_p = rng.integers(2, size=mc_samples) * 2 - 1

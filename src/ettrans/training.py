@@ -437,10 +437,7 @@ def _stage2_forward(config: tr.TranslatorConfig, split: Stage2Split) -> Callable
     frame_times_s = features[config.primary_task_id].frame_times_s
 
     def forward(idx, leaves):
-        group = {
-            t: FeatureSequence(t, features[t].values[idx], features[t].frame_times_s)
-            for t in config.task_ids
-        }
+        group = {t: features[t].values[idx] for t in config.task_ids}
         output = tr.translate(group, leaves, config)
         return output, frame_times_s, [labels[i] for i in idx]
 

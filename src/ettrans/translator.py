@@ -172,7 +172,7 @@ def encoder_layers_from(
 
 
 def translate(
-    features: Mapping[str, FeatureSequence],
+    features: Mapping[str, np.ndarray],
     leaves: Mapping[str, nn.Tensor],
     config: TranslatorConfig,
     weights_out: list | None = None,
@@ -180,19 +180,20 @@ def translate(
     """Project, assemble, encode and decode a group of samples in one graph,
     each sample's tokens attending only to its own.
 
-    ``features`` maps each task to the group's features: (samples x frames x
-    feature_dim), or (frames x feature_dim) for one sample. Returns the raw
-    head output for the primary task kind over the group, in sample order; a
-    localization head scores only the primary task's tokens. ``weights_out``
-    receives, layer by layer, one (heads x T x T) attention array per sample.
+    ``features`` maps each task to the group's feature values: (samples x
+    frames x feature_dim), or (frames x feature_dim) for one sample. Returns
+    the raw head output for the primary task kind over the group, in sample
+    order; a localization head scores only the primary task's tokens.
+    ``weights_out`` receives, layer by layer, one (heads x T x T) attention
+    array per sample.
     """
     missing = [t for t in config.task_ids if t not in features]
     if missing:
         raise DimensionError(f"missing features for tasks {missing}")
-    group = features[config.primary_task_id].values.shape[:-2]
+    group = features[config.primary_task_id].shape[:-2]
     projected = []
     for task_id, t_k, d_k in config.task_dims:
-        values = features[task_id].values
+        values = features[task_id]
         if values.shape != group + (t_k, d_k):
             raise DimensionError(
                 f"task {task_id!r}: expected features of shape {group + (t_k, d_k)}, "

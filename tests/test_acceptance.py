@@ -186,10 +186,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
             params[name].value = rng.normal(0.0, 0.3, params[name].value.shape)
         batch = [
             (
-                {
-                    t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.25)
-                    for t, t_k, d_k in dims
-                },
+                {t: rng.normal(size=(t_k, d_k)).astype(np.float32) for t, t_k, d_k in dims},
                 int(rng.integers(2)),
             )
             for _ in range(2)

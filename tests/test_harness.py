@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -364,12 +365,13 @@ def test_parallel_workers_reproduce_sequential_reports(tiny_config, tmp_path, mo
     harness.run_experiment(tiny_config, tmp_path / "seq", seeds=seeds)
     pools = []
 
-    class RecordingPool(harness.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_experiment imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("ETT_NUM_WORKERS", "2")
     harness.run_experiment(tiny_config, tmp_path / "par", seeds=seeds)
     assert pools == [{"max_workers": 2}]
@@ -612,15 +614,31 @@ def test_cli_check_mode_runs_invariant_suite(capsys):
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-def test_cli_import_pins_blas_to_one_thread():
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+def _fresh_python(code: str, env: dict) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this checkout."""
+    env = dict(env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
-    code = "import ettrans.cli; print(open('/proc/self/status').read())"
-    status = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
+
+
+def test_cli_import_pins_blas_to_one_thread():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    status = _fresh_python("import ettrans.cli; print(open('/proc/self/status').read())", env)
     threads = [line for line in status.splitlines() if line.startswith("Threads:")]
     assert threads == ["Threads:\t1"]
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate_nor_process_pools():
+    """At run time the library needs only ``scipy.special``; ``scipy.stats``
+    and ``scipy.integrate`` would double the cold start, and the process pool
+    (with ``multiprocessing``) is imported only when a run has 2+ workers."""
+    code = "import sys, ettrans, ettrans.cli; print('\\n'.join(sorted(sys.modules)))"
+    loaded = _fresh_python(code, os.environ).split()
+    assert "scipy.special" in loaded
+    banned = ("scipy.stats", "scipy.integrate", "concurrent.futures.process")
+    assert [m for m in loaded if m.startswith(banned)] == []

@@ -1,11 +1,15 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
+from ettrans import harness
 from ettrans import synth_tasks as st
 from ettrans.errors import GenerationError
+
+DEFAULT_CFG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
 
 def binary_spec(task_id="p", rho=1.0, sigma=1.0, signal=0.5, channels=(0, 1)):
@@ -205,3 +209,37 @@ def test_full_correlation_ceiling_emits_no_warning():
         ceiling = st.combined_bayes_accuracy(primary, [aux], 4.0)
     np.testing.assert_allclose(llr, 2.0 * 0.8 * v)  # the auxiliary is the label
     assert 0.99 < ceiling <= 1.0
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 1.0])
+def test_combined_ceiling_without_primary_signal_is_the_auxiliary_vote(rho):
+    """At mu_u = 0 the optimal rule follows the sign of the auxiliary
+    statistic, which agrees with the primary latent with probability
+    q Phi(mu_v) + (1 - q) Phi(-mu_v)."""
+    primary = binary_spec("p", signal=0.0, channels=(0, 1, 2, 3))
+    aux = st.TaskSpec("a", "binary", (4, 5), 1.0, rho, 2.0, 2.0, signal=0.3)
+    mu_v = st._separation(aux, 4.0) / 2.0
+    q = (1.0 + rho) / 2.0
+    want = q * norm.cdf(mu_v) + (1.0 - q) * norm.cdf(-mu_v)
+    assert st.combined_bayes_accuracy(primary, [aux], 4.0) == pytest.approx(want, abs=1e-12)
+
+
+def test_default_config_ceilings_match_scipy_stats():
+    """The combined ceiling agrees with adaptive quadrature (``scipy.integrate.quad``
+    gave 0.950147492261849); the single-task ceilings are ``norm.cdf`` bit for bit."""
+    config = harness.load_config(DEFAULT_CFG)
+    summary = harness._bayes_summary(config)
+    assert summary["combined_ceiling"] == pytest.approx(0.950147492261849, abs=1e-11)
+    primary = config.primary.spec
+    d = st._separation(primary, config.duration_s)
+    assert summary["primary_only_ceiling"] == float(norm.cdf(d / 2.0))
+    assert summary["stage1_ceilings"] == {
+        t.spec.task_id: float(norm.cdf(st._separation(t.spec, None) / 2.0))
+        for t in config.tasks
+        if t.spec.kind == "binary"
+    }
+
+
+def test_normal_pdf_is_scipy_norm_pdf_bit_for_bit():
+    x = np.random.default_rng(11).normal(0.0, 4.0, size=100_000)
+    np.testing.assert_array_equal(st._normal_pdf(x), norm.pdf(x))

@@ -275,6 +275,11 @@ def as_split(samples):
     return features, [label for _, label in samples]
 
 
+def values_of(feats):
+    """One sample's features as ``translate`` takes them: values by task."""
+    return {t: seq.values for t, seq in feats.items()}
+
+
 def stage2_setup(seed=0, n=24):
     rng = np.random.default_rng(seed)
     dims = (("p", 4, 6),)
@@ -339,7 +344,7 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     leaves = params.as_tensors()
     total = 0.0
     for feats, label in samples:
-        output = tr.translate(feats, leaves, config)
+        output = tr.translate(values_of(feats), leaves, config)
         if kind == "localization":
             label = tg.localization_target_index(label, feats["p"].frame_times_s)
         term = tg.batch_loss(output, [label], kind)
@@ -355,7 +360,7 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     preds, labels, _ = tg.stage2_predictions(split, params, config)
     leaves = params.as_tensors(train=False)
     for (feats, label), pred, got_label in zip(samples, preds, labels):
-        output = tr.translate(feats, leaves, config)
+        output = tr.translate(values_of(feats), leaves, config)
         [want] = tm.readout(kind, output, feats["p"].frame_times_s)
         assert got_label is label
         if kind == "binary":

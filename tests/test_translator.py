@@ -10,7 +10,7 @@ from ettrans import task_models as tm
 from ettrans import translator as tr
 from ettrans import training as tg
 from ettrans.errors import ContractViolationError, DimensionError
-from ettrans.temporal_align import FeatureSequence, FrameSeq
+from ettrans.temporal_align import FrameSeq
 
 TOY_DIMS = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
 
@@ -30,18 +30,12 @@ def toy_config(decoder=tm.KIND_BINARY, dims=TOY_DIMS, **kw):
 
 def toy_features(dims=TOY_DIMS, seed=0):
     rng = np.random.default_rng(seed)
-    return {
-        t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.25)
-        for t, t_k, d_k in dims
-    }
+    return {t: rng.normal(size=(t_k, d_k)).astype(np.float32) for t, t_k, d_k in dims}
 
 
 def stack_group(samples):
     """Per-sample feature mappings as one group: each task's values stacked."""
-    return {
-        t: FeatureSequence(t, np.stack([f[t].values for f in samples]), seq.frame_times_s)
-        for t, seq in samples[0].items()
-    }
+    return {t: np.stack([f[t] for f in samples]) for t in samples[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +249,7 @@ def test_translate_localization_scores_each_primary_frame_only():
     scores = tr.translate(feats, leaves, config)
     assert scores.shape == (4, 1)  # primary "p" has 4 frames of 8 tokens
 
-    projected = [(t, tr.project(feats[t].values, leaves[f"proj/{t}"])) for t in config.task_ids]
+    projected = [(t, tr.project(feats[t], leaves[f"proj/{t}"])) for t in config.task_ids]
     encoded = tr.encode(
         tr.assemble_tokens(projected, leaves["task_pos"]),
         tr.encoder_layers_from(leaves, config),
@@ -329,7 +323,7 @@ def test_translate_matches_monolithic_reimplementation():
         return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
     v = {n: params[n].value for n in params.names()}
-    z = np.vstack([feats[t].values.astype(np.float64) @ v[f"proj/{t}"] for t, _, _ in config.task_dims])
+    z = np.vstack([feats[t].astype(np.float64) @ v[f"proj/{t}"] for t, _, _ in config.task_dims])
     z = z + v["task_pos"]
     for l in range(config.n_layers):
         ln1 = mono_ln(z, v[f"enc{l}/ln1_gamma"], v[f"enc{l}/ln1_beta"])
@@ -361,7 +355,7 @@ def test_translate_block_permutation_invariant_with_zero_positions():
     feats = toy_features(seed=17)
 
     projected = {
-        t: tr.project(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in config.task_dims
+        t: tr.project(feats[t], leaves[f"proj/{t}"]) for t, _, _ in config.task_dims
     }
     layers = tr.encoder_layers_from(leaves, config)
     logits = []
@@ -392,9 +386,9 @@ def test_translate_pipeline_collapse_to_decoder():
                 if "gamma" in name
                 else np.zeros_like(params[name].value)
             )
-    feats = {"p": FeatureSequence("p", rng.normal(size=(4, 8)), np.arange(4) * 0.5)}
+    feats = {"p": rng.normal(size=(4, 8)).astype(np.float32)}
     got = tr.translate(feats, params.as_tensors(train=False), config).item()
-    raw = feats["p"].values.astype(np.float64) + params["task_pos"].value
+    raw = feats["p"].astype(np.float64) + params["task_pos"].value
     expected = (raw.mean(axis=0) @ params["dec/w"].value + params["dec/b"].value).item()
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -403,7 +397,7 @@ def test_translate_validates_feature_shapes():
     config = toy_config()
     params = tr.init_translator_params(config, np.random.default_rng(19))
     feats = toy_features(seed=20)
-    feats["a"] = FeatureSequence("a", np.zeros((3, 10)), np.arange(3) * 0.5)
+    feats["a"] = np.zeros((3, 10), dtype=np.float32)
     with pytest.raises(DimensionError):
         tr.translate(feats, params.as_tensors(train=False), config)
     # every task of a group holds the same number of samples
@@ -450,7 +444,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
         warnings.simplefilter("ignore", RuntimeWarning)
         tm.freeze(model)
     checksum = model.checksum()
-    feats = {"p": tr.align_and_extract(clip, model, 1.0)}
+    feats = {"p": tr.align_and_extract(clip, model, 1.0).values}
     logit = tr.translate(feats, params.as_tensors(train=False), config).item()
 
     # one full training step over the translator touches nothing frozen
@@ -463,7 +457,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     tg.optimizer_step(params, grads, state)
     assert model.checksum() == checksum
 
-    again = {"p": tr.align_and_extract(clip, model, 1.0)}
+    again = {"p": tr.align_and_extract(clip, model, 1.0).values}
     fresh = tr.init_translator_params(config, np.random.default_rng(23))
     assert tr.translate(again, fresh.as_tensors(train=False), config).item() == pytest.approx(logit)
 
