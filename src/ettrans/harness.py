@@ -24,7 +24,7 @@ import re
 import struct
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -122,48 +122,14 @@ class ExperimentConfig:
         )
 
     def canonical_dict(self) -> dict:
+        """The config as nested plain data, the input of ``config_hash``."""
+        fields = asdict(self)
+        translator = ("d_model", "n_layers", "n_heads", "d_ff", "norm_first")
         return {
-            "experiment": {
-                "name": self.name,
-                "arms": list(self.arms),
-                "seeds": self.seeds,
-                "n_train": self.n_train,
-                "n_val": self.n_val,
-                "n_test": self.n_test,
-                "duration_s": self.duration_s,
-                "fps": self.fps,
-                "n_channels": self.n_channels,
-            },
-            "translator": {
-                "d_model": self.d_model,
-                "n_layers": self.n_layers,
-                "n_heads": self.n_heads,
-                "d_ff": self.d_ff,
-                "norm_first": self.norm_first,
-            },
-            "training": {
-                "stage2": vars(self.stage2).copy(),
-                "stage1": vars(self.stage1).copy(),
-            },
-            "tasks": [
-                {
-                    "task_id": t.spec.task_id,
-                    "kind": t.spec.kind,
-                    "channels": list(t.spec.channels),
-                    "noise_sigma": t.spec.noise_sigma,
-                    "corr_rho": t.spec.corr_rho,
-                    "signal": t.spec.signal,
-                    "native_fps": t.spec.native_fps,
-                    "native_window_s": t.spec.native_window_s,
-                    "horizon": t.spec.horizon,
-                    "n_verbs": t.spec.n_verbs,
-                    "n_nouns": t.spec.n_nouns,
-                    "stride_s": t.stride_s,
-                    "feature_dim": t.feature_dim,
-                    "hidden": t.hidden,
-                }
-                for t in self.tasks
-            ],
+            "translator": {k: fields.pop(k) for k in translator},
+            "training": {k: fields.pop(k) for k in ("stage2", "stage1")},
+            "tasks": [{**task.pop("spec"), **task} for task in fields.pop("tasks")],
+            "experiment": fields,
         }
 
 
@@ -412,7 +378,10 @@ def cache_load(path: str | Path) -> FeatureSequence:
             f"cache format version {version} unsupported; this build reads {CACHE_VERSION}"
         )
     (id_len,) = struct.unpack("<H", take(2, "task id length"))
-    task_id = take(id_len, "task id").decode("utf-8")
+    try:
+        task_id = take(id_len, "task id").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"task id at offset 8 is not UTF-8: {exc}") from exc
     (rank,) = struct.unpack("<B", take(1, "rank"))
     if rank not in (2, 3):
         raise CacheFormatError(f"value rank {rank} at offset {offset - 1}; need 2 or 3")
@@ -485,9 +454,11 @@ def _bayes_summary(config: ExperimentConfig) -> dict:
 def _split_features(
     cache_dir: Path, model: tm.TaskModel, clips: FrameSeq, stride_s: float
 ) -> FeatureSequence:
-    """One task's features over a stacked split, in one cache file keyed on
+    """One task's features over a split, in one cache file keyed on
     everything they are computed from: the model's parameters and input
-    geometry, the stride and the clips themselves (their count included)."""
+    geometry, the stride and the clips themselves (their count included).
+    A file that fails to load, or that holds another task or sample count,
+    is a miss: the split is re-extracted and the file rewritten."""
     digest = hashlib.sha256(
         repr(
             (
@@ -499,7 +470,13 @@ def _split_features(
     digest.update(np.ascontiguousarray(clips.values).tobytes())
     path = cache_dir / f"{model.task_id}_{digest.hexdigest()[:32]}.ettf"
     if path.exists():
-        return cache_load(path)
+        try:
+            seq = cache_load(path)
+        except CacheFormatError:
+            pass  # a damaged file is a miss
+        else:
+            if seq.task_id == model.task_id and len(seq.values) == len(clips.values):
+                return seq
     seq = tr.align_and_extract(clips, model, stride_s)
     cache_store(path, seq)
     return seq
@@ -760,34 +737,34 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         err = nn.grad_check(post_norm_loss, enc_params)
         record(f"grad_encoder_layer_post_norm_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
-        # three 3-token sequences in one layer, each attending only to
-        # itself, read out with unequal weights; drawn from their own
+        # a batch of three 3-token sequences in one layer, each attending
+        # only to itself, read out with unequal weights; drawn from their own
         # generator so the checks below keep their points
         stack_rng = np.random.default_rng([seed, 3])
         stacked_enc = nn.ParamSet()
         for name in enc_params.names():
             if name != "tokens":
                 stacked_enc.add(name, enc_params[name].value)
-        stacked_enc.add("tokens", stack_rng.normal(size=(3 * 3, 8)))
-        readout = stack_rng.normal(size=(3 * 3, 8))
+        stacked_enc.add("tokens", stack_rng.normal(size=(3, 3, 8)))
+        readout = stack_rng.normal(size=(3, 3, 8))
 
         def stacked_enc_loss(p):
             layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-            return nn.sum_all(nn.mul(nn.encoder_layer(p["tokens"], layer, n_seqs=3), readout))
+            return nn.sum_all(nn.mul(nn.encoder_layer(p["tokens"], layer), readout))
 
         err = nn.grad_check(stacked_enc_loss, stacked_enc)
         record(f"grad_encoder_layer_stacked_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
-        # three 4-frame windows stacked as in extraction and stage 1, through
-        # trunk, binary head and row-batched loss, at a generic point
+        # a batch of three 4-frame windows as in extraction and stage 1,
+        # through trunk, binary head and row-batched loss, at a generic point
         model = tm.init_task_model("check", tm.KIND_BINARY, (0, 1), 3, 2.0, 2.0, rng, hidden=5)
         stacked_params = nn.ParamSet()
         for name, param in model.params.items():
             stacked_params.add(name, rng.normal(0.0, 0.5, size=param.value.shape))
-        stacked_params.add("x", rng.normal(size=(3 * 4, 2)))
+        stacked_params.add("x", rng.normal(size=(3, 4, 2)))
 
         def stacked_loss(p):
-            output = tm.head_graph(tm.trunk_graph(p["x"], p, 3), p, tm.KIND_BINARY, n_seqs=3)
+            output = tm.head_graph(tm.trunk_graph(p["x"], p), p, tm.KIND_BINARY)
             return tg.batch_loss(output, [1.0, 0.0, 1.0], tm.KIND_BINARY)
 
         err = nn.grad_check(stacked_loss, stacked_params)

@@ -6,8 +6,14 @@ scalar built from these ops can call ``backward()``. ``grad_check`` verifies
 the recorded VJPs against central differences and is the correctness oracle
 for every model in this package.
 
-Precision policy: float64 for verification and gradient tests, float32
-allowed for speed. Ops preserve the dtype they are given.
+A batch is an axis. A value of rank 3 is (samples x rows x cols): ops that
+work on sequences read axis -2 as tokens or frames and the leading axis as
+samples, and nothing mixes one sample's rows with another's. A (rows x cols)
+value is one sample. Kernels that need 2-d BLAS operands flatten a batch to
+(samples*rows x cols) internally.
+
+Values are float64 throughout; a float32 input is cast once, when its
+``Tensor`` is made.
 """
 
 from __future__ import annotations
@@ -24,22 +30,19 @@ from .errors import DimensionError
 
 Array = np.ndarray
 
-_FLOAT_DTYPES = (np.float32, np.float64)
-
 WEIGHT_INIT_STD = 0.02
 
 
 class Tensor:
-    """A float array (0-d scalar, vector or matrix) in the autodiff graph."""
+    """A float64 array in the autodiff graph: a scalar, a vector, a matrix or
+    a (samples x rows x cols) batch of matrices."""
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, value, requires_grad: bool = False):
-        v = np.asarray(value)
-        if v.dtype not in _FLOAT_DTYPES:
-            v = v.astype(np.float64)
-        if v.ndim > 2:
-            raise DimensionError(f"Tensor holds at most 2-d data, got shape {v.shape}")
+        v = np.asarray(value, dtype=np.float64)
+        if v.ndim > 3:
+            raise DimensionError(f"Tensor holds at most 3-d data, got shape {v.shape}")
         self.value = v
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
@@ -51,16 +54,15 @@ class Tensor:
         return self.value.shape
 
     @property
-    def dtype(self):
-        return self.value.dtype
-
-    @property
     def rows(self) -> int:
-        return self.value.shape[0]
+        """Rows of each sample: the length of axis -2."""
+        if self.value.ndim < 2:
+            raise DimensionError(f"a value of shape {self.shape} has no rows")
+        return self.value.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.value.shape[1]
+        return self.value.shape[-1]
 
     def item(self) -> float:
         return float(self.value.item())
@@ -90,7 +92,7 @@ class Tensor:
                 node._vjp(node.grad)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -102,7 +104,7 @@ def _accumulate(t: Tensor, g: Array) -> None:
         return
     if t.grad is None:
         # Own the buffer: g may be a view into someone else's array.
-        t.grad = np.array(g, dtype=t.value.dtype)
+        t.grad = np.array(g)
     else:
         t.grad += g
 
@@ -186,67 +188,65 @@ def _softmax_inplace(z: Array) -> Array:
 
 
 def _attention_forward(
-    qkv: Array, n_heads: int, n_seqs: int, weights_out: list | None
+    qkv: Array, n_heads: int, weights_out: list | None
 ) -> tuple[Array, tuple[Array, Array, Array, Array]]:
-    """Per-head softmax(Q Kt / sqrt(dh)) V within each sequence.
+    """Per-head softmax(Q Kt / sqrt(dh)) V within each sample.
 
-    ``qkv`` is [Q | K | V], (n_seqs*T x 3D). Returns the (n_seqs*T x D)
-    result and the per-head (q / sqrt(dh), k, v, attention) arrays, each
-    n_seqs x heads x T x (dh or T), that the backward needs.
+    ``qkv`` is [Q | K | V] of one (T x 3D) sequence or a (samples x T x 3D)
+    batch. Returns the result flattened to (samples*T x D) and the per-head
+    (q / sqrt(dh), k, v, attention) arrays, each samples x heads x T x
+    (dh or T), that the backward needs.
     """
-    rows, d = qkv.shape[0], qkv.shape[1] // 3
-    t_len, dh = rows // n_seqs, d // n_heads
-    heads = qkv.reshape(n_seqs, t_len, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    t_len, d = qkv.shape[-2], qkv.shape[-1] // 3
+    dh = d // n_heads
+    heads = qkv.reshape(-1, t_len, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     qh = heads[0] * (1.0 / math.sqrt(dh))
     kh, vh = heads[1], heads[2]
     attn = _softmax_inplace(qh @ kh.swapaxes(2, 3))
     if weights_out is not None:
         weights_out.extend(attn.copy())
-    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(rows, d)
+    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(-1, d)
     return out, (qh, kh, vh, attn)
 
 
 def _attention_backward(g: Array, saved: tuple[Array, Array, Array, Array]) -> Array:
     """Gradient of ``_attention_forward`` with respect to [Q | K | V]."""
     qh, kh, vh, attn = saved
-    n_seqs, n_heads, t_len, dh = qh.shape
-    gh = g.reshape(n_seqs, t_len, n_heads, dh).transpose(0, 2, 1, 3)
+    n_samples, n_heads, t_len, dh = qh.shape
+    gh = g.reshape(n_samples, t_len, n_heads, dh).transpose(0, 2, 1, 3)
     d_scores = gh @ vh.swapaxes(2, 3)
     d_scores -= (d_scores * attn).sum(axis=3, keepdims=True)
     d_scores *= attn
-    d_qkv = np.empty((n_seqs, t_len, 3, n_heads, dh), dtype=d_scores.dtype)
+    d_qkv = np.empty((n_samples, t_len, 3, n_heads, dh), dtype=d_scores.dtype)
     d_heads = d_qkv.transpose(2, 0, 3, 1, 4)
     np.matmul(d_scores, kh, out=d_heads[0])
     d_heads[0] *= 1.0 / math.sqrt(dh)
     np.matmul(d_scores.swapaxes(2, 3), qh, out=d_heads[1])
     np.matmul(attn.swapaxes(2, 3), gh, out=d_heads[2])
-    return d_qkv.reshape(n_seqs * t_len, 3 * n_heads * dh)
+    return d_qkv.reshape(n_samples * t_len, 3 * n_heads * dh)
 
 
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic ops
 
 
-def add(a, b, n_seqs: int = 1) -> Tensor:
-    """a + b with numpy broadcasting. With ``n_seqs`` > 1, ``a``'s rows hold
-    ``n_seqs`` stacked equal-length sequences and ``b`` is broadcast against
-    each of them."""
+def add(a, b) -> Tensor:
+    """a + b with numpy broadcasting: a (rows x D) operand adds to every
+    sample of a (samples x rows x D) one."""
     a, b = as_tensor(a), as_tensor(b)
-    if n_seqs == 1:
+    try:
         value = a.value + b.value
-    else:
-        split = (n_seqs, _sequence_length(a, n_seqs, "add")) + a.shape[1:]
-        value = (a.value.reshape(split) + b.value).reshape(a.shape)
-    same_shape = a.shape == b.shape == value.shape
+    except ValueError as exc:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
+    same_shape = a.shape == b.shape
 
     def vjp(g: Array) -> None:
         if same_shape:
             _accumulate(a, g)
             _accumulate(b, g)
         else:
-            _accumulate(a, _unbroadcast(g, a.shape).astype(a.dtype, copy=False))
-            gb = g if n_seqs == 1 else g.reshape(split)
-            _accumulate(b, _unbroadcast(gb, b.shape).astype(b.dtype, copy=False))
+            _accumulate(a, _unbroadcast(g, a.shape))
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _node(value, (a, b), vjp)
 
@@ -256,8 +256,8 @@ def mul(a, b) -> Tensor:
     value = a.value * b.value
 
     def vjp(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g * b.value, a.shape).astype(a.dtype, copy=False))
-        _accumulate(b, _unbroadcast(g * a.value, b.shape).astype(b.dtype, copy=False))
+        _accumulate(a, _unbroadcast(g * b.value, a.shape))
+        _accumulate(b, _unbroadcast(g * a.value, b.shape))
 
     return _node(value, (a, b), vjp)
 
@@ -267,28 +267,38 @@ def scale(a, c: float) -> Tensor:
     value = a.value * c
 
     def vjp(g: Array) -> None:
-        _accumulate(a, (g * c).astype(a.dtype, copy=False))
+        _accumulate(a, g * c)
 
     return _node(value, (a,), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise DimensionError(
-            f"matmul needs matrices, got shapes {a.shape} and {b.shape}"
-        )
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"matmul: left operand is {a.rows}x{a.cols}, right operand is {b.rows}x{b.cols}"
-        )
-    value = a.value @ b.value
+def _product(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """x W (+ b) for a matrix W; a batch ``x`` runs as one
+    (samples*rows x K) BLAS product."""
+    flat = x.value.reshape(-1, w.rows)
+    value = flat @ w.value if b is None else flat @ w.value + b.value
 
     def vjp(g: Array) -> None:
-        _accumulate(a, g @ b.value.T)
-        _accumulate(b, a.value.T @ g)
+        g = g.reshape(-1, w.cols)
+        _accumulate(x, (g @ w.value.T).reshape(x.shape))
+        _accumulate(w, flat.T @ g)
+        if b is not None:
+            _accumulate(b, g.sum(axis=0))
 
-    return _node(value, (a, b), vjp)
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(value.reshape(x.shape[:-1] + (w.cols,)), parents, vjp)
+
+
+def matmul(a, b) -> Tensor:
+    """a @ b for a matrix ``b``: a matrix, or each sample of a batch."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.ndim not in (2, 3) or b.value.ndim != 2:
+        raise DimensionError(
+            f"matmul needs a matrix or a batch times a matrix, got shapes {a.shape} and {b.shape}"
+        )
+    if a.cols != b.rows:
+        raise DimensionError(f"matmul: left operand is {a.shape}, right operand is {b.shape}")
+    return _product(a, b, None)
 
 
 def gelu(a) -> Tensor:
@@ -297,68 +307,61 @@ def gelu(a) -> Tensor:
     value, cdf = _gelu_forward(a.value)
 
     def vjp(g: Array) -> None:
-        _accumulate(a, _gelu_backward(g, a.value, cdf).astype(a.dtype, copy=False))
+        _accumulate(a, _gelu_backward(g, a.value, cdf))
 
-    return _node(value.astype(a.dtype, copy=False), (a,), vjp)
+    return _node(value, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # structural ops
 
 
-def concat_rows(parts: Sequence[Tensor], n_seqs: int = 1) -> Tensor:
-    """Join parts along the rows. Each part holds ``n_seqs`` stacked
-    equal-length sequences; sequence i of the result is sequence i of every
-    part, in part order."""
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Join parts along the row axis; batches join sample by sample, so
+    sample i of the result is sample i of every part, in part order."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise DimensionError("concat_rows needs at least one part")
-    lengths = [_sequence_length(p, n_seqs, "concat_rows") for p in parts]
-    blocks = [p.value.reshape((n_seqs, n) + p.shape[1:]) for p, n in zip(parts, lengths)]
-    joined = np.concatenate(blocks, axis=1)
+    lengths = [p.rows for p in parts]
+    if len({p.shape[:-2] + p.shape[-1:] for p in parts}) != 1:
+        raise DimensionError(
+            f"concat_rows: parts of shapes {[p.shape for p in parts]} differ off the row axis"
+        )
+    value = np.concatenate([p.value for p in parts], axis=-2)
     offsets = np.cumsum([0] + lengths)
 
     def vjp(g: Array) -> None:
-        g = g.reshape(joined.shape)
         for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(part, g[:, lo:hi].reshape(part.shape))
+            _accumulate(part, g[..., lo:hi, :])
 
-    return _node(joined.reshape((-1,) + joined.shape[2:]), parts, vjp)
+    return _node(value, parts, vjp)
 
 
-def slice_rows(a, start: int, stop: int, n_seqs: int = 1) -> Tensor:
-    """Rows ``start:stop`` of each of the ``n_seqs`` stacked equal-length
-    sequences in ``a``'s rows, stacked in sequence order."""
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of each sample."""
     a = as_tensor(a)
-    split = (n_seqs, _sequence_length(a, n_seqs, "slice_rows")) + a.shape[1:]
-    cut = np.array(a.value.reshape(split)[:, start:stop])
-    value = cut.reshape((-1,) + a.shape[1:])
+    if a.value.ndim < 2:
+        raise DimensionError(f"slice_rows needs rows, got shape {a.shape}")
+    value = np.array(a.value[..., start:stop, :])
 
     def vjp(g: Array) -> None:
-        full = np.zeros(split, dtype=a.dtype)
-        full[:, start:stop] = g.reshape(cut.shape)
-        _accumulate(a, full.reshape(a.shape))
+        full = np.zeros_like(a.value)
+        full[..., start:stop, :] = g
+        _accumulate(a, full)
 
     return _node(value, (a,), vjp)
 
 
-def _sequence_length(a: Tensor, n_seqs: int, op: str) -> int:
-    """Rows per sequence when ``a``'s rows hold ``n_seqs`` equal-length ones."""
-    if n_seqs < 1 or a.rows % n_seqs != 0:
-        raise DimensionError(f"{op}: {a.rows} rows do not split into {n_seqs} equal sequences")
-    return a.rows // n_seqs
-
-
-def mean_rows(a, n_seqs: int = 1) -> Tensor:
-    """Mean across the rows of each of ``n_seqs`` stacked equal-length
-    sequences: an (n_seqs x D) result, 1xD for a single sequence."""
+def mean_rows(a) -> Tensor:
+    """Mean across the rows of each sample: (samples x D) for a batch, 1 x D
+    for a single sample."""
     a = as_tensor(a)
-    n = _sequence_length(a, n_seqs, "mean_rows")
-    value = a.value.reshape(n_seqs, n, -1).mean(axis=1)
+    n = a.rows
+    x = a.value.reshape(-1, n, a.cols)
+    value = x.mean(axis=1)
 
     def vjp(g: Array) -> None:
-        spread = np.broadcast_to((g / n)[:, None, :], (n_seqs, n, a.cols))
-        _accumulate(a, spread.reshape(a.shape).astype(a.dtype, copy=False))
+        _accumulate(a, np.broadcast_to((g / n)[:, None, :], x.shape).reshape(a.shape))
 
     return _node(value, (a,), vjp)
 
@@ -367,7 +370,7 @@ def sum_all(a) -> Tensor:
     a = as_tensor(a)
 
     def vjp(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(g, a.shape).astype(a.dtype, copy=False))
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _node(a.value.sum(), (a,), vjp)
 
@@ -377,17 +380,17 @@ def mean_all(a) -> Tensor:
     return scale(sum_all(a), 1.0 / a.value.size)
 
 
-def causal_mix(a, w, n_seqs: int = 1) -> Tensor:
+def causal_mix(a, w) -> Tensor:
     """Causal lag mixing: y[t] = sum_tau w[tau] * x[t - tau], zero-padded past.
 
-    The rows of ``a`` hold ``n_seqs`` stacked equal-length sequences; each
-    starts from its own zero-padded past, so no history crosses a boundary.
+    Every sample starts from its own zero-padded past, so no history crosses
+    from one sample into the next.
     """
     a, w = as_tensor(a), as_tensor(w)
     if w.value.ndim != 1:
         raise DimensionError(f"causal_mix weights must be a vector, got shape {w.shape}")
-    t_len = _sequence_length(a, n_seqs, "causal_mix")
-    x = a.value.reshape(n_seqs, t_len, -1)
+    t_len = a.rows
+    x = a.value.reshape(-1, t_len, a.cols)
     taps = w.value
     value = np.zeros_like(x)
     for tau in range(min(len(taps), t_len)):
@@ -420,7 +423,7 @@ def causal_mix(a, w, n_seqs: int = 1) -> Tensor:
 def linear(x, w, b=None) -> Tensor:
     """y = x W (+ b broadcast per row), fused into one graph node."""
     x, w = as_tensor(x), as_tensor(w)
-    if x.value.ndim != 2 or w.value.ndim != 2 or x.cols != w.rows:
+    if x.value.ndim not in (2, 3) or w.value.ndim != 2 or x.cols != w.rows:
         raise DimensionError(
             f"linear: input is {x.shape}, weight is {w.shape}; inner dims must match"
         )
@@ -431,14 +434,7 @@ def linear(x, w, b=None) -> Tensor:
         raise DimensionError(
             f"linear: bias has shape {b.shape}, weight produces {w.cols} columns"
         )
-    value = x.value @ w.value + b.value
-
-    def vjp(g: Array) -> None:
-        _accumulate(x, g @ w.value.T)
-        _accumulate(w, x.value.T @ g)
-        _accumulate(b, g.sum(axis=0))
-
-    return _node(value, (x, w, b), vjp)
+    return _product(x, w, b)
 
 
 def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -446,23 +442,23 @@ def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
     if eps <= 0:
         raise ValueError(f"layer_norm eps must be positive, got {eps}")
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.value.ndim != 2:
-        raise DimensionError(f"layer_norm expects a matrix, got shape {x.shape}")
+    if x.value.ndim not in (2, 3):
+        raise DimensionError(f"layer_norm expects a matrix or a batch, got shape {x.shape}")
     d = x.cols
     if gamma.value.shape != (d,) or beta.value.shape != (d,):
         raise DimensionError(
             f"layer_norm: input has {d} columns but gamma/beta have shapes "
             f"{gamma.shape}/{beta.shape}"
         )
-    value, saved = _layer_norm_forward(x.value, gamma.value, beta.value, eps)
+    value, saved = _layer_norm_forward(x.value.reshape(-1, d), gamma.value, beta.value, eps)
 
     def vjp(g: Array) -> None:
-        dx, dgamma, dbeta = _layer_norm_backward(g, saved, gamma.value)
+        dx, dgamma, dbeta = _layer_norm_backward(g.reshape(-1, d), saved, gamma.value)
         _accumulate(gamma, dgamma)
         _accumulate(beta, dbeta)
-        _accumulate(x, dx.astype(x.dtype, copy=False))
+        _accumulate(x, dx.reshape(x.shape))
 
-    return _node(value.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
+    return _node(value.reshape(x.shape), (x, gamma, beta), vjp)
 
 
 def softmax(x) -> Tensor:
@@ -475,9 +471,9 @@ def softmax(x) -> Tensor:
     y = _softmax_inplace(x.value.copy())
 
     def vjp(g: Array) -> None:
-        _accumulate(x, (y * (g - float(np.dot(g, y)))).astype(x.dtype, copy=False))
+        _accumulate(x, y * (g - float(np.dot(g, y))))
 
-    return _node(y.astype(x.dtype, copy=False), (x,), vjp)
+    return _node(y, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +496,24 @@ def sigmoid_cross_entropy(logit, target) -> Tensor:
     value = np.logaddexp(0.0, z).sum() - z @ t  # softplus(z) - z * t
 
     def vjp(g: Array) -> None:
-        gz = g * (expit(z) - t)
-        _accumulate(logit, gz.reshape(logit.shape).astype(logit.dtype, copy=False))
+        _accumulate(logit, (g * (expit(z) - t)).reshape(logit.shape))
 
-    return _node(np.asarray(value, dtype=logit.dtype), (logit,), vjp)
+    return _node(value, (logit,), vjp)
 
 
 def softmax_cross_entropy(scores, target_index) -> Tensor:
     """Cross-entropy of score vectors against true class indices.
 
     For one int index, ``scores`` is one vector-like tensor. For a sequence
-    of B indices it holds B equal-length score vectors in row-major order,
-    as B rows or as one column, and the result is the sum of their losses.
+    of B indices it holds B equal-length score vectors in row-major order:
+    as B rows, as one column, or as a (B x T x 1) batch of per-frame
+    scores. The result is the sum of their losses.
     """
     scores = as_tensor(scores)
     targets = np.asarray(target_index).reshape(-1)
     n_rows = targets.size
     shape = scores.shape
-    if len(shape) == 2 and shape[0] != n_rows and shape[1] != 1:
+    if (len(shape) == 3 or len(shape) == 2 and shape[1] != 1) and shape[0] != n_rows:
         raise DimensionError(f"scores of shape {shape} do not hold {n_rows} score vectors")
     if n_rows < 1 or scores.value.size % n_rows != 0:
         raise DimensionError(f"{scores.value.size} scores do not split into {n_rows} rows")
@@ -534,9 +530,9 @@ def softmax_cross_entropy(scores, target_index) -> Tensor:
     def vjp(g: Array) -> None:
         p = e / sums[:, None]
         p[rows, targets] -= 1.0
-        _accumulate(scores, (g * p).reshape(shape).astype(scores.dtype, copy=False))
+        _accumulate(scores, (g * p).reshape(shape))
 
-    return _node(np.asarray(value, dtype=scores.dtype), (scores,), vjp)
+    return _node(value, (scores,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +554,7 @@ class ParamSet:
     def add(self, name: str, value, trainable: bool = True) -> None:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        v = np.asarray(value)
-        if v.dtype not in _FLOAT_DTYPES:
-            v = v.astype(np.float64)
-        self._params[name] = Param(v, trainable)
+        self._params[name] = Param(np.asarray(value, dtype=np.float64), trainable)
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -716,44 +709,37 @@ def init_encoder_layer_arrays(rng: np.random.Generator, d: int, d_ff: int) -> di
     }
 
 
-def scaled_dot_attention(
-    q, k, v, n_heads: int, weights_out: list | None = None, n_seqs: int = 1
-) -> Tensor:
+def scaled_dot_attention(q, k, v, n_heads: int, weights_out: list | None = None) -> Tensor:
     """Per-head softmax(Q Kt / sqrt(dh)) V with heads batched in one node.
 
-    Inputs are full-width (n_seqs*T x D) projections whose rows hold
-    ``n_seqs`` stacked sequences of T tokens; column block i holds head i.
-    Each sequence attends only within itself. Pass ``weights_out`` to
-    capture the attention matrices (a debug path): one (heads x T x T) array
-    is appended per sequence, in sequence order, and every row of every head
-    sums to 1.
+    Inputs are full-width (T x D) projections, or (samples x T x D) batches
+    of them; column block i holds head i. Each sample attends only within
+    itself. Pass ``weights_out`` to capture the attention matrices (a debug
+    path): one (heads x T x T) array is appended per sample, in sample
+    order, and every row of every head sums to 1.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    rows, d = q.shape
-    if k.shape != (rows, d) or v.shape != (rows, d):
+    if q.value.ndim not in (2, 3) or k.shape != q.shape or v.shape != q.shape:
         raise DimensionError(
             f"attention projections disagree: q={q.shape}, k={k.shape}, v={v.shape}"
         )
+    d = q.cols
     if d % n_heads != 0:
         raise DimensionError(f"width {d} is not divisible by {n_heads} heads")
-    _sequence_length(q, n_seqs, "scaled_dot_attention")
-    qkv = np.concatenate((q.value, k.value, v.value), axis=1)
-    out, saved = _attention_forward(qkv, n_heads, n_seqs, weights_out)
+    qkv = np.concatenate((q.value, k.value, v.value), axis=-1)
+    out, saved = _attention_forward(qkv, n_heads, weights_out)
 
     def vjp(g: Array) -> None:
-        d_qkv = _attention_backward(g, saved)
-        _accumulate(q, d_qkv[:, :d])
-        _accumulate(k, d_qkv[:, d : 2 * d])
-        _accumulate(v, d_qkv[:, 2 * d :])
+        d_qkv = _attention_backward(g.reshape(-1, d), saved).reshape(q.shape[:-1] + (3 * d,))
+        _accumulate(q, d_qkv[..., :d])
+        _accumulate(k, d_qkv[..., d : 2 * d])
+        _accumulate(v, d_qkv[..., 2 * d :])
 
-    return _node(out, (q, k, v), vjp)
+    return _node(out.reshape(q.shape), (q, k, v), vjp)
 
 
-def multi_head_attention(
-    x, p: EncoderLayerParams, weights_out: list | None = None, n_seqs: int = 1
-) -> Tensor:
-    """Scaled dot-product self-attention within each of the ``n_seqs``
-    stacked token sequences in ``x``'s rows."""
+def multi_head_attention(x, p: EncoderLayerParams, weights_out: list | None = None) -> Tensor:
+    """Scaled dot-product self-attention within each sample of ``x``."""
     x = as_tensor(x)
     d = x.cols
     if d != p.width:
@@ -761,7 +747,7 @@ def multi_head_attention(
     q = linear(x, p.wq, p.bq)
     k = linear(x, p.wk)
     v = linear(x, p.wv, p.bv)
-    attended = scaled_dot_attention(q, k, v, p.n_heads, weights_out, n_seqs)
+    attended = scaled_dot_attention(q, k, v, p.n_heads, weights_out)
     return linear(attended, p.wo, p.bo)
 
 
@@ -770,29 +756,28 @@ def encoder_layer(
     p: EncoderLayerParams,
     norm_first: bool = True,
     weights_out: list | None = None,
-    n_seqs: int = 1,
 ) -> Tensor:
-    """One transformer encoder layer over ``n_seqs`` stacked token sequences;
-    pre-norm residual by default. Only attention mixes rows, and it stays
-    within each sequence.
+    """One transformer encoder layer over a (T x D) token sequence or a
+    (samples x T x D) batch of them; pre-norm residual by default. Only
+    attention mixes rows, and it stays within each sample.
 
     The layer is one graph node: the forward pass chains the numpy kernels
-    and one analytic VJP covers the whole layer. It computes the same
-    function as ``layer_norm``, ``multi_head_attention``, ``linear``,
-    ``gelu`` and ``add`` composed, with Q, K and V in one matmul.
-    ``weights_out`` receives one (heads x T x T) attention array per
-    sequence, as from ``scaled_dot_attention``.
+    on the batch flattened to (samples*T x D) and one analytic VJP covers
+    the whole layer. It computes the same function as ``layer_norm``,
+    ``multi_head_attention``, ``linear``, ``gelu`` and ``add`` composed,
+    with Q, K and V in one matmul. ``weights_out`` receives one
+    (heads x T x T) attention array per sample, as from
+    ``scaled_dot_attention``.
     """
     x = as_tensor(x)
-    if x.value.ndim != 2 or x.cols != p.width:
+    if x.value.ndim not in (2, 3) or x.cols != p.width:
         raise DimensionError(f"input of shape {x.shape} does not match layer width {p.width}")
-    _sequence_length(x, n_seqs, "encoder_layer")
     d = p.width
     w_qkv = np.concatenate((p.wq.value, p.wk.value, p.wv.value), axis=1)
     b_qkv = np.concatenate((p.bq.value, np.zeros_like(p.bq.value), p.bv.value))
     wo, w1, w2 = p.wo.value, p.ffn_w1.value, p.ffn_w2.value
     g1, g2 = p.ln1_gamma.value, p.ln2_gamma.value
-    xv = x.value
+    xv = x.value.reshape(-1, d)
 
     # attention block: pre-norm adds to x, post-norm normalizes the sum
     if norm_first:
@@ -801,7 +786,9 @@ def encoder_layer(
         attn_in = xv
     qkv = attn_in @ w_qkv
     qkv += b_qkv
-    attended, attn_saved = _attention_forward(qkv, p.n_heads, n_seqs, weights_out)
+    attended, attn_saved = _attention_forward(
+        qkv.reshape(x.shape[:-1] + (3 * d,)), p.n_heads, weights_out
+    )
     h = attended @ wo
     h += p.bo.value
     h += xv
@@ -824,6 +811,7 @@ def encoder_layer(
     def vjp(g: Array) -> None:
         # d_out: gradient at the second residual sum; d_h: at h, the first
         # residual sum for pre-norm and its normalized value for post-norm
+        g = g.reshape(-1, d)
         if norm_first:
             d_out = g
         else:
@@ -852,12 +840,12 @@ def encoder_layer(
             wo=attended.T @ d_h, bo=d_h.sum(axis=0),
             ln1_gamma=d_g1, ln1_beta=d_be1, ln2_gamma=d_g2, ln2_beta=d_be2,
         )
-        _accumulate(x, d_x)
+        _accumulate(x, d_x.reshape(x.shape))
         for name in ENCODER_PARAM_FIELDS:
             _accumulate(getattr(p, name), grads[name])
 
     parents = (x,) + tuple(getattr(p, name) for name in ENCODER_PARAM_FIELDS)
-    return _node(out, parents, vjp)
+    return _node(out.reshape(x.shape), parents, vjp)
 
 
 # ---------------------------------------------------------------------------

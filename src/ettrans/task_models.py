@@ -62,22 +62,20 @@ class TaskModel:
     def native_frames(self) -> int:
         return int(round(self.native_fps * self.native_window_s))
 
-    def trunk_forward(self, window: FrameSeq, n_windows: int = 1) -> np.ndarray:
-        """Per-frame features (no gradients) of ``n_windows`` native-geometry
-        windows stacked along the frame axis; each window keeps its own
-        causal start."""
-        return self.trunk_graph(window, self.params.as_tensors(train=False), n_windows).value
+    def trunk_forward(self, window: FrameSeq) -> np.ndarray:
+        """Per-frame features (no gradients) of one native-geometry window,
+        or of a (windows x frames x channels) batch of them, each from its
+        own causal start."""
+        return self.trunk_graph(window, self.params.as_tensors(train=False)).value
 
-    def trunk_graph(
-        self, window: FrameSeq, leaves: dict[str, nn.Tensor], n_windows: int = 1
-    ) -> nn.Tensor:
-        """Trunk forward over ``n_windows`` stacked windows as a graph node."""
-        self._check_window(window, n_windows)
-        return trunk_graph(nn.Tensor(window.values[:, list(self.channels)]), leaves, n_windows)
+    def trunk_graph(self, window: FrameSeq, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
+        """Trunk forward over a window or a batch of windows as a graph node."""
+        self._check_window(window)
+        return trunk_graph(nn.Tensor(window.values[..., list(self.channels)]), leaves)
 
-    def head_forward(self, features, leaves: dict[str, nn.Tensor] | None = None, n_seqs: int = 1):
-        """Task prediction from the per-frame features of ``n_seqs`` stacked
-        windows (logits, frame scores, or steps)."""
+    def head_forward(self, features, leaves: dict[str, nn.Tensor] | None = None):
+        """Task prediction from the per-frame features of one window or a
+        batch of them (logits, frame scores, or steps)."""
         if leaves is None:
             leaves = self.params.as_tensors(train=False)
         feats = nn.as_tensor(features)
@@ -86,13 +84,12 @@ class TaskModel:
                 f"head of {self.task_id!r} expects width {self.feature_dim}, "
                 f"got {feats.cols}"
             )
-        return head_graph(feats, leaves, self.kind, n_seqs=n_seqs)
+        return head_graph(feats, leaves, self.kind)
 
-    def _check_window(self, window: FrameSeq, n_windows: int) -> None:
-        frames = n_windows * self.native_frames
-        if abs(window.fps - self.native_fps) > 1e-9 or window.n_frames != frames:
+    def _check_window(self, window: FrameSeq) -> None:
+        if abs(window.fps - self.native_fps) > 1e-9 or window.n_frames != self.native_frames:
             raise DimensionError(
-                f"model {self.task_id!r} expects {n_windows} x {self.native_frames} frames "
+                f"model {self.task_id!r} expects {self.native_frames} frames "
                 f"at {self.native_fps} fps, got {window.n_frames} at {window.fps}"
             )
         if window.n_channels <= max(self.channels):
@@ -105,10 +102,10 @@ class TaskModel:
         return self.params.checksum()
 
 
-def trunk_graph(x: nn.Tensor, leaves: dict[str, nn.Tensor], n_windows: int = 1) -> nn.Tensor:
+def trunk_graph(x: nn.Tensor, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
     h = nn.gelu(nn.linear(x, leaves["trunk/w1"], leaves["trunk/b1"]))
     h = nn.linear(h, leaves["trunk/w2"], leaves["trunk/b2"])
-    return nn.causal_mix(h, leaves["trunk/mix"], n_windows)
+    return nn.causal_mix(h, leaves["trunk/mix"])
 
 
 def head_graph(
@@ -116,19 +113,18 @@ def head_graph(
     leaves: Mapping[str, nn.Tensor],
     kind: str,
     prefix: str = "head",
-    n_seqs: int = 1,
 ):
-    """Head output for the ``n_seqs`` samples whose per-frame features are
-    stacked in ``features``: one logit row per sample (binary), one score per
-    frame (localization), or one (verb, noun) pair of logit rows per future
-    step (sequence)."""
+    """Head output for the per-frame features of one sample (frames x D) or
+    of a (samples x frames x D) batch: one logit row per sample (binary), one
+    score per frame (localization), or one (verb, noun) pair of logit rows
+    per future step (sequence)."""
     if kind == KIND_BINARY:
-        pooled = nn.mean_rows(features, n_seqs)
+        pooled = nn.mean_rows(features)
         return nn.linear(pooled, leaves[f"{prefix}/w"], leaves[f"{prefix}/b"])
     if kind == KIND_LOCALIZATION:
         return nn.linear(features, leaves[f"{prefix}/w"], leaves[f"{prefix}/b"])
     if kind == KIND_SEQUENCE:
-        pooled = nn.mean_rows(features, n_seqs)
+        pooled = nn.mean_rows(features)
         steps = []
         z = 0
         while f"{prefix}/step{z}/verb_w" in leaves:

@@ -2,12 +2,13 @@
 
 A model trained on short windows at its own frame rate is applied to a longer
 clip by (1) subsampling the clip down to the model's FPS, (2) planning sliding
-windows of the model's native duration, (3) running the model over the
-clip's windows stacked, each from its own causal start, and (4) averaging
+windows of the model's native duration, (3) running the model over a batch
+of the clip's windows, each from its own causal start, and (4) averaging
 per-frame features where windows overlap. A whole split of clips of one
 geometry goes through the same steps at once: one resampling index and one
-window plan serve every clip, and the clips' windows are stacked into trunk
-calls of at most ``_EXTRACT_CHUNK_ROWS`` rows.
+window plan serve every clip, and the clips' windows go to the trunk in
+(windows x frames x channels) batches of at most ``_EXTRACT_CHUNK_FRAMES``
+frames.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .errors import (
 
 _FRAME_ALIGN_TOL = 1e-9
 
-# Window rows per trunk call in extraction: as many whole clips as fit, at
-# least one. A whole dense split stacked at once would hold megabytes per
-# activation.
-_EXTRACT_CHUNK_ROWS = 4096
+# Window frames per trunk call in extraction: as many whole clips' windows
+# as fit, at least one clip's. A whole dense split in one batch would hold
+# megabytes per activation.
+_EXTRACT_CHUNK_FRAMES = 4096
 
 
 def _round_half_up(x: float) -> int:
@@ -42,8 +43,8 @@ def frame_count(fps: float, duration_s: float) -> int:
 @dataclass
 class FrameSeq:
     """An ordered stack of per-frame channel vectors at a fixed frame rate:
-    one clip (frames x channels) or a split of clips of one geometry
-    (clips x frames x channels)."""
+    one clip (frames x channels) or a batch of clips of one geometry
+    (clips x frames x channels), such as a split or a batch of windows."""
 
     values: np.ndarray
     fps: float
@@ -203,8 +204,8 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence
     every clip of a split, and merge outputs.
 
     The result keeps one feature row per clip frame, averaging rows that fall
-    in several windows. Clips' windows are stacked into trunk calls of at most
-    ``_EXTRACT_CHUNK_ROWS`` rows (at least one clip per call).
+    in several windows. Clips' windows go to the trunk in batches of at most
+    ``_EXTRACT_CHUNK_FRAMES`` frames (at least one clip per call).
     """
     if abs(clip.fps - plan.fps) > _FRAME_ALIGN_TOL:
         raise AlignmentError(f"clip at {clip.fps} fps but plan was made for {plan.fps} fps")
@@ -230,18 +231,17 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence
         raise AlignmentError("window plan leaves frames uncovered")
 
     clips = clip.values.reshape(-1, clip.n_frames, clip.n_channels)
-    step = max(1, _EXTRACT_CHUNK_ROWS // rows.size)
+    step = max(1, _EXTRACT_CHUNK_FRAMES // rows.size)
     merged = []
     for lo in range(0, len(clips), step):
         chunk = clips[lo : lo + step, rows]
-        n_windows = len(chunk) * plan.n_windows
         windows = FrameSeq(
-            chunk.reshape(-1, clip.n_channels), fps=plan.fps, duration_s=n_windows * plan.window_s
+            chunk.reshape(-1, win_f, clip.n_channels), fps=plan.fps, duration_s=plan.window_s
         )
-        feats = np.asarray(model.trunk_forward(windows, n_windows), dtype=np.float64)
-        if feats.shape[0] != n_windows * win_f:
+        feats = model.trunk_forward(windows)
+        if feats.shape[:-1] != windows.values.shape[:-1]:
             raise AlignmentError(
-                f"trunk returned {feats.shape[0]} rows for {n_windows} {win_f}-frame windows"
+                f"trunk returned shape {feats.shape} for windows of shape {windows.values.shape}"
             )
         feats = feats.reshape(len(chunk), plan.n_windows, win_f, -1)
         # overlap-add in plan order, vectorized over the chunk's clips

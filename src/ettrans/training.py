@@ -15,7 +15,7 @@ vector into the split, and a graph reads its samples' rows by that vector.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -156,18 +156,7 @@ class TrainReport:
         return self.val_metrics[self.best_epoch] if self.best_epoch >= 0 else None
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "metric_name": self.metric_name,
-            "greater_is_better": self.greater_is_better,
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "val_metrics": self.val_metrics,
-            "best_epoch": self.best_epoch,
-            "stopped_epoch": self.stopped_epoch,
-            "best_val_metric": self.best_val_metric,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return {**asdict(self), "best_val_metric": self.best_val_metric}
 
 
 def _improved(candidate: float, best: float, greater_is_better: bool) -> bool:
@@ -358,19 +347,14 @@ def _score_predictions(kind: str, preds: list, labels: list) -> tuple[float, dic
 
 
 def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
-    """Trunk and head over a native-geometry dataset's indexed clips stacked
-    along the frame axis, each clip from its own causal start."""
+    """Trunk and head over a batch of a native-geometry dataset's indexed
+    clips, each clip from its own causal start."""
     clips = dataset.clips
     labels = dataset.task_labels(model.task_id)
 
     def forward(idx, leaves):
-        stacked = FrameSeq(
-            clips.values[idx].reshape(-1, clips.n_channels),
-            fps=clips.fps,
-            duration_s=len(idx) * clips.duration_s,
-        )
-        features = model.trunk_graph(stacked, leaves, len(idx))
-        output = model.head_forward(features, leaves, len(idx))
+        batch = FrameSeq(clips.values[idx], fps=clips.fps, duration_s=clips.duration_s)
+        output = model.head_forward(model.trunk_graph(batch, leaves), leaves)
         return output, clips.frame_times(), [labels[i] for i in idx]
 
     return forward

@@ -6,15 +6,15 @@ auxiliaries in declared order), a learned task positional embedding is added,
 a transformer encoder stack mixes tokens across tasks and time, and the
 primary task kind's head from ``task_models`` (under the ``dec/`` prefix)
 decodes the encoded tokens. A group of samples runs as one graph: each
-task's features arrive as one (samples x frames x feature_dim) array, the
-tokens are stacked sample by sample and attention stays within each sample.
+task's features arrive as one (samples x frames x feature_dim) array, every
+graph value keeps the samples as its leading axis and attention stays within
+each sample.
 Only parameters created here receive gradients; upstream task models stay
 frozen.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -95,19 +95,18 @@ def init_translator_params(config: TranslatorConfig, rng: np.random.Generator) -
 
 @dataclass
 class TokenSequence:
-    """Projected tokens of ``n_seqs`` samples, stacked sample by sample, plus
-    the task -> (start, length) span map that holds within each sample."""
+    """Projected tokens, (tokens x D) for one sample or (samples x tokens x
+    D) for a group, plus the task -> (start, length) span map that holds
+    within each sample."""
 
     tokens: nn.Tensor
     spans: dict[str, tuple[int, int]]
-    n_seqs: int = 1
 
     def __post_init__(self):
         total = sum(length for _, length in self.spans.values())
-        if total * self.n_seqs != self.tokens.rows:
+        if total != self.tokens.rows:
             raise DimensionError(
-                f"spans cover {total} tokens for each of {self.n_seqs} samples "
-                f"but the sequence has {self.tokens.rows}"
+                f"spans cover {total} tokens but each sample has {self.tokens.rows}"
             )
 
 
@@ -122,25 +121,21 @@ def project(h_k, p_k) -> nn.Tensor:
     return nn.matmul(x, p_k)
 
 
-def assemble_tokens(
-    projected: Sequence[tuple[str, nn.Tensor]], task_pos, n_seqs: int = 1
-) -> TokenSequence:
+def assemble_tokens(projected: Sequence[tuple[str, nn.Tensor]], task_pos) -> TokenSequence:
     """Concatenate projected task blocks in order, per sample, and add the
-    positional embeddings to each sample's tokens. Every block holds
-    ``n_seqs`` samples' rows, stacked sample by sample."""
+    positional embeddings to each sample's tokens."""
     task_pos = nn.as_tensor(task_pos)
     spans = {}
     start = 0
     for task_id, block in projected:
-        length = block.rows // n_seqs
-        spans[task_id] = (start, length)
-        start += length
+        spans[task_id] = (start, block.rows)
+        start += block.rows
     if task_pos.rows != start:
         raise DimensionError(
             f"positional embedding has {task_pos.rows} rows, tokens total {start}"
         )
-    stacked = nn.concat_rows([block for _, block in projected], n_seqs)
-    return TokenSequence(nn.add(stacked, task_pos, n_seqs), spans, n_seqs)
+    stacked = nn.concat_rows([block for _, block in projected])
+    return TokenSequence(nn.add(stacked, task_pos), spans)
 
 
 def encode(
@@ -158,8 +153,8 @@ def encode(
         raise ValueError("need at least one encoder layer")
     h = z0.tokens
     for layer in layers:
-        h = nn.encoder_layer(h, layer, norm_first, weights_out, z0.n_seqs)
-    return TokenSequence(h, dict(z0.spans), z0.n_seqs)
+        h = nn.encoder_layer(h, layer, norm_first, weights_out)
+    return TokenSequence(h, dict(z0.spans))
 
 
 def encoder_layers_from(
@@ -199,16 +194,15 @@ def translate(
                 f"task {task_id!r}: expected features of shape {group + (t_k, d_k)}, "
                 f"got {values.shape}"
             )
-        projected.append((task_id, project(values.reshape(-1, d_k), leaves[f"proj/{task_id}"])))
-    n = math.prod(group)
-    z0 = assemble_tokens(projected, leaves["task_pos"], n)
+        projected.append((task_id, project(values, leaves[f"proj/{task_id}"])))
+    z0 = assemble_tokens(projected, leaves["task_pos"])
     z_out = encode(z0, encoder_layers_from(leaves, config), config.norm_first, weights_out)
 
     tokens = z_out.tokens
     if config.decoder_kind == task_models.KIND_LOCALIZATION:
         start, length = z_out.spans[config.primary_task_id]
-        tokens = nn.slice_rows(tokens, start, start + length, n)
-    return task_models.head_graph(tokens, leaves, config.decoder_kind, "dec", n)
+        tokens = nn.slice_rows(tokens, start, start + length)
+    return task_models.head_graph(tokens, leaves, config.decoder_kind, "dec")
 
 
 def align_and_extract(

@@ -150,6 +150,24 @@ def test_invalid_configs_rejected(tmp_path, mutation):
         harness.load_config(write_cfg(tmp_path, broken))
 
 
+@pytest.mark.parametrize(
+    "path, digest",
+    [
+        (CONFIG_DIR / "default.cfg",
+         "6f43530cf71030f8425726ac1cc480af0fa1c329025a528eddd2397b396df74b"),
+        (CONFIG_DIR / "noharm.cfg",
+         "1e09668bef0dd81dd7659e78ee3a09fe2f85fcf742a523105192626d17596e10"),
+        (CONFIG_DIR.parent / "perfbench" / "configs" / "dense_windows.cfg",
+         "65770bb160ed4398f32b077dd9699cc2380e4d74b1509c279fd3cfed6aa8b6d7"),
+    ],
+    ids=["default", "noharm", "dense_windows"],
+)
+def test_config_hash_of_the_shipped_configs_is_pinned(path, digest):
+    """Reports and benchmark keys carry this hash; a change in how configs
+    are serialized would silently split them from earlier runs."""
+    assert harness.config_hash(harness.load_config(path)) == digest
+
+
 def test_missing_config_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         harness.load_config(tmp_path / "absent.cfg")
@@ -298,6 +316,10 @@ def test_cache_rejects_corrupt_split_files(tmp_path):
             harness.cache_load(bad)
     bad.write_bytes(blob + b"\x00" * 4)
     with pytest.raises(CacheFormatError, match="trailing"):
+        harness.cache_load(bad)
+    # a task id that is not UTF-8
+    bad.write_bytes(blob[:8] + b"\xffemo" + blob[12:])
+    with pytest.raises(CacheFormatError, match="UTF-8"):
         harness.cache_load(bad)
 
 
@@ -464,6 +486,44 @@ def test_cold_run_extracts_each_split_and_task_once_and_rerun_reads_them(
     for arm in arms:
         warm = json.loads((out / f"report_{arm}_seed0.json").read_text())
         assert strip_wall_clock(warm) == strip_wall_clock(cold[arm])
+
+
+def _damage_dropped_sample(path):
+    seq = harness.cache_load(path)
+    harness.cache_store(path, FeatureSequence(seq.task_id, seq.values[:-1], seq.frame_times_s))
+
+
+def _damage_truncated(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _damage_version_1(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+
+
+@pytest.mark.parametrize(
+    "damage", [_damage_dropped_sample, _damage_truncated, _damage_version_1],
+    ids=["dropped_sample", "truncated", "version_1"],
+)
+def test_rerun_over_damaged_cache_files_matches_the_cold_run(tmp_path, damage):
+    """A cached split counts as a hit only if it loads and holds the split's
+    task and sample count; anything else is re-extracted and rewritten."""
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    out = tmp_path / "out"
+    args = ["run", "--config", str(cfg), "--out", str(out)]
+
+    def outputs():
+        reports = {p.name: strip_wall_clock(json.loads(p.read_text())) for p in out.glob("*.json")}
+        return reports, {p.name: p.read_bytes() for p in (out / "cache").iterdir()}
+
+    assert cli.main(args) == 0
+    cold = outputs()
+    for path in sorted((out / "cache").iterdir()):
+        damage(path)
+    assert outputs()[1] != cold[1]
+    assert cli.main(args) == 0
+    assert outputs() == cold
 
 
 def test_changed_config_into_used_directory_matches_fresh_directory(tmp_path):

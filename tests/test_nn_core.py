@@ -257,7 +257,7 @@ def test_encoder_layer_post_norm_variant_runs():
 # fused encoder layer against the public-op composition
 
 
-def composed_encoder_layer(x, p, norm_first=True, weights_out=None, n_seqs=1):
+def composed_encoder_layer(x, p, norm_first=True, weights_out=None):
     """The encoder layer as a composition of public graph ops: the reference
     the fused single-node ``encoder_layer`` must reproduce."""
 
@@ -266,56 +266,66 @@ def composed_encoder_layer(x, p, norm_first=True, weights_out=None, n_seqs=1):
 
     if norm_first:
         normed = nn.layer_norm(x, p.ln1_gamma, p.ln1_beta)
-        h = nn.add(x, nn.multi_head_attention(normed, p, weights_out, n_seqs))
+        h = nn.add(x, nn.multi_head_attention(normed, p, weights_out))
         return nn.add(h, feed_forward(nn.layer_norm(h, p.ln2_gamma, p.ln2_beta)))
-    attended = nn.multi_head_attention(x, p, weights_out, n_seqs)
+    attended = nn.multi_head_attention(x, p, weights_out)
     h = nn.layer_norm(nn.add(x, attended), p.ln1_gamma, p.ln1_beta)
     return nn.layer_norm(nn.add(h, feed_forward(h)), p.ln2_gamma, p.ln2_beta)
 
 
-def per_sequence_composed_layer(x, p, norm_first, weights_out, n_seqs):
-    """``composed_encoder_layer`` run on each stacked sequence alone, so no
-    attention can cross a sequence boundary, and the results stacked."""
-    t = x.rows // n_seqs
-    return nn.concat_rows([
-        composed_encoder_layer(nn.slice_rows(x, i * t, (i + 1) * t), p, norm_first, weights_out)
-        for i in range(n_seqs)
-    ])
-
-
-def layer_value_and_grads(layer_fn, arrays, x0, readout, norm_first, n_seqs):
+def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
+    """Value, input gradient, parameter gradients and captured attention of
+    the fused layer over ``x0`` (one sample or a batch), or, with
+    ``per_sample``, of ``composed_encoder_layer`` run on each sample alone,
+    so no attention can cross from one sample into another."""
     leaves = {k: nn.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    x = nn.Tensor(x0, requires_grad=True)
+    p = nn.EncoderLayerParams.from_tensors(leaves, "", 2)
     weights = []
-    out = layer_fn(x, nn.EncoderLayerParams.from_tensors(leaves, "", 2), norm_first, weights, n_seqs)
-    nn.sum_all(nn.mul(out, readout)).backward()
-    return out.value, x.grad, {k: t.grad for k, t in leaves.items()}, weights
+    if per_sample:
+        inputs = [nn.Tensor(x, requires_grad=True) for x in x0.reshape((-1,) + x0.shape[-2:])]
+        outputs = [composed_encoder_layer(x, p, norm_first, weights) for x in inputs]
+        readouts = readout.reshape((-1,) + readout.shape[-2:])
+        terms = [nn.sum_all(nn.mul(out, r)) for out, r in zip(outputs, readouts)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = nn.add(total, term)
+        total.backward()
+        value = np.stack([out.value for out in outputs]).reshape(x0.shape)
+        dx = np.stack([x.grad for x in inputs]).reshape(x0.shape)
+    else:
+        x = nn.Tensor(x0, requires_grad=True)
+        out = nn.encoder_layer(x, p, norm_first, weights)
+        nn.sum_all(nn.mul(out, readout)).backward()
+        value, dx = out.value, x.grad
+    return value, dx, {k: t.grad for k, t in leaves.items()}, weights
 
 
 def max_rel_diff(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-@pytest.mark.parametrize("n_seqs", [1, 3])
+@pytest.mark.parametrize("n_samples", [1, 3])
 @pytest.mark.parametrize("norm_first", [True, False])
-def test_fused_encoder_layer_matches_public_op_composition(norm_first, n_seqs):
-    rng = np.random.default_rng(40 + n_seqs + 10 * norm_first)
+def test_fused_encoder_layer_matches_public_op_composition(norm_first, n_samples):
+    """One sample as a (T x D) value, three as a (3 x T x D) batch."""
+    rng = np.random.default_rng(40 + n_samples + 10 * norm_first)
     arrays = rand_layer_arrays(rng, 8, 16)
-    x0 = rng.normal(size=(n_seqs * 5, 8))
+    x0 = rng.normal(size=(n_samples, 5, 8))
+    if n_samples == 1:
+        x0 = x0[0]
     readout = rng.normal(size=x0.shape)
-    value, dx, grads, weights = layer_value_and_grads(
-        nn.encoder_layer, arrays, x0, readout, norm_first, n_seqs
-    )
+    value, dx, grads, weights = layer_value_and_grads(arrays, x0, readout, norm_first, False)
     want_value, want_dx, want_grads, want_weights = layer_value_and_grads(
-        per_sequence_composed_layer, arrays, x0, readout, norm_first, n_seqs
+        arrays, x0, readout, norm_first, True
     )
+    assert value.shape == dx.shape == x0.shape
     assert max_rel_diff(value, want_value) <= 1e-12
     assert max_rel_diff(dx, want_dx) <= 1e-12
     assert sorted(grads) == sorted(nn.ENCODER_PARAM_FIELDS)
     for name in nn.ENCODER_PARAM_FIELDS:
         assert max_rel_diff(grads[name], want_grads[name]) <= 1e-12, name
-    # one (heads x T x T) array per sequence, as scaled_dot_attention captures
-    assert len(weights) == len(want_weights) == n_seqs
+    # one (heads x T x T) array per sample, as scaled_dot_attention captures
+    assert len(weights) == len(want_weights) == n_samples
     for got, want in zip(weights, want_weights):
         assert got.shape == want.shape == (2, 5, 5)
         assert max_rel_diff(got, want) <= 1e-12
@@ -328,12 +338,12 @@ def test_grad_check_fused_encoder_layer_three_sequences(norm_first):
     params = nn.ParamSet()
     for name, arr in rand_layer_arrays(rng, 8, 16).items():
         params.add(name, arr)
-    params.add("tokens", rng.normal(size=(3 * 4, 8)))
-    readout = rng.normal(size=(3 * 4, 8))
+    params.add("tokens", rng.normal(size=(3, 4, 8)))
+    readout = rng.normal(size=(3, 4, 8))
 
     def f(p):
         layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-        out = nn.encoder_layer(p["tokens"], layer, norm_first, n_seqs=3)
+        out = nn.encoder_layer(p["tokens"], layer, norm_first)
         return nn.sum_all(nn.mul(out, readout))
 
     assert nn.grad_check(f, params) < 1e-4
@@ -430,30 +440,20 @@ def test_grad_check_every_parameterized_operation(seed):
 
 
 # ---------------------------------------------------------------------------
-# stacked sequences and row-batched losses
+# batches of sequences and row-batched losses
 
 
 def test_stacked_sequence_ops_equal_per_sequence_ops():
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(4 * 5, 3))
+    x = rng.normal(size=(4, 5, 3))
     taps = rng.normal(size=4)
-    mixed = nn.causal_mix(x, taps, n_seqs=4).value
-    pooled = nn.mean_rows(x, n_seqs=4).value
-    assert mixed.shape == (20, 3)
+    mixed = nn.causal_mix(x, taps).value
+    pooled = nn.mean_rows(x).value
+    assert mixed.shape == (4, 5, 3)
     assert pooled.shape == (4, 3)
     for i in range(4):
-        seq = x[5 * i : 5 * (i + 1)]
-        np.testing.assert_array_equal(mixed[5 * i : 5 * (i + 1)], nn.causal_mix(seq, taps).value)
-        np.testing.assert_array_equal(pooled[i : i + 1], nn.mean_rows(seq).value)
-
-
-def test_stacked_sequence_ops_reject_uneven_splits():
-    with pytest.raises(DimensionError):
-        nn.causal_mix(np.zeros((7, 2)), np.ones(3), n_seqs=2)
-    with pytest.raises(DimensionError):
-        nn.mean_rows(np.zeros((7, 2)), n_seqs=3)
-    with pytest.raises(DimensionError):
-        nn.mean_rows(np.zeros((6, 2)), n_seqs=0)
+        np.testing.assert_array_equal(mixed[i], nn.causal_mix(x[i], taps).value)
+        np.testing.assert_array_equal(pooled[i : i + 1], nn.mean_rows(x[i]).value)
 
 
 def test_row_batched_losses_equal_sum_of_per_row_losses():
@@ -468,9 +468,10 @@ def test_row_batched_losses_equal_sum_of_per_row_losses():
     labels = rng.integers(6, size=4)
     want = sum(nn.softmax_cross_entropy(row, int(k)).item() for row, k in zip(scores, labels))
     assert nn.softmax_cross_entropy(scores, labels).item() == pytest.approx(want, rel=1e-12)
-    # the same four score vectors held as one column
-    column = scores.reshape(-1, 1)
-    assert nn.softmax_cross_entropy(column, labels).item() == pytest.approx(want, rel=1e-12)
+    # the same four score vectors held as one column, and as a batch of
+    # per-frame scores (a localization head's output)
+    for held in (scores.reshape(-1, 1), scores.reshape(4, 6, 1)):
+        assert nn.softmax_cross_entropy(held, labels).item() == pytest.approx(want, rel=1e-12)
 
 
 def test_row_batched_losses_reject_mismatched_targets():
@@ -480,6 +481,8 @@ def test_row_batched_losses_reject_mismatched_targets():
         nn.softmax_cross_entropy(np.zeros((3, 4)), [0, 1])
     with pytest.raises(DimensionError):
         nn.softmax_cross_entropy(np.zeros((3, 4)), 1)
+    with pytest.raises(DimensionError):
+        nn.softmax_cross_entropy(np.zeros((3, 2, 1)), [0, 1])
     with pytest.raises(ValueError):
         nn.softmax_cross_entropy(np.zeros((2, 4)), [0, 4])
 
@@ -489,24 +492,24 @@ def test_grad_check_stacked_sequences_and_row_batched_losses(seed):
     rng = np.random.default_rng(100 + seed)
     worst = 0.0
 
-    # three stacked 4-row sequences, read out with unequal weights per row so
-    # every boundary row carries its own gradient
+    # a batch of three 4-row sequences, read out with unequal weights per
+    # row so every boundary row carries its own gradient
     params = nn.ParamSet()
-    params.add("x", rng.normal(size=(3 * 4, 2)))
+    params.add("x", rng.normal(size=(3, 4, 2)))
     params.add("taps", rng.normal(size=4))
-    readout = rng.normal(size=(3 * 4, 2))
+    readout = rng.normal(size=(3, 4, 2))
     worst = max(
         worst,
         nn.grad_check(
-            lambda p: nn.sum_all(nn.mul(nn.causal_mix(p["x"], p["taps"], 3), readout)), params
+            lambda p: nn.sum_all(nn.mul(nn.causal_mix(p["x"], p["taps"]), readout)), params
         ),
     )
 
     params = nn.ParamSet()
-    params.add("x", rng.normal(size=(3 * 4, 5)))
+    params.add("x", rng.normal(size=(3, 4, 5)))
     readout = rng.normal(size=(3, 5))
     worst = max(
-        worst, nn.grad_check(lambda p: nn.sum_all(nn.mul(nn.mean_rows(p["x"], 3), readout)), params)
+        worst, nn.grad_check(lambda p: nn.sum_all(nn.mul(nn.mean_rows(p["x"]), readout)), params)
     )
 
     params = nn.ParamSet()
@@ -517,7 +520,7 @@ def test_grad_check_stacked_sequences_and_row_batched_losses(seed):
     )
 
     labels = rng.integers(6, size=4)
-    for shape in ((4, 6), (4 * 6, 1)):
+    for shape in ((4, 6), (4 * 6, 1), (4, 6, 1)):
         params = nn.ParamSet()
         params.add("scores", rng.normal(size=shape))
         worst = max(
@@ -530,68 +533,71 @@ def test_grad_check_stacked_sequences_and_row_batched_losses(seed):
 def test_stacked_attention_concat_and_slice_equal_per_sequence_ops():
     rng = np.random.default_rng(23)
     n, t, d, heads = 3, 5, 8, 2
-    q, k, v = (rng.normal(size=(n * t, d)) for _ in range(3))
+    q, k, v = (rng.normal(size=(n, t, d)) for _ in range(3))
     captured = []
-    attended = nn.scaled_dot_attention(q, k, v, heads, captured, n_seqs=n).value
+    attended = nn.scaled_dot_attention(q, k, v, heads, captured).value
     layer = rand_layer(rng, d, 16, heads)
-    x = rng.normal(size=(n * t, d))
-    encoded = nn.encoder_layer(x, layer, n_seqs=n).value
-    first = rng.normal(size=(n * 2, d))
-    joined = nn.concat_rows([first, x], n_seqs=n).value
-    cut = nn.slice_rows(x, 1, 4, n_seqs=n).value
+    x = rng.normal(size=(n, t, d))
+    encoded = nn.encoder_layer(x, layer).value
+    first = rng.normal(size=(n, 2, d))
+    joined = nn.concat_rows([first, x]).value
+    cut = nn.slice_rows(x, 1, 4).value
     pos = rng.normal(size=(t, d))
-    shifted = nn.add(x, pos, n_seqs=n).value
+    shifted = nn.add(x, pos).value
+    assert attended.shape == encoded.shape == shifted.shape == (n, t, d)
+    assert joined.shape == (n, t + 2, d) and cut.shape == (n, 3, d)
     assert len(captured) == n
     for i in range(n):
-        rows = slice(t * i, t * (i + 1))
         alone = []
-        want = nn.scaled_dot_attention(q[rows], k[rows], v[rows], heads, alone).value
-        np.testing.assert_allclose(attended[rows], want, rtol=1e-12, atol=1e-12)
+        want = nn.scaled_dot_attention(q[i], k[i], v[i], heads, alone).value
+        np.testing.assert_allclose(attended[i], want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(captured[i], alone[0], rtol=1e-12, atol=1e-12)
-        want = nn.encoder_layer(x[rows], layer).value
-        np.testing.assert_allclose(encoded[rows], want, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(
-            joined[(t + 2) * i : (t + 2) * (i + 1)],
-            nn.concat_rows([first[2 * i : 2 * (i + 1)], x[rows]]).value,
-        )
-        np.testing.assert_array_equal(cut[3 * i : 3 * (i + 1)], nn.slice_rows(x[rows], 1, 4).value)
-        np.testing.assert_array_equal(shifted[rows], nn.add(x[rows], pos).value)
-    # attention over the stacked rows as one sequence lets tokens attend
-    # across sequences, which the per-sequence results rule out
-    leaky = nn.scaled_dot_attention(q, k, v, heads).value
-    assert not np.allclose(leaky, attended, atol=1e-6)
+        want = nn.encoder_layer(x[i], layer).value
+        np.testing.assert_allclose(encoded[i], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(joined[i], nn.concat_rows([first[i], x[i]]).value)
+        np.testing.assert_array_equal(cut[i], nn.slice_rows(x[i], 1, 4).value)
+        np.testing.assert_array_equal(shifted[i], nn.add(x[i], pos).value)
+    # attention over the batch's rows as one sequence lets tokens attend
+    # across samples, which the per-sample results rule out
+    flat = [a.reshape(n * t, d) for a in (q, k, v)]
+    leaky = nn.scaled_dot_attention(*flat, heads).value
+    assert not np.allclose(leaky, attended.reshape(n * t, d), atol=1e-6)
 
 
-def test_stacked_attention_concat_and_slice_reject_uneven_splits():
+def test_batched_ops_reject_operands_whose_sample_axes_disagree():
     with pytest.raises(DimensionError):
-        nn.scaled_dot_attention(*(np.zeros((7, 4)) for _ in range(3)), 2, n_seqs=2)
+        nn.concat_rows([np.zeros((3, 4, 2)), np.zeros((2, 4, 2))])
     with pytest.raises(DimensionError):
-        nn.concat_rows([np.zeros((4, 2)), np.zeros((3, 2))], n_seqs=2)
+        nn.concat_rows([np.zeros((3, 4, 2)), np.zeros((4, 2))])
     with pytest.raises(DimensionError):
-        nn.slice_rows(np.zeros((7, 2)), 0, 1, n_seqs=2)
+        nn.add(np.zeros((3, 4, 2)), np.zeros((2, 4, 2)))
     with pytest.raises(DimensionError):
-        nn.add(np.zeros((7, 2)), np.zeros((3, 2)), n_seqs=2)
+        nn.scaled_dot_attention(np.zeros((3, 4, 2)), np.zeros((2, 4, 2)), np.zeros((3, 4, 2)), 2)
+    # a (rows x D) operand adds to every sample
+    np.testing.assert_array_equal(
+        nn.add(np.zeros((3, 4, 2)), np.ones((4, 2))).value, np.ones((3, 4, 2))
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_grad_check_stacked_attention_concat_and_slice(seed):
-    """Three stacked sequences through attention, a per-sequence join, a
-    positional add and a per-sequence cut, read out with unequal weights."""
+    """A batch of three sequences through attention, a per-sample join, a
+    positional add and a per-sample cut, read out with unequal weights."""
     rng = np.random.default_rng(200 + seed)
     n, d = 3, 4
     params = nn.ParamSet()
     for name, arr in rand_layer_arrays(rng, d, 8).items():
         params.add(name, arr)
-    params.add("a", rng.normal(size=(n * 2, d)))
-    params.add("b", rng.normal(size=(n * 3, d)))
+    params.add("a", rng.normal(size=(n, 2, d)))
+    params.add("b", rng.normal(size=(n, 3, d)))
     params.add("pos", rng.normal(size=(5, d)))
-    readout = rng.normal(size=(n * 2, d))
+    readout = rng.normal(size=(n, 2, d))
 
     def f(p):
         layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-        tokens = nn.add(nn.concat_rows([p["a"], p["b"]], n), p["pos"], n)
-        attended = nn.multi_head_attention(tokens, layer, n_seqs=n)
-        return nn.sum_all(nn.mul(nn.slice_rows(attended, 1, 3, n), readout))
+        tokens = nn.add(nn.concat_rows([p["a"], p["b"]]), p["pos"])
+        attended = nn.multi_head_attention(tokens, layer)
+        return nn.sum_all(nn.mul(nn.slice_rows(attended, 1, 3), readout))
 
     assert nn.grad_check(f, params) < 1e-4
 
@@ -656,9 +662,10 @@ def test_forward_operations_finite_on_extreme_inputs():
 # tensors and parameter sets
 
 
-def test_tensor_rejects_3d_and_nonscalar_backward():
+def test_tensor_rejects_4d_and_nonscalar_backward():
+    assert nn.Tensor(np.zeros((2, 3, 4))).shape == (2, 3, 4)
     with pytest.raises(DimensionError):
-        nn.Tensor(np.zeros((2, 2, 2)))
+        nn.Tensor(np.zeros((2, 2, 2, 2)))
     t = nn.Tensor(np.zeros((2, 2)), requires_grad=True)
     with pytest.raises(DimensionError):
         t.backward()

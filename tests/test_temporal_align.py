@@ -29,7 +29,7 @@ class LinearStub:
     frozen: bool = True
     matrix: np.ndarray = field(default_factory=lambda: np.arange(6.0).reshape(3, 2))
 
-    def trunk_forward(self, window, n_windows=1):
+    def trunk_forward(self, window):
         return window.values @ self.matrix
 
 
@@ -312,21 +312,22 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
     calls = []
     trunk_forward = model.trunk_forward
 
-    def counting_trunk_forward(window, n_windows=1):
-        calls.append(n_windows)
-        return trunk_forward(window, n_windows)
+    def counting_trunk_forward(window):
+        calls.append(window.values.shape)
+        return trunk_forward(window)
 
     clips = [make_clip(7.5, 8.0, channels=4, seed=30 + i) for i in range(7)]
     split = ta.FrameSeq(np.stack([clip.values for clip in clips]), fps=8.0, duration_s=7.5)
     # 30 frames at 4 fps, 8-frame windows at a 3-frame stride: 8 windows plus
-    # an end-aligned tail, up to 3 overlapping a frame, 72 rows a clip; 250
-    # rows hold 3 clips, so 7 clips make chunks of 3, 3 and 1
-    monkeypatch.setattr(ta, "_EXTRACT_CHUNK_ROWS", 250)
+    # an end-aligned tail, up to 3 overlapping a frame, 72 frames a clip; 250
+    # frames hold 3 clips, so 7 clips make batches of 3, 3 and 1 clips'
+    # windows, each window 8 frames of 4 channels
+    monkeypatch.setattr(ta, "_EXTRACT_CHUNK_FRAMES", 250)
     monkeypatch.setattr(model, "trunk_forward", counting_trunk_forward)
     seq = tr.align_and_extract(split, model, 0.75)
     monkeypatch.undo()
 
-    assert calls == [27, 27, 9]
+    assert calls == [(27, 8, 4), (27, 8, 4), (9, 8, 4)]
     assert seq.values.shape == (7, 30, 5) and seq.values.dtype == np.float32
     np.testing.assert_array_equal(seq.frame_times_s, np.arange(30) / 4.0)
     expected = np.stack([_per_window_oracle(clip, model, 0.75) for clip in clips])
