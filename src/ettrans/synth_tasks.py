@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import GenerationError
+from .nn_core import _normal_cdf
 from .task_models import KIND_BINARY, KIND_LOCALIZATION, KIND_SEQUENCE, TASK_KINDS
 from .temporal_align import FrameSeq, frame_count
 
@@ -301,10 +301,7 @@ def bayes_optimal_accuracy(spec: TaskSpec, duration_s: float | None = None) -> f
     """
     if spec.kind != KIND_BINARY:
         raise ValueError(f"Bayes accuracy is defined for binary tasks, not {spec.kind!r}")
-    d = _separation(spec, duration_s)
-    if np.isinf(d):
-        return 1.0
-    return float(ndtr(d / 2.0))
+    return float(_normal_cdf(_separation(spec, duration_s) / 2.0)[0])
 
 
 def _normal_pdf(x: np.ndarray) -> np.ndarray:
@@ -346,7 +343,7 @@ def combined_bayes_accuracy(
     ]
     informative = [(mu, q) for mu, q in informative if mu > 0]
     if not informative:
-        return float(ndtr(mu_u))
+        return float(_normal_cdf(mu_u)[0])
     if np.isinf(mu_u) or any(np.isinf(mu) for mu, _ in informative):
         raise ValueError("combined ceiling needs finite separations; got a zero-noise task")
 
@@ -360,7 +357,7 @@ def combined_bayes_accuracy(
         w = np.concatenate([h * w, h * w])
         lam = _aux_llr(v, mu_v, q)
         if mu_u > 0:
-            correct = ndtr(mu_u + lam / (2.0 * mu_u))
+            correct = _normal_cdf(mu_u + lam / (2.0 * mu_u))[0]
         else:
             correct = 0.5 * (1.0 + np.sign(lam))
         dens = q * _normal_pdf(v - mu_v) + (1 - q) * _normal_pdf(v + mu_v)

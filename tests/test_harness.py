@@ -673,7 +673,6 @@ def test_cli_check_mode_runs_invariant_suite(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
 def _fresh_python(code: str, env: dict) -> str:
     """Stdout of ``code`` run by a new interpreter that imports this checkout."""
     env = dict(env)
@@ -685,6 +684,7 @@ def _fresh_python(code: str, env: dict) -> str:
     ).stdout
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
 def test_cli_import_pins_blas_to_one_thread():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -694,11 +694,25 @@ def test_cli_import_pins_blas_to_one_thread():
 
 
 def test_import_loads_neither_scipy_stats_nor_integrate_nor_process_pools():
-    """At run time the library needs only ``scipy.special``; ``scipy.stats``
-    and ``scipy.integrate`` would double the cold start, and the process pool
-    (with ``multiprocessing``) is imported only when a run has 2+ workers."""
+    """The library is numpy only: its normal CDF is its own, so importing it
+    loads no scipy, and the process pool (with ``multiprocessing``) is
+    imported only when a run has 2+ workers."""
     code = "import sys, ettrans, ettrans.cli; print('\\n'.join(sorted(sys.modules)))"
     loaded = _fresh_python(code, os.environ).split()
-    assert "scipy.special" in loaded
-    banned = ("scipy.stats", "scipy.integrate", "concurrent.futures.process")
-    assert [m for m in loaded if m.startswith(banned)] == []
+    assert "ettrans.cli" in loaded
+    assert [m for m in loaded if m.startswith(("scipy", "concurrent.futures.process"))] == []
+
+
+def test_run_loads_no_scipy(tmp_path):
+    """A lazy import would move scipy's cold start from import into the run."""
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    code = (
+        "import sys\n"
+        "from ettrans import harness\n"
+        f"harness.run_experiment(harness.load_config({str(cfg)!r}), {str(tmp_path / 'run')!r})\n"
+        "print('\\n'.join(sorted(sys.modules)))"
+    )
+    env = dict(os.environ, ETT_NUM_WORKERS="1")
+    loaded = _fresh_python(code, env).split()
+    assert "ettrans.training" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []

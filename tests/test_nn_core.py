@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import expit
 
 from ettrans import nn_core as nn
 from ettrans.errors import DimensionError
@@ -134,6 +136,50 @@ def test_softmax_shift_invariance(values, shift):
     assert base.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(base > 0)
     np.testing.assert_allclose(base, shifted, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# normal CDF and sigmoid
+
+
+def test_normal_cdf_matches_mpmath_to_two_ulp():
+    x = np.concatenate(
+        [np.linspace(-12.0, 12.0, 4801), np.random.default_rng(31).normal(0.0, 2.0, 2000)]
+    )
+    want = np.array([float(mpmath.ncdf(v)) for v in x.tolist()])
+    cdf, _ = nn._normal_cdf(x)
+    assert np.max(np.abs(cdf - want)) <= 5e-16
+
+
+def test_normal_cdf_exact_values_and_special_inputs():
+    cdf, bell = nn._normal_cdf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    np.testing.assert_array_equal(cdf, [0.5, 0.5, 1.0, 0.0, np.nan])
+    np.testing.assert_array_equal(bell, [1.0, 1.0, 0.0, 0.0, np.nan])
+    for x in (np.asarray(0.3), 0.3, 1e200, -1e200):
+        cdf, bell = nn._normal_cdf(x)
+        assert np.shape(cdf) == np.shape(bell) == ()
+        assert 0.0 <= float(cdf) <= 1.0
+    assert nn._normal_cdf(1e200) == (1.0, 0.0)
+    assert nn._normal_cdf(-1e200) == (0.0, 0.0)
+    assert float(nn._normal_cdf(np.asarray(0.3))[0]) == float(nn._normal_cdf(0.3)[0])
+
+
+def test_normal_cdf_second_output_is_exp_bit_for_bit():
+    x = np.concatenate(
+        [np.random.default_rng(32).normal(0.0, 2.0, 10_000), np.linspace(-45.0, 45.0, 9001)]
+    )
+    _, bell = nn._normal_cdf(x)
+    np.testing.assert_array_equal(bell, np.exp(-x * x / 2))
+
+
+def test_sigmoid_loss_gradient_is_expit():
+    z = np.concatenate([np.random.default_rng(33).normal(0.0, 8.0, 5000), [1e3, -1e3]])
+    logit = nn.Tensor(z.reshape(-1, 1), requires_grad=True)
+    loss = nn.sigmoid_cross_entropy(logit, np.zeros(z.size))
+    with np.errstate(all="raise"):
+        loss.backward()  # d loss / d z = sigmoid(z) - 0
+    # 0.5 tanh(z/2) + 0.5 is within one machine epsilon (2 ulp just below 1)
+    np.testing.assert_allclose(logit.grad.ravel(), expit(z), rtol=0, atol=np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
