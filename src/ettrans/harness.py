@@ -139,18 +139,32 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def _parse_channels(text: str) -> tuple[int, ...]:
+    """Comma-separated channel indices and ascending ``lo-hi`` ranges."""
     channels: list[int] = []
     for part in text.replace(" ", "").split(","):
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            channels.extend(range(int(lo), int(hi) + 1))
-        else:
-            channels.append(int(part))
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = int(lo), int(hi if dash else lo)
+        except ValueError as exc:
+            raise ConfigError(f"channel {part!r} in {text!r} is not an integer or a range") from exc
+        if last < first:
+            raise ConfigError(f"channel range {part!r} in {text!r} runs backwards")
+        channels.extend(range(first, last + 1))
     if not channels:
         raise ConfigError(f"empty channel list: {text!r}")
     return tuple(channels)
+
+
+def _check_arms(arms: Sequence[str]) -> None:
+    if not arms:
+        raise ConfigError(f"no arms to run; choose from {ARMS}")
+    for arm in arms:
+        if arm not in ARMS:
+            raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
+    if len(set(arms)) != len(arms):
+        raise ConfigError(f"arms repeat: {list(arms)}")
 
 
 def _get(section, key, cast, default=None):
@@ -190,9 +204,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     arms = tuple(
         a.strip() for a in _get(exp, "arms", str, "translator,primary_only").split(",") if a.strip()
     )
-    for arm in arms:
-        if arm not in ARMS:
-            raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
+    _check_arms(arms)
 
     trans, train = parser["translator"], parser["training"]
 
@@ -631,13 +643,11 @@ def run_experiment(
 ) -> dict:
     """Run all requested arms for each seed (one job per seed) and write
     reports plus an aggregate with mean and stddev across seeds per arm.
-    Unknown arms, an empty or negative seed list and an ``ETT_NUM_WORKERS``
-    that is not a positive integer raise ``ConfigError`` before the output
-    directory is created."""
-    use_arms = tuple(arms) if arms else config.arms
-    for arm in use_arms:
-        if arm not in ARMS:
-            raise ConfigError(f"unknown arm {arm!r}; choose from {ARMS}")
+    An empty, repeated or unknown arm list, an empty or negative seed list
+    and an ``ETT_NUM_WORKERS`` that is not a positive integer raise
+    ``ConfigError`` before the output directory is created."""
+    use_arms = tuple(arms) if arms is not None else config.arms
+    _check_arms(use_arms)
     use_seeds = tuple(seeds) if seeds is not None else tuple(range(config.seeds))
     if not use_seeds:
         raise ConfigError("no seeds to run; need at least one")

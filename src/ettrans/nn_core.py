@@ -542,7 +542,8 @@ def sigmoid_cross_entropy(logit, target) -> Tensor:
         raise DimensionError(f"{z.size} logits for {t.size} binary targets")
     if not (t.min() >= 0.0 and t.max() <= 1.0):
         raise ValueError(f"binary targets must lie in [0, 1], got {target}")
-    value = np.logaddexp(0.0, z).sum() - z @ t  # softplus(z) - z * t
+    with np.errstate(under="ignore"):  # softplus(z) rounds to exactly 0 for z << 0
+        value = np.logaddexp(0.0, z).sum() - z @ t  # softplus(z) - z * t
 
     def vjp(g: Array) -> None:
         sigmoid = 0.5 * np.tanh(0.5 * z) + 0.5  # cannot overflow, unlike 1/(1+exp(-z))

@@ -73,19 +73,6 @@ class TaskModel:
         self._check_window(window)
         return trunk_graph(nn.Tensor(window.values[..., list(self.channels)]), leaves)
 
-    def head_forward(self, features, leaves: dict[str, nn.Tensor] | None = None):
-        """Task prediction from the per-frame features of one window or a
-        batch of them (logits, frame scores, or steps)."""
-        if leaves is None:
-            leaves = self.params.as_tensors(train=False)
-        feats = nn.as_tensor(features)
-        if feats.cols != self.feature_dim:
-            raise DimensionError(
-                f"head of {self.task_id!r} expects width {self.feature_dim}, "
-                f"got {feats.cols}"
-            )
-        return head_graph(feats, leaves, self.kind)
-
     def _check_window(self, window: FrameSeq) -> None:
         if abs(window.fps - self.native_fps) > 1e-9 or window.n_frames != self.native_frames:
             raise DimensionError(

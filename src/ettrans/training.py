@@ -42,12 +42,10 @@ class TrainHyper:
 
 @dataclass
 class OptimState:
-    """Adam accumulators, mirroring the trainable parameters of one ParamSet."""
+    """Adam accumulators, mirroring the trainable parameters of one ParamSet,
+    and the hyperparameters that drive them."""
 
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
+    hyper: TrainHyper
     step: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -55,10 +53,7 @@ class OptimState:
     @classmethod
     def for_params(cls, params: nn.ParamSet, hyper: TrainHyper) -> "OptimState":
         return cls(
-            lr=hyper.lr,
-            beta1=hyper.beta1,
-            beta2=hyper.beta2,
-            eps=hyper.eps,
+            hyper=hyper,
             step=0,
             m={n: np.zeros_like(params[n].value) for n in params.trainable_names()},
             v={n: np.zeros_like(params[n].value) for n in params.trainable_names()},
@@ -78,18 +73,19 @@ def optimizer_step(
     extra = [n for n in grads if n not in trainable]
     if missing or extra:
         raise ValueError(f"gradient keys mismatch: missing={missing}, extra={extra}")
+    hyper = state.hyper
     state.step += 1
     t = state.step
-    bias1 = 1.0 - state.beta1**t
-    bias2 = 1.0 - state.beta2**t
+    bias1 = 1.0 - hyper.beta1**t
+    bias2 = 1.0 - hyper.beta2**t
     for name in trainable:
         g = grads[name]
         p = params[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
+        state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
+        state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * (g * g)
         m_hat = state.m[name] / bias1
         v_hat = state.v[name] / bias2
-        p.value = p.value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.value = p.value - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
     return params, state
 
 
@@ -354,7 +350,7 @@ def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
 
     def forward(idx, leaves):
         batch = FrameSeq(clips.values[idx], fps=clips.fps, duration_s=clips.duration_s)
-        output = model.head_forward(model.trunk_graph(batch, leaves), leaves)
+        output = tm.head_graph(model.trunk_graph(batch, leaves), leaves, model.kind)
         return output, clips.frame_times(), [labels[i] for i in idx]
 
     return forward

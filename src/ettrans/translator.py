@@ -1,14 +1,16 @@
 """The task translator: fuse per-task feature sequences into one prediction.
 
-Per-task projections map heterogeneous feature widths into a shared latent
-space; the projected sequences are concatenated (primary task first, then
-auxiliaries in declared order), a learned task positional embedding is added,
-a transformer encoder stack mixes tokens across tasks and time, and the
-primary task kind's head from ``task_models`` (under the ``dec/`` prefix)
-decodes the encoded tokens. A group of samples runs as one graph: each
-task's features arrive as one (samples x frames x feature_dim) array, every
-graph value keeps the samples as its leading axis and attention stays within
-each sample.
+``translate`` builds the whole graph in one body from ``nn_core`` ops: each
+task's features are projected into a shared latent space (one matmul per
+task), the task blocks are concatenated (primary task first, then
+auxiliaries in declared order), a learned task positional embedding is
+added, a stack of transformer encoder layers mixes tokens across tasks and
+time, and the primary task kind's head from ``task_models`` (under the
+``dec/`` prefix) decodes the encoded tokens; a localization head reads only
+the primary task's rows. A group of samples runs as one graph: each task's
+features arrive as one (samples x frames x feature_dim) array, every graph
+value keeps the samples as its leading axis and attention stays within each
+sample.
 Only parameters created here receive gradients; upstream task models stay
 frozen.
 """
@@ -16,7 +18,7 @@ frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -93,100 +95,28 @@ def init_translator_params(config: TranslatorConfig, rng: np.random.Generator) -
     return params
 
 
-@dataclass
-class TokenSequence:
-    """Projected tokens, (tokens x D) for one sample or (samples x tokens x
-    D) for a group, plus the task -> (start, length) span map that holds
-    within each sample."""
-
-    tokens: nn.Tensor
-    spans: dict[str, tuple[int, int]]
-
-    def __post_init__(self):
-        total = sum(length for _, length in self.spans.values())
-        if total != self.tokens.rows:
-            raise DimensionError(
-                f"spans cover {total} tokens but each sample has {self.tokens.rows}"
-            )
-
-
-def project(h_k, p_k) -> nn.Tensor:
-    """Map one task's features into the shared latent space (bare matrix product)."""
-    x = nn.as_tensor(h_k)
-    p_k = nn.as_tensor(p_k)
-    if x.cols != p_k.rows:
-        raise DimensionError(
-            f"projection expects {p_k.rows} input columns, features have {x.cols}"
-        )
-    return nn.matmul(x, p_k)
-
-
-def assemble_tokens(projected: Sequence[tuple[str, nn.Tensor]], task_pos) -> TokenSequence:
-    """Concatenate projected task blocks in order, per sample, and add the
-    positional embeddings to each sample's tokens."""
-    task_pos = nn.as_tensor(task_pos)
-    spans = {}
-    start = 0
-    for task_id, block in projected:
-        spans[task_id] = (start, block.rows)
-        start += block.rows
-    if task_pos.rows != start:
-        raise DimensionError(
-            f"positional embedding has {task_pos.rows} rows, tokens total {start}"
-        )
-    stacked = nn.concat_rows([block for _, block in projected])
-    return TokenSequence(nn.add(stacked, task_pos), spans)
-
-
-def encode(
-    z0: TokenSequence,
-    layers: Sequence[nn.EncoderLayerParams],
-    norm_first: bool = True,
-    weights_out: list | None = None,
-) -> TokenSequence:
-    """Apply the encoder stack; the span map is carried through unchanged.
-
-    ``weights_out`` receives, layer by layer, one (heads x T x T) attention
-    array per sample.
-    """
-    if len(layers) < 1:
-        raise ValueError("need at least one encoder layer")
-    h = z0.tokens
-    for layer in layers:
-        h = nn.encoder_layer(h, layer, norm_first, weights_out)
-    return TokenSequence(h, dict(z0.spans))
-
-
-def encoder_layers_from(
-    leaves: Mapping[str, nn.Tensor], config: TranslatorConfig
-) -> list[nn.EncoderLayerParams]:
-    return [
-        nn.EncoderLayerParams.from_tensors(leaves, f"enc{layer}/", config.n_heads)
-        for layer in range(config.n_layers)
-    ]
-
-
 def translate(
     features: Mapping[str, np.ndarray],
     leaves: Mapping[str, nn.Tensor],
     config: TranslatorConfig,
     weights_out: list | None = None,
 ):
-    """Project, assemble, encode and decode a group of samples in one graph,
-    each sample's tokens attending only to its own.
+    """The translator graph over a group of samples: task projections, task
+    blocks concatenated, task embedding added, encoder layers, decoder head;
+    each sample's tokens attend only to their own.
 
     ``features`` maps each task to the group's feature values: (samples x
     frames x feature_dim), or (frames x feature_dim) for one sample. Returns
     the raw head output for the primary task kind over the group, in sample
-    order; a localization head scores only the primary task's tokens.
-    ``weights_out`` receives, layer by layer, one (heads x T x T) attention
-    array per sample.
+    order; a localization head scores only the primary task's tokens, rows
+    ``0:T_primary`` of each sample. ``weights_out`` receives, layer by
+    layer, one (heads x T x T) attention array per sample.
     """
     missing = [t for t in config.task_ids if t not in features]
     if missing:
         raise DimensionError(f"missing features for tasks {missing}")
     group = features[config.primary_task_id].shape[:-2]
-    projected = []
+    blocks = []
     for task_id, t_k, d_k in config.task_dims:
         values = features[task_id]
         if values.shape != group + (t_k, d_k):
@@ -194,15 +124,14 @@ def translate(
                 f"task {task_id!r}: expected features of shape {group + (t_k, d_k)}, "
                 f"got {values.shape}"
             )
-        projected.append((task_id, project(values, leaves[f"proj/{task_id}"])))
-    z0 = assemble_tokens(projected, leaves["task_pos"])
-    z_out = encode(z0, encoder_layers_from(leaves, config), config.norm_first, weights_out)
-
-    tokens = z_out.tokens
+        blocks.append(nn.matmul(values, leaves[f"proj/{task_id}"]))
+    h = nn.add(nn.concat_rows(blocks), leaves["task_pos"])
+    for layer in range(config.n_layers):
+        params = nn.EncoderLayerParams.from_tensors(leaves, f"enc{layer}/", config.n_heads)
+        h = nn.encoder_layer(h, params, config.norm_first, weights_out)
     if config.decoder_kind == task_models.KIND_LOCALIZATION:
-        start, length = z_out.spans[config.primary_task_id]
-        tokens = nn.slice_rows(tokens, start, start + length)
-    return task_models.head_graph(tokens, leaves, config.decoder_kind, "dec")
+        h = nn.slice_rows(h, 0, config.task_dims[0][1])
+    return task_models.head_graph(h, leaves, config.decoder_kind, "dec")
 
 
 def align_and_extract(

@@ -224,13 +224,19 @@ def test_criterion_5_task_block_permutation_property():
         t: FeatureSequence(t, rng.normal(size=(t_k, d_k)), np.arange(t_k) * 0.25)
         for t, t_k, d_k in dims
     }
-    projected = {t: tr.project(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in dims}
-    layers = tr.encoder_layers_from(leaves, cfg)
+    # translate's graph, composed from the same public ops with the task
+    # blocks concatenated in each of the six orders
+    projected = {t: nn.matmul(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in dims}
+    layers = [
+        nn.EncoderLayerParams.from_tensors(leaves, f"enc{i}/", cfg.n_heads)
+        for i in range(cfg.n_layers)
+    ]
     logits = []
     for order in itertools.permutations(cfg.task_ids):
-        seq = tr.assemble_tokens([(t, projected[t]) for t in order], leaves["task_pos"])
-        encoded = tr.encode(seq, layers, cfg.norm_first)
-        logits.append(tm.head_graph(encoded.tokens, leaves, tm.KIND_BINARY, "dec").item())
+        h = nn.add(nn.concat_rows([projected[t] for t in order]), leaves["task_pos"])
+        for layer in layers:
+            h = nn.encoder_layer(h, layer, cfg.norm_first)
+        logits.append(tm.head_graph(h, leaves, tm.KIND_BINARY, "dec").item())
     spread = max(logits) - min(logits)
     report(
         5,

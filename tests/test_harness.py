@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -141,6 +142,8 @@ def test_config_hash_changes_with_values(tmp_path):
         ("corr_rho = 1.0", "corr_rho = 0.5"),  # primary must be fully correlated
         ("n_train = 48", "n_train = 0"),
         ("duration_s = 2.0", ""),  # required key removed
+        ("arms = translator, primary_only", "arms ="),
+        ("arms = translator, primary_only", "arms = translator, translator"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation):
@@ -587,11 +590,15 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("stride_s = 0.5", "stride_s = 2.0"),
         ("\npatience = 2", "\npatience = -1"),
         ("stage1_patience = 2", "stage1_patience = -1"),
+        ("channels = 3-5", "channels = 3-x"),
+        ("channels = 3-5", "channels = 3-"),
+        ("channels = 3-5", "channels = 3-5,9-8"),
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
          "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
          "stage1_beta1", "stage1_beta2", "stage1_eps", "stride_zero", "stride_over_window",
-         "patience", "stage1_patience"],
+         "patience", "stage1_patience", "channels_not_integer", "channels_open_range",
+         "channels_reversed_range"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1
@@ -603,17 +610,24 @@ def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "arms_line, extra",
     [
-        ["--seeds", "0"],
-        ["--seeds", "-1"],
-        ["--arm", "bogus"],
-        ["--arm", "translator", "--arm", "bogus"],
+        (None, ["--seeds", "0"]),
+        (None, ["--seeds", "-1"]),
+        (None, ["--arm", "bogus"]),
+        (None, ["--arm", "translator", "--arm", "bogus"]),
+        (None, ["--arm", "translator", "--arm", "translator"]),
+        ("arms =", []),
+        ("arms = translator, translator", []),
     ],
-    ids=["zero_seeds", "negative_seeds", "unknown_arm", "one_unknown_arm"],
+    ids=["zero_seeds", "negative_seeds", "unknown_arm", "one_unknown_arm", "repeated_arm",
+         "empty_config_arms", "repeated_config_arms"],
 )
-def test_cli_rejects_bad_seeds_and_arms_before_running(tmp_path, capsys, extra):
-    cfg = write_cfg(tmp_path, TINY_CFG)
+def test_cli_rejects_bad_seeds_and_arms_before_running(tmp_path, capsys, arms_line, extra):
+    text = TINY_CFG
+    if arms_line is not None:
+        text = text.replace("arms = translator, primary_only", arms_line)
+    cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), *extra]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
@@ -627,6 +641,19 @@ def test_run_experiment_rejects_empty_or_negative_seeds_before_writing(
     out = tmp_path / "out"
     with pytest.raises(ConfigError):
         harness.run_experiment(tiny_config, out, seeds=seeds)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config_arms, arms", [((), None), (("translator",), []), (("translator",), ["translator"] * 2)]
+)
+def test_run_experiment_rejects_empty_or_repeated_arms_before_writing(
+    tiny_config, tmp_path, config_arms, arms
+):
+    out = tmp_path / "out"
+    config = dataclasses.replace(tiny_config, arms=config_arms)
+    with pytest.raises(ConfigError):
+        harness.run_experiment(config, out, arms=arms, seeds=[0])
     assert not out.exists()
 
 

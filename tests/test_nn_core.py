@@ -175,8 +175,8 @@ def test_normal_cdf_second_output_is_exp_bit_for_bit():
 def test_sigmoid_loss_gradient_is_expit():
     z = np.concatenate([np.random.default_rng(33).normal(0.0, 8.0, 5000), [1e3, -1e3]])
     logit = nn.Tensor(z.reshape(-1, 1), requires_grad=True)
-    loss = nn.sigmoid_cross_entropy(logit, np.zeros(z.size))
-    with np.errstate(all="raise"):
+    with np.errstate(all="raise"):  # softplus(-1e3) underflows to exactly 0
+        loss = nn.sigmoid_cross_entropy(logit, np.zeros(z.size))
         loss.backward()  # d loss / d z = sigmoid(z) - 0
     # 0.5 tanh(z/2) + 0.5 is within one machine epsilon (2 ulp just below 1)
     np.testing.assert_allclose(logit.grad.ravel(), expit(z), rtol=0, atol=np.finfo(float).eps)

@@ -145,7 +145,7 @@ def test_head_matches_mean_dot_oracle():
 def test_head_rejects_wrong_width():
     model = make_model()
     with pytest.raises(DimensionError):
-        model.head_forward(np.zeros((4, 7)))
+        tm.head_graph(nn.Tensor(np.zeros((4, 7))), model.params.as_tensors(), model.kind)
 
 
 def test_sequence_head_shapes():

@@ -203,7 +203,7 @@ def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     total = 0.0
     for values, label in zip(data.clips.values, data.task_labels("t")):
         clip = FrameSeq(values, fps=data.clips.fps, duration_s=data.clips.duration_s)
-        output = model.head_forward(model.trunk_graph(clip, leaves), leaves)
+        output = tm.head_graph(model.trunk_graph(clip, leaves), leaves, model.kind)
         if kind == "localization":
             label = tg.localization_target_index(label, clip.frame_times())
         term = tg.batch_loss(output, [label], kind)

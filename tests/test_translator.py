@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -36,131 +35,6 @@ def toy_features(dims=TOY_DIMS, seed=0):
 def stack_group(samples):
     """Per-sample feature mappings as one group: each task's values stacked."""
     return {t: np.stack([f[t] for f in samples]) for t in samples[0]}
-
-
-# ---------------------------------------------------------------------------
-# projection
-
-
-def test_project_identity():
-    feats = np.random.default_rng(0).normal(size=(4, 6))
-    np.testing.assert_array_equal(tr.project(feats, np.eye(6)).value, feats)
-
-
-def test_project_zeros():
-    np.testing.assert_array_equal(
-        tr.project(np.zeros((3, 4)), np.ones((4, 8))).value, np.zeros((3, 8))
-    )
-
-
-def test_project_matches_triple_loop_oracle_and_is_linear():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(4, 6))
-    p = rng.normal(size=(6, 8))
-    expected = np.zeros((4, 8))
-    for i in range(4):
-        for j in range(8):
-            for k in range(6):
-                expected[i, j] += h[i, k] * p[k, j]
-    np.testing.assert_allclose(tr.project(h, p).value, expected, atol=1e-12)
-    np.testing.assert_allclose(tr.project(3.0 * h, p).value, 3.0 * tr.project(h, p).value)
-
-
-def test_project_rejects_width_mismatch():
-    with pytest.raises(DimensionError):
-        tr.project(np.zeros((4, 5)), np.zeros((6, 8)))
-
-
-# ---------------------------------------------------------------------------
-# token assembly
-
-
-def test_assemble_zero_positional_embedding_is_plain_concat():
-    rng = np.random.default_rng(2)
-    blocks = [("x", nn.Tensor(rng.normal(size=(3, 4)))), ("y", nn.Tensor(rng.normal(size=(2, 4))))]
-    seq = tr.assemble_tokens(blocks, np.zeros((5, 4)))
-    np.testing.assert_array_equal(
-        seq.tokens.value, np.vstack([blocks[0][1].value, blocks[1][1].value])
-    )
-
-
-def test_assemble_single_task_spans_all_rows():
-    rng = np.random.default_rng(3)
-    block = nn.Tensor(rng.normal(size=(4, 4)))
-    pos = rng.normal(size=(4, 4))
-    seq = tr.assemble_tokens([("only", block)], pos)
-    assert seq.spans == {"only": (0, 4)}
-    np.testing.assert_allclose(seq.tokens.value, block.value + pos)
-
-
-def test_assemble_span_map_matches_prefix_sums():
-    rng = np.random.default_rng(4)
-    blocks = [
-        ("t1", nn.Tensor(rng.normal(size=(4, 4)))),
-        ("t2", nn.Tensor(rng.normal(size=(2, 4)))),
-        ("t3", nn.Tensor(rng.normal(size=(2, 4)))),
-    ]
-    seq = tr.assemble_tokens(blocks, np.zeros((8, 4)))
-    assert seq.spans == {"t1": (0, 4), "t2": (4, 2), "t3": (6, 2)}
-    lengths = sorted((start, length) for start, length in seq.spans.values())
-    covered = []
-    for start, length in lengths:
-        covered.extend(range(start, start + length))
-    assert covered == list(range(8))
-
-
-def test_assemble_rejects_row_mismatch():
-    with pytest.raises(DimensionError):
-        tr.assemble_tokens([("x", nn.Tensor(np.zeros((3, 4))))], np.zeros((4, 4)))
-
-
-# ---------------------------------------------------------------------------
-# encoding
-
-
-def layers_for(config, seed=0, scale=0.2):
-    rng = np.random.default_rng(seed)
-    leaves = {}
-    for layer in range(config.n_layers):
-        for name, arr in nn.init_encoder_layer_arrays(rng, config.d_model, config.d_ff).items():
-            leaves[f"enc{layer}/{name}"] = nn.Tensor(rng.normal(0.0, scale, arr.shape))
-    return leaves
-
-
-def test_encode_single_layer_equals_direct_call():
-    config = toy_config()
-    leaves = layers_for(config)
-    rng = np.random.default_rng(5)
-    tokens = nn.Tensor(rng.normal(size=(8, 8)))
-    seq = tr.TokenSequence(tokens, {"p": (0, 8)})
-    layer0 = nn.EncoderLayerParams.from_tensors(leaves, "enc0/", config.n_heads)
-    out = tr.encode(seq, [layer0])
-    np.testing.assert_array_equal(out.tokens.value, nn.encoder_layer(tokens, layer0).value)
-
-
-def test_encode_zero_weight_layers_are_identity():
-    config = toy_config()
-    zero_leaves = {}
-    for layer in range(2):
-        for name, arr in nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16).items():
-            value = np.ones_like(arr) if "gamma" in name else np.zeros_like(arr)
-            zero_leaves[f"enc{layer}/{name}"] = nn.Tensor(value)
-    tokens = np.random.default_rng(6).normal(size=(8, 8))
-    seq = tr.TokenSequence(nn.Tensor(tokens), {"p": (0, 8)})
-    out = tr.encode(seq, tr.encoder_layers_from(zero_leaves, config))
-    np.testing.assert_array_equal(out.tokens.value, tokens)
-
-
-def test_encode_two_layers_equals_manual_composition():
-    config = toy_config()
-    leaves = layers_for(config, seed=7)
-    tokens = nn.Tensor(np.random.default_rng(8).normal(size=(8, 8)))
-    seq = tr.TokenSequence(tokens, {"p": (0, 8)})
-    layers = tr.encoder_layers_from(leaves, config)
-    out = tr.encode(seq, layers)
-    manual = nn.encoder_layer(nn.encoder_layer(tokens, layers[0]), layers[1])
-    np.testing.assert_array_equal(out.tokens.value, manual.value)
-    assert out.spans == seq.spans
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +123,12 @@ def test_translate_localization_scores_each_primary_frame_only():
     scores = tr.translate(feats, leaves, config)
     assert scores.shape == (4, 1)  # primary "p" has 4 frames of 8 tokens
 
-    projected = [(t, tr.project(feats[t], leaves[f"proj/{t}"])) for t in config.task_ids]
-    encoded = tr.encode(
-        tr.assemble_tokens(projected, leaves["task_pos"]),
-        tr.encoder_layers_from(leaves, config),
-        config.norm_first,
-    )
-    expected = encoded.tokens.value[:4] @ leaves["dec/w"].value + leaves["dec/b"].value
+    blocks = [nn.matmul(feats[t], leaves[f"proj/{t}"]) for t in config.task_ids]
+    h = nn.add(nn.concat_rows(blocks), leaves["task_pos"])
+    for layer in range(config.n_layers):
+        layer_params = nn.EncoderLayerParams.from_tensors(leaves, f"enc{layer}/", config.n_heads)
+        h = nn.encoder_layer(h, layer_params, config.norm_first)
+    expected = h.value[:4] @ leaves["dec/w"].value + leaves["dec/b"].value
     np.testing.assert_array_equal(scores.value, expected)
 
 
@@ -345,29 +218,6 @@ def test_translate_matches_monolithic_reimplementation():
     assert abs(logit - expected) < 1e-10
 
 
-def test_translate_block_permutation_invariant_with_zero_positions():
-    """Zeroed positional embeddings + mean pooling: task block order is moot."""
-    config = toy_config()
-    rng = np.random.default_rng(16)
-    params = tr.init_translator_params(config, rng)
-    params["task_pos"].value[:] = 0.0
-    leaves = params.as_tensors(train=False)
-    feats = toy_features(seed=17)
-
-    projected = {
-        t: tr.project(feats[t], leaves[f"proj/{t}"]) for t, _, _ in config.task_dims
-    }
-    layers = tr.encoder_layers_from(leaves, config)
-    logits = []
-    for order in itertools.permutations(config.task_ids):
-        blocks = [(t, projected[t]) for t in order]
-        seq = tr.assemble_tokens(blocks, leaves["task_pos"])
-        encoded = tr.encode(seq, layers, config.norm_first)
-        logits.append(tm.head_graph(encoded.tokens, leaves, tm.KIND_BINARY, "dec").item())
-    assert max(logits) - min(logits) < 1e-6
-    assert len(logits) == 6
-
-
 def test_translate_pipeline_collapse_to_decoder():
     """Identity projection + zero-weight encoder reduces to decoding raw
     features plus the positional embedding."""
@@ -405,6 +255,11 @@ def test_translate_validates_feature_shapes():
     group["b"] = stack_group([toy_features(seed=22)] * 3)["b"]
     with pytest.raises(DimensionError):
         tr.translate(group, params.as_tensors(train=False), config)
+    # a positional embedding whose rows miss the token count fails in nn.add
+    leaves = params.as_tensors(train=False)
+    leaves["task_pos"] = nn.Tensor(np.zeros((config.total_tokens - 1, config.d_model)))
+    with pytest.raises(DimensionError):
+        tr.translate(toy_features(seed=20), leaves, config)
 
 
 def test_translate_group_captures_attention_per_sample_and_layer():
