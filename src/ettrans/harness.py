@@ -36,8 +36,8 @@ from . import synth_tasks as st
 from . import task_models as tm
 from . import training as tg
 from . import translator as tr
-from .errors import CacheFormatError, CacheVersionError, ConfigError
-from .temporal_align import FeatureSequence, FrameSeq, frame_count
+from .errors import AlignmentError, CacheFormatError, CacheVersionError, ConfigError
+from .temporal_align import FeatureSequence, FrameSeq, frame_count, plan_windows
 
 ARMS = ("translator", "primary_only", "frozen_random_ablation")
 
@@ -181,9 +181,12 @@ def _get(section, key, cast, default=None):
             if lowered in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a valid {cast.__name__}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -199,10 +202,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if "experiment" not in parser:
         raise ConfigError("config needs an [experiment] section")
+    # configparser copies [DEFAULT] keys into every section, so it is checked too
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    for name in sections:
+        if name not in ("experiment", "translator", "training") and not name.startswith("task:"):
+            raise ConfigError(
+                f"unknown section [{name}]; use [experiment], [translator], [training] or [task:<id>]"
+            )
     exp = parser["experiment"]
+    read: set[tuple[str, str]] = set()
+
+    def get(section, key, cast, default=None):
+        read.add((section.name, key))
+        return _get(section, key, cast, default)
 
     arms = tuple(
-        a.strip() for a in _get(exp, "arms", str, "translator,primary_only").split(",") if a.strip()
+        a.strip() for a in get(exp, "arms", str, "translator,primary_only").split(",") if a.strip()
     )
     _check_arms(arms)
 
@@ -210,13 +225,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     def hyper(prefix: str, defaults: tg.TrainHyper) -> tg.TrainHyper:
         return tg.TrainHyper(
-            lr=_get(train, f"{prefix}lr", float, defaults.lr),
-            beta1=_get(train, f"{prefix}beta1", float, defaults.beta1),
-            beta2=_get(train, f"{prefix}beta2", float, defaults.beta2),
-            eps=_get(train, f"{prefix}eps", float, defaults.eps),
-            batch_size=_get(train, f"{prefix}batch_size", int, defaults.batch_size),
-            max_epochs=_get(train, f"{prefix}max_epochs", int, defaults.max_epochs),
-            patience=_get(train, f"{prefix}patience", int, defaults.patience),
+            lr=get(train, f"{prefix}lr", float, defaults.lr),
+            beta1=get(train, f"{prefix}beta1", float, defaults.beta1),
+            beta2=get(train, f"{prefix}beta2", float, defaults.beta2),
+            eps=get(train, f"{prefix}eps", float, defaults.eps),
+            batch_size=get(train, f"{prefix}batch_size", int, defaults.batch_size),
+            max_epochs=get(train, f"{prefix}max_epochs", int, defaults.max_epochs),
+            patience=get(train, f"{prefix}patience", int, defaults.patience),
         )
 
     task_sections = [s for s in parser.sections() if s.startswith("task:")]
@@ -231,104 +246,89 @@ def load_config(path: str | Path) -> ExperimentConfig:
         try:
             spec = st.TaskSpec(
                 task_id=task_id,
-                kind=_get(section, "kind", str),
-                channels=_parse_channels(_get(section, "channels", str)),
-                noise_sigma=_get(section, "noise_sigma", float),
-                corr_rho=_get(section, "corr_rho", float),
-                native_fps=_get(section, "native_fps", float),
-                native_window_s=_get(section, "native_window_s", float),
-                signal=_get(section, "signal", float, 0.5),
-                horizon=_get(section, "horizon", int, 0),
-                n_verbs=_get(section, "n_verbs", int, 0),
-                n_nouns=_get(section, "n_nouns", int, 0),
+                kind=get(section, "kind", str),
+                channels=_parse_channels(get(section, "channels", str)),
+                noise_sigma=get(section, "noise_sigma", float),
+                corr_rho=get(section, "corr_rho", float),
+                native_fps=get(section, "native_fps", float),
+                native_window_s=get(section, "native_window_s", float),
+                signal=get(section, "signal", float, 0.5),
+                horizon=get(section, "horizon", int, 0),
+                n_verbs=get(section, "n_verbs", int, 0),
+                n_nouns=get(section, "n_nouns", int, 0),
             )
         except st.GenerationError as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
         tasks.append(
             TaskConfig(
                 spec=spec,
-                stride_s=_get(section, "stride_s", float, spec.native_window_s),
-                feature_dim=_get(section, "feature_dim", int, 8),
-                hidden=_get(section, "hidden", int, 16),
+                stride_s=get(section, "stride_s", float, spec.native_window_s),
+                feature_dim=get(section, "feature_dim", int, 8),
+                hidden=get(section, "hidden", int, 16),
             )
         )
 
     config = ExperimentConfig(
-        name=_get(exp, "name", str, "experiment"),
+        name=get(exp, "name", str, "experiment"),
         arms=arms,
-        seeds=_get(exp, "seeds", int, 3),
-        n_train=_get(exp, "n_train", int, 1024),
-        n_val=_get(exp, "n_val", int, 256),
-        n_test=_get(exp, "n_test", int, 512),
-        duration_s=_get(exp, "duration_s", float),
-        fps=_get(exp, "fps", float),
-        n_channels=_get(exp, "n_channels", int),
-        d_model=_get(trans, "d_model", int, 32),
-        n_layers=_get(trans, "n_layers", int, 2),
-        n_heads=_get(trans, "n_heads", int, 4),
-        d_ff=_get(trans, "d_ff", int, 64),
-        norm_first=_get(trans, "norm_first", bool, True),
+        seeds=get(exp, "seeds", int, 3),
+        n_train=get(exp, "n_train", int, 1024),
+        n_val=get(exp, "n_val", int, 256),
+        n_test=get(exp, "n_test", int, 512),
+        duration_s=get(exp, "duration_s", float),
+        fps=get(exp, "fps", float),
+        n_channels=get(exp, "n_channels", int),
+        d_model=get(trans, "d_model", int, 32),
+        n_layers=get(trans, "n_layers", int, 2),
+        n_heads=get(trans, "n_heads", int, 4),
+        d_ff=get(trans, "d_ff", int, 64),
+        norm_first=get(trans, "norm_first", bool, True),
         stage2=hyper("", tg.TrainHyper(max_epochs=40, patience=8)),
         stage1=hyper("stage1_", tg.TrainHyper()),
         tasks=tuple(tasks),
     )
+    for name in parser.sections():
+        unknown = sorted(k for k in parser[name] if (name, k) not in read)
+        if unknown:
+            raise ConfigError(f"unknown keys in [{name}]: {', '.join(unknown)}")
     validate_config(config)
     return config
 
 
 def validate_config(config: ExperimentConfig) -> None:
+    """Raise ``ConfigError`` unless the run can go through: each geometry and
+    width rule is asked of the code that the run itself calls."""
     try:
         st.validate_specs([t.spec for t in config.tasks], config.n_channels)
     except st.GenerationError as exc:
         raise ConfigError(str(exc)) from exc
-    if min(config.d_model, config.n_layers, config.n_heads, config.d_ff) < 1:
-        raise ConfigError("d_model, n_layers, n_heads and d_ff must all be >= 1")
-    if config.d_model % config.n_heads != 0:
-        raise ConfigError(
-            f"d_model {config.d_model} not divisible by n_heads {config.n_heads}"
-        )
     if min(config.seeds, config.n_train, config.n_val, config.n_test) < 1:
         raise ConfigError("seeds and split sizes must all be >= 1")
     for prefix, hyper in (("", config.stage2), ("stage1_", config.stage1)):
-        if not (0 < hyper.lr < math.inf and min(hyper.batch_size, hyper.max_epochs) >= 1):
-            raise ConfigError(f"need 0 < {prefix}lr < inf and {prefix}batch_size, {prefix}max_epochs >= 1")
+        if not (hyper.lr > 0 and min(hyper.batch_size, hyper.max_epochs) >= 1):
+            raise ConfigError(f"need {prefix}lr > 0 and {prefix}batch_size, {prefix}max_epochs >= 1")
         if hyper.patience < 0:
             raise ConfigError(f"need {prefix}patience >= 0, got {hyper.patience}")
         # Adam divides by 1 - beta**t and by sqrt(v_hat) + eps
-        if not (0 <= hyper.beta1 < 1 and 0 <= hyper.beta2 < 1 and 0 < hyper.eps < math.inf):
-            raise ConfigError(
-                f"need 0 <= {prefix}beta1, {prefix}beta2 < 1 and 0 < {prefix}eps < inf"
-            )
+        if not (0 <= hyper.beta1 < 1 and 0 <= hyper.beta2 < 1 and hyper.eps > 0):
+            raise ConfigError(f"need 0 <= {prefix}beta1, {prefix}beta2 < 1 and {prefix}eps > 0")
     for t in config.tasks:
         spec = t.spec
-        if spec.native_fps > config.fps + 1e-9:
+        if spec.native_fps > config.fps:  # ``resample`` refuses to upsample
             raise ConfigError(
                 f"task {spec.task_id!r} needs {spec.native_fps} fps but clips "
                 f"are recorded at {config.fps} fps (no upsampling)"
             )
-        if spec.native_window_s > config.duration_s:
-            raise ConfigError(
-                f"task {spec.task_id!r} window {spec.native_window_s} s exceeds "
-                f"clip duration {config.duration_s} s"
-            )
-        # the window plan needs a positive stride, and one no longer than the
-        # window unless a single window covers the clip
-        if not t.stride_s > 0:
-            raise ConfigError(f"task {spec.task_id!r} stride_s={t.stride_s} must be positive")
-        if t.stride_s > spec.native_window_s and spec.native_window_s < config.duration_s:
-            raise ConfigError(
-                f"task {spec.task_id!r} stride_s={t.stride_s} exceeds its "
-                f"{spec.native_window_s} s window and would leave frames uncovered"
-            )
-        for label, value in (("stride_s", t.stride_s), ("native_window_s", spec.native_window_s)):
-            frames = value * spec.native_fps
-            if abs(frames - round(frames)) > 1e-9:
-                raise ConfigError(
-                    f"task {spec.task_id!r} {label}={value} is not frame-aligned "
-                    f"at {spec.native_fps} fps"
-                )
+        try:
+            plan_windows(config.duration_s, spec.native_window_s, t.stride_s, spec.native_fps)
+        except AlignmentError as exc:
+            raise ConfigError(f"task {spec.task_id!r}: {exc}") from exc
         if t.feature_dim < 1 or t.hidden < 1:
             raise ConfigError(f"task {spec.task_id!r} needs positive widths")
+    try:
+        config.translator_config("translator")
+    except ValueError as exc:
+        raise ConfigError(f"[translator]: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

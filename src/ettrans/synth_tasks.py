@@ -74,10 +74,6 @@ class TaskSpec:
                     f"sequence task {self.task_id!r} needs at least 2 channels"
                 )
 
-    @property
-    def native_frames(self) -> int:
-        return frame_count(self.native_fps, self.native_window_s)
-
 
 @dataclass(frozen=True)
 class LocalizationLabel:

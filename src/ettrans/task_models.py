@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn_core as nn
 from .errors import DimensionError
-from .temporal_align import FrameSeq
+from .temporal_align import FrameSeq, whole_frames
 
 MIX_KERNEL = 4
 
@@ -51,16 +51,7 @@ class TaskModel:
             raise ValueError(f"unknown task kind: {self.kind!r}")
         if not self.channels:
             raise ValueError(f"model {self.task_id!r} needs at least one input channel")
-        frames = self.native_fps * self.native_window_s
-        if abs(frames - round(frames)) > 1e-9:
-            raise ValueError(
-                f"native window of {self.native_window_s} s at {self.native_fps} fps "
-                "is not a whole number of frames"
-            )
-
-    @property
-    def native_frames(self) -> int:
-        return int(round(self.native_fps * self.native_window_s))
+        whole_frames(self.native_fps, self.native_window_s, "native_window_s")
 
     def trunk_forward(self, window: FrameSeq) -> np.ndarray:
         """Per-frame features (no gradients) of one native-geometry window,
@@ -74,9 +65,10 @@ class TaskModel:
         return trunk_graph(nn.Tensor(window.values[..., list(self.channels)]), leaves)
 
     def _check_window(self, window: FrameSeq) -> None:
-        if abs(window.fps - self.native_fps) > 1e-9 or window.n_frames != self.native_frames:
+        frames = whole_frames(self.native_fps, self.native_window_s, "native_window_s")
+        if window.fps != self.native_fps or window.n_frames != frames:
             raise DimensionError(
-                f"model {self.task_id!r} expects {self.native_frames} frames "
+                f"model {self.task_id!r} expects {frames} frames "
                 f"at {self.native_fps} fps, got {window.n_frames} at {window.fps}"
             )
         if window.n_channels <= max(self.channels):

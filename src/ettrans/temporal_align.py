@@ -154,12 +154,15 @@ def resample(clip: FrameSeq, target_fps: float) -> FrameSeq:
     return FrameSeq(clip.values[..., idx, :], fps=target_fps, duration_s=clip.duration_s)
 
 
-def _check_frame_aligned(name: str, seconds: float, fps: float) -> None:
+def whole_frames(fps: float, seconds: float, name: str) -> int:
+    """The frame count of ``seconds`` at ``fps``, which must be a whole number
+    of frames to a relative ``_FRAME_ALIGN_TOL``."""
     frames = seconds * fps
-    if abs(frames - round(frames)) > _FRAME_ALIGN_TOL * max(1.0, abs(frames)):
+    if not abs(frames - np.rint(frames)) <= _FRAME_ALIGN_TOL * max(1.0, abs(frames)):
         raise AlignmentError(
             f"{name}={seconds} s is not a whole number of frames at {fps} fps"
         )
+    return frame_count(fps, seconds)
 
 
 def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float) -> WindowPlan:
@@ -179,13 +182,10 @@ def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float
         raise AlignmentError(
             f"stride {stride_s} s exceeds window {window_s} s; coverage impossible"
         )
-    for name, value in (("duration_s", duration_s), ("window_s", window_s), ("stride_s", stride_s)):
-        _check_frame_aligned(name, value, fps)
-
     # Work on integer frame counts so offsets stay exactly frame-aligned.
-    dur_f = frame_count(fps, duration_s)
-    win_f = frame_count(fps, window_s)
-    stride_f = frame_count(fps, stride_s)
+    dur_f = whole_frames(fps, duration_s, "duration_s")
+    win_f = whole_frames(fps, window_s, "window_s")
+    stride_f = whole_frames(fps, stride_s, "stride_s")
     offsets_f = list(range(0, dur_f - win_f + 1, stride_f))
     if offsets_f[-1] + win_f < dur_f:
         offsets_f.append(dur_f - win_f)

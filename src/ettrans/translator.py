@@ -56,12 +56,12 @@ class TranslatorConfig:
             raise ValueError(f"primary task {self.primary_task_id!r} not in {ids}")
         if ids[0] != self.primary_task_id:
             raise ValueError("canonical token order puts the primary task first")
+        if min(self.d_model, self.n_layers, self.n_heads, self.d_ff) < 1:
+            raise ValueError("d_model, n_layers, n_heads and d_ff must all be >= 1")
         if self.d_model % self.n_heads != 0:
             raise DimensionError(
                 f"d_model {self.d_model} not divisible by {self.n_heads} heads"
             )
-        if self.n_layers < 1:
-            raise ValueError("need at least one encoder layer")
         if self.decoder_kind not in task_models.TASK_KINDS:
             raise ValueError(f"unknown decoder kind: {self.decoder_kind!r}")
         if self.decoder_kind == task_models.KIND_SEQUENCE:

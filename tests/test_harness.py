@@ -9,14 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 from ettrans import cli, harness, synth_tasks, training
-from ettrans.errors import CacheFormatError, CacheVersionError, ConfigError
-from ettrans.temporal_align import FeatureSequence
+from ettrans.errors import AlignmentError, CacheFormatError, CacheVersionError, ConfigError
+from ettrans.temporal_align import FeatureSequence, FrameSeq, frame_count, plan_windows, resample
 
 TINY_CFG = """
 [experiment]
@@ -174,6 +176,46 @@ def test_config_hash_of_the_shipped_configs_is_pinned(path, digest):
 def test_missing_config_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         harness.load_config(tmp_path / "absent.cfg")
+
+
+@pytest.fixture(scope="module")
+def tiny_base(tmp_path_factory):
+    return harness.load_config(write_cfg(tmp_path_factory.mktemp("cfg"), TINY_CFG))
+
+
+_QUARTERS = hst.integers(0, 32).map(lambda q: q / 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fps=_QUARTERS, duration_s=_QUARTERS, native_fps=_QUARTERS,
+       native_window_s=_QUARTERS, stride_s=_QUARTERS)
+def test_validator_accepts_exactly_the_geometries_the_run_can_plan(
+    tiny_base, fps, duration_s, native_fps, native_window_s, stride_s
+):
+    """The helper task's geometry on a quarter grid: ``validate_config``
+    accepts a config exactly when every task's clip resamples to its native
+    fps and gets a window plan, the path a run takes."""
+    primary, helper = tiny_base.tasks
+    helper = dataclasses.replace(
+        helper,
+        spec=dataclasses.replace(helper.spec, native_fps=native_fps, native_window_s=native_window_s),
+        stride_s=stride_s,
+    )
+    config = dataclasses.replace(tiny_base, fps=fps, duration_s=duration_s, tasks=(primary, helper))
+    try:
+        for t in config.tasks:
+            clip = FrameSeq(np.zeros((frame_count(fps, duration_s), 1)), fps=fps, duration_s=duration_s)
+            clip = resample(clip, t.spec.native_fps)
+            plan_windows(clip.duration_s, t.spec.native_window_s, t.stride_s, t.spec.native_fps)
+        runs = True
+    except AlignmentError:
+        runs = False
+    try:
+        harness.validate_config(config)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted == runs
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +635,23 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("channels = 3-5", "channels = 3-x"),
         ("channels = 3-5", "channels = 3-"),
         ("channels = 3-5", "channels = 3-5,9-8"),
+        ("duration_s = 2.0", "duration_s = 2.25"),  # 9 frames at 4 fps, 4.5 at 2 fps
+        ("native_fps = 2.0", "native_fps = 0"),
+        ("\nfps = 4.0", "\nfps = nan"),
+        ("duration_s = 2.0", "duration_s = inf"),
+        ("noise_sigma = 1.5", "noise_sigma = nan"),
+        ("signal = 0.2", "signal = inf"),
+        ("\nmax_epochs = 3", "\nmax_epoch = 3"),
+        ("[translator]", "[translater]"),
+        ("[experiment]", "[DEFAULT]\nhidden = 32\n\n[experiment]"),
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
          "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
          "stage1_beta1", "stage1_beta2", "stage1_eps", "stride_zero", "stride_over_window",
          "patience", "stage1_patience", "channels_not_integer", "channels_open_range",
-         "channels_reversed_range"],
+         "channels_reversed_range", "duration_not_whole_at_native_fps", "native_fps_zero",
+         "fps_nan", "duration_inf", "noise_sigma_nan", "signal_inf", "unknown_key",
+         "unknown_section", "default_section"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1

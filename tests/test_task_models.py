@@ -5,7 +5,7 @@ from ettrans import nn_core as nn
 from ettrans import task_models as tm
 from ettrans import training as tg
 from ettrans import translator as tr
-from ettrans.errors import DimensionError
+from ettrans.errors import AlignmentError, DimensionError
 from ettrans.temporal_align import FrameSeq
 
 
@@ -87,6 +87,14 @@ def test_trunk_rejects_wrong_geometry():
         model.trunk_forward(make_window(fps=4.0, frames=8))
     with pytest.raises(DimensionError):
         model.trunk_forward(FrameSeq(np.zeros((4, 2)), fps=2.0, duration_s=2.0))
+
+
+def test_native_window_must_be_whole_frames():
+    with pytest.raises(AlignmentError):
+        tm.init_task_model(
+            "demo", "binary", (0, 1), 5, native_fps=2.0, native_window_s=1.25,
+            rng=np.random.default_rng(0),
+        )
 
 
 @pytest.mark.parametrize("feature_dim", [6, 10, 14])

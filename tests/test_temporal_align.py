@@ -281,7 +281,7 @@ def _per_window_oracle(clip, model, stride_s):
     ratio = clip.fps / model.native_fps
     n_out = ta.frame_count(model.native_fps, clip.duration_s)
     x = clip.values[[min(int(np.floor(j * ratio + 0.5)), clip.n_frames - 1) for j in range(n_out)]]
-    win_f = model.native_frames
+    win_f = round(model.native_window_s * model.native_fps)
     stride_f = round(stride_s * model.native_fps)
     starts = list(range(0, n_out - win_f + 1, stride_f))
     if starts[-1] + win_f < n_out:
