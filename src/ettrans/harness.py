@@ -643,9 +643,9 @@ def run_experiment(
 ) -> dict:
     """Run all requested arms for each seed (one job per seed) and write
     reports plus an aggregate with mean and stddev across seeds per arm.
-    An empty, repeated or unknown arm list, an empty or negative seed list
-    and an ``ETT_NUM_WORKERS`` that is not a positive integer raise
-    ``ConfigError`` before the output directory is created."""
+    An empty, repeated or unknown arm list, an empty, negative or repeated
+    seed list and an ``ETT_NUM_WORKERS`` that is not a positive integer
+    raise ``ConfigError`` before the output directory is created."""
     use_arms = tuple(arms) if arms is not None else config.arms
     _check_arms(use_arms)
     use_seeds = tuple(seeds) if seeds is not None else tuple(range(config.seeds))
@@ -653,6 +653,8 @@ def run_experiment(
         raise ConfigError("no seeds to run; need at least one")
     if min(use_seeds) < 0:
         raise ConfigError(f"seeds must be >= 0, got {list(use_seeds)}")
+    if len(set(use_seeds)) != len(use_seeds):
+        raise ConfigError(f"seeds must not repeat, got {list(use_seeds)}")
     workers_env = os.environ.get("ETT_NUM_WORKERS", "1")
     if not workers_env.strip().isdecimal() or int(workers_env) < 1:
         raise ConfigError(f"ETT_NUM_WORKERS must be an integer >= 1, got {workers_env!r}")

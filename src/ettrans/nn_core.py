@@ -590,34 +590,61 @@ def softmax_cross_entropy(scores, target_index) -> Tensor:
 # parameters
 
 
-@dataclass
 class Param:
-    value: Array
-    trainable: bool = True
+    """One named parameter, a view into its set's flat buffer. Assigning to
+    ``value`` copies into the buffer and refuses a change of shape."""
+
+    def __init__(self, name: str, value: Array):
+        self.name, self._value = name, value
+
+    @property
+    def value(self) -> Array:
+        return self._value
+
+    @value.setter
+    def value(self, new) -> None:
+        new = np.asarray(new, dtype=np.float64)
+        if new.shape != self._value.shape:
+            raise DimensionError(f"param {self.name!r} is {self._value.shape}, not {new.shape}")
+        self._value[...] = new
+
+
+class Leaves(dict):
+    """Leaf tensors by name; ``grad`` is the flat array their grads view, if any."""
+
+    grad: Array | None = None
 
 
 class ParamSet:
-    """Named parameters with unique names and a per-parameter trainable flag."""
+    """Named parameters in one flat float64 buffer, ``values``, in the order
+    they were added; each ``Param`` is a view into it. ``frozen`` marks the
+    whole set immutable: its leaves track no gradients and no optimizer may
+    step it."""
 
     def __init__(self):
+        self.values = np.zeros(0)
+        self.frozen = False
         self._params: dict[str, Param] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> None:
+    def add(self, name: str, value) -> None:
+        """Append a copy of ``value``; every view moves to the grown buffer."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        self._params[name] = Param(np.asarray(value, dtype=np.float64), trainable)
+        value = np.asarray(value, dtype=np.float64)
+        self.values = np.concatenate([self.values, value.ravel()])
+        self._params[name] = Param(name, value)
+        for p, view in zip(self._params.values(), self._views(self.values)):
+            p._value = view
+
+    def _views(self, flat: Array) -> Iterator[Array]:
+        """One view into ``flat``, laid out like ``values``, per parameter."""
+        offset = 0
+        for p in self._params.values():
+            yield flat[offset : offset + p.value.size].reshape(p.value.shape)
+            offset += p.value.size
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -625,31 +652,17 @@ class ParamSet:
     def items(self):
         return self._params.items()
 
-    def trainable_names(self) -> list[str]:
-        return [n for n, p in self._params.items() if p.trainable]
-
-    def freeze_all(self) -> None:
-        for p in self._params.values():
-            p.trainable = False
-
-    def as_tensors(self, train: bool = True) -> dict[str, Tensor]:
-        """Leaf tensors sharing this set's arrays; trainable ones track gradients."""
-        return {
-            n: Tensor(p.value, requires_grad=train and p.trainable)
-            for n, p in self._params.items()
-        }
-
-    def values_copy(self) -> dict[str, Array]:
-        return {n: p.value.copy() for n, p in self._params.items()}
-
-    def load(self, values: Mapping[str, Array]) -> None:
-        for name, v in values.items():
-            p = self._params[name]
-            if p.value.shape != v.shape:
-                raise DimensionError(
-                    f"param {name!r}: cannot load shape {v.shape} into {p.value.shape}"
-                )
-            p.value = np.array(v, dtype=p.value.dtype)
+    def as_tensors(self, train: bool = True) -> Leaves:
+        """Leaf tensors over this set's views. With ``train`` on an unfrozen
+        set each leaf's grad is preset to its view of one zeroed flat array,
+        the mapping's ``grad``, so backward accumulates straight into it."""
+        track = train and not self.frozen
+        leaves = Leaves((n, Tensor(p.value, requires_grad=track)) for n, p in self._params.items())
+        if track:
+            leaves.grad = np.zeros_like(self.values)
+            for leaf, grad in zip(leaves.values(), self._views(leaves.grad)):
+                leaf.grad = grad
+        return leaves
 
     def checksum(self) -> str:
         """SHA-256 over all parameter bytes; bit-identical params give equal sums."""
@@ -663,12 +676,8 @@ class ParamSet:
 
 
 def collect_grads(leaves: Mapping[str, Tensor]) -> dict[str, Array]:
-    """Gradients for every trainable leaf; zeros if a leaf was unused."""
-    out = {}
-    for name, t in leaves.items():
-        if t.requires_grad:
-            out[name] = t.grad if t.grad is not None else np.zeros_like(t.value)
-    return out
+    """Gradients of every leaf that tracks them; an unused leaf's reads zero."""
+    return {name: t.grad for name, t in leaves.items() if t.requires_grad}
 
 
 # ---------------------------------------------------------------------------
@@ -910,8 +919,9 @@ def grad_check(
 ) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
-    ``f`` maps leaf tensors (from ``params.as_tensors()``) to a scalar and must
-    be pure. Returns the max over checked entries of
+    ``f`` maps leaf tensors (from ``params.as_tensors()``; ``params`` must not
+    be frozen) to a scalar and must be pure. Each entry of ``params.values``
+    is perturbed in turn. Returns the max over checked entries of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
     An entry whose analytic and numeric values both lie below the central
@@ -925,27 +935,23 @@ def grad_check(
     if not math.isfinite(base):
         raise ValueError(f"function is non-finite at the base point: {base}")
     out.backward()
-    analytic = collect_grads(leaves)
 
     def eval_plain() -> float:
         return float(f(params.as_tensors(train=False)).value)
 
     floor = abs(base) * 2.0**-50 / eps
     worst = 0.0
-    for name in params.trainable_names():
-        arr = params[name].value
-        grad = analytic[name]
-        for idx in np.ndindex(arr.shape):
-            original = arr[idx]
-            arr[idx] = original + eps
-            f_plus = eval_plain()
-            arr[idx] = original - eps
-            f_minus = eval_plain()
-            arr[idx] = original
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            ana = float(grad[idx])
-            if max(abs(ana), abs(numeric)) < floor:
-                continue
-            rel = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+    values = params.values
+    for i, ana in enumerate(leaves.grad.tolist()):
+        original = values[i]
+        values[i] = original + eps
+        f_plus = eval_plain()
+        values[i] = original - eps
+        f_minus = eval_plain()
+        values[i] = original
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        if max(abs(ana), abs(numeric)) < floor:
+            continue
+        rel = abs(ana - numeric) / max(abs(ana), abs(numeric), 1e-8)
+        worst = max(worst, rel)
     return worst

@@ -43,7 +43,6 @@ class TaskModel:
     channels: tuple[int, ...]
     feature_dim: int
     params: nn.ParamSet
-    frozen: bool = False
     stage1_complete: bool = False
 
     def __post_init__(self):
@@ -52,6 +51,10 @@ class TaskModel:
         if not self.channels:
             raise ValueError(f"model {self.task_id!r} needs at least one input channel")
         whole_frames(self.native_fps, self.native_window_s, "native_window_s")
+
+    @property
+    def frozen(self) -> bool:
+        return self.params.frozen
 
     def trunk_forward(self, window: FrameSeq) -> np.ndarray:
         """Per-frame features (no gradients) of one native-geometry window,
@@ -209,6 +212,5 @@ def freeze(model: TaskModel) -> TaskModel:
             RuntimeWarning,
             stacklevel=2,
         )
-    model.frozen = True
-    model.params.freeze_all()
+    model.params.frozen = True
     return model

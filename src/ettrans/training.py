@@ -42,50 +42,39 @@ class TrainHyper:
 
 @dataclass
 class OptimState:
-    """Adam accumulators, mirroring the trainable parameters of one ParamSet,
-    and the hyperparameters that drive them."""
+    """Adam accumulators, laid out like one ParamSet's flat ``values``, and
+    the hyperparameters that drive them."""
 
     hyper: TrainHyper
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def for_params(cls, params: nn.ParamSet, hyper: TrainHyper) -> "OptimState":
-        return cls(
-            hyper=hyper,
-            step=0,
-            m={n: np.zeros_like(params[n].value) for n in params.trainable_names()},
-            v={n: np.zeros_like(params[n].value) for n in params.trainable_names()},
-        )
+        return cls(hyper, 0, np.zeros_like(params.values), np.zeros_like(params.values))
 
 
 def optimizer_step(
-    params: nn.ParamSet, grads: Mapping[str, np.ndarray], state: OptimState
+    params: nn.ParamSet, grad: np.ndarray, state: OptimState
 ) -> tuple[nn.ParamSet, OptimState]:
-    """One Adam update over exactly the trainable parameters.
-
-    Frozen parameters are never touched; a gradient entry for anything else,
-    or a missing one, is a caller bug and raises.
-    """
-    trainable = params.trainable_names()
-    missing = [n for n in trainable if n not in grads]
-    extra = [n for n in grads if n not in trainable]
-    if missing or extra:
-        raise ValueError(f"gradient keys mismatch: missing={missing}, extra={extra}")
+    """One Adam update of the whole set from its flat gradient ``grad``, in
+    place. A frozen set, or a gradient not shaped like ``params.values``, is
+    a caller bug and raises."""
+    if params.frozen:
+        raise ContractViolationError("optimizer_step on a frozen parameter set")
+    if grad.shape != params.values.shape:
+        raise ValueError(f"gradient of shape {grad.shape} for {params.values.shape} parameters")
     hyper = state.hyper
     state.step += 1
     t = state.step
     bias1 = 1.0 - hyper.beta1**t
     bias2 = 1.0 - hyper.beta2**t
-    for name in trainable:
-        g = grads[name]
-        p = params[name]
-        state.m[name] = hyper.beta1 * state.m[name] + (1.0 - hyper.beta1) * g
-        state.v[name] = hyper.beta2 * state.v[name] + (1.0 - hyper.beta2) * (g * g)
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        p.value = p.value - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+    state.m = hyper.beta1 * state.m + (1.0 - hyper.beta1) * grad
+    state.v = hyper.beta2 * state.v + (1.0 - hyper.beta2) * (grad * grad)
+    m_hat = state.m / bias1
+    v_hat = state.v / bias2
+    params.values -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
     return params, state
 
 
@@ -175,8 +164,7 @@ def _train_step(
             raise TrainingDivergedError(f"non-finite loss {value} {where}")
         total += value
         term.backward()
-    grads = {name: g / len(idx) for name, g in nn.collect_grads(leaves).items()}
-    optimizer_step(params, grads, state)
+    optimizer_step(params, leaves.grad / len(idx), state)
     return total
 
 
@@ -204,7 +192,7 @@ def fit(
     state = OptimState.for_params(params, hyper)
     report = TrainReport(seed=seed, metric_name=metric_name, greater_is_better=greater_is_better)
     best_metric = -np.inf if greater_is_better else np.inf
-    best_values: dict[str, np.ndarray] | None = None
+    best_values: np.ndarray | None = None
     since_best = 0
 
     for epoch in range(hyper.max_epochs):
@@ -221,7 +209,7 @@ def fit(
         report.val_metrics.append(val_metric)
         if _improved(val_metric, best_metric, greater_is_better):
             best_metric = val_metric
-            best_values = params.values_copy()
+            best_values = params.values.copy()
             report.best_epoch = epoch
             since_best = 0
         else:
@@ -231,7 +219,7 @@ def fit(
 
     report.stopped_epoch = len(report.train_losses) - 1
     if best_values is not None:
-        params.load(best_values)
+        params.values[...] = best_values
     report.wall_clock_s = time.perf_counter() - t_start
     return report
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -591,6 +592,77 @@ def test_changed_config_into_used_directory_matches_fresh_directory(tmp_path):
         assert strip_wall_clock(reused) == strip_wall_clock(fresh)
 
 
+def output_digests(out: Path) -> dict[str, str]:
+    """SHA-256 of every file a run wrote, by path under ``out``: reports and
+    the aggregate as sorted-key JSON without wall-clock fields, cache files
+    as their raw bytes."""
+    digests = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = json.dumps(strip_wall_clock(json.loads(data)), sort_keys=True).encode()
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+# Digests of TINY_CFG's outputs, both arms, seeds 0-1, by numpy version: the
+# bits depend on the numpy and BLAS build. A change that moves a number must
+# update these and say why.
+PINNED_OUTPUT_DIGESTS = {
+    "2.4.6": {
+        "aggregate.json":
+            "1be226133b414807ff2c546780e867acd9bbec66ce9ab6c659a1d38d59c78b8b",
+        "cache/helper_02b8042299e69ae462a88f1b73350e9e.ettf":
+            "d6f60b46484af80f30c7f3f1c2fdcbbfc8db3f69a660d6c739bb698589ced03b",
+        "cache/helper_371cbf7f471eef4b0f727af75028b8dc.ettf":
+            "7bf4dc38140d707b35f05a13c94318e24b52a9af5c6a4c2903ec99b7da2e30ca",
+        "cache/helper_3a15bbc68f1d3de87396404aee814bf8.ettf":
+            "8ec14936bc732323f109a6a0465c2fd7b96d9669aa26ba62c37edcb0769f8299",
+        "cache/helper_4e03cbe9f2bbb18c63bd7200262d83a4.ettf":
+            "1f67fa0583c01d783d0c65c433dea1455ac814f11c8c08ad7486eb4213bd0620",
+        "cache/helper_58bd9bf755ab97d8d5fe0e6018dafd61.ettf":
+            "d0b6f022a3ee94ec83ca44bb18efda0351ed28519ebcd89560ebbc041fb69895",
+        "cache/helper_f175d5206acf34691a6864fa9bdf1a53.ettf":
+            "bf0e89bf6ef3dff1351785f6438e96230558c63cbccfab4326e9453fb58e59a6",
+        "cache/primary_5985e2909a7da221bd3594ababaf56f7.ettf":
+            "4d1549e7bf67fc8b240fed245bc7e3c1c0053b1953c3522b9133d6dac1fba76e",
+        "cache/primary_6931ee1c9384435bcd22d574e13a6a08.ettf":
+            "80049ccf3f43712e64c2a808ea90ae8f1b7a4ade7700955d155411ae495b7d2f",
+        "cache/primary_6a8153f4146f7e5c34c7068009455e64.ettf":
+            "f3ca2b3fec5fa53137c0fc50b1d7cd7c9afaabd6dd0b600fae6df15bf3c2cc27",
+        "cache/primary_8b2d71a271fb7906fa97d2b2cf4a6a7d.ettf":
+            "fef70d2c917ee57213fb4c4cacf6edddf93cd87a11f5961c062c03190285da85",
+        "cache/primary_acae4b92c0e8588c4ca3ce6411710ec3.ettf":
+            "692fd1314107b0e6026e4f1ceb34516bafd0753baad15ab45ac52a54e24699b2",
+        "cache/primary_d0e56f40cc083c03d1103464b93c7e76.ettf":
+            "0feb67cd8d3eb729a76d081c5d55a84f25d48e04c7467e20f1437d62a9c6b38e",
+        "report_primary_only_seed0.json":
+            "7405008dde77c13bd93a4f15e6ef57bea709dd75ed8e8f79e71823df25eda713",
+        "report_primary_only_seed1.json":
+            "4f10699e69d38b14b5715db61521ff39168fc8d903deaa10db44e51341241dcb",
+        "report_translator_seed0.json":
+            "b517778e8e6c372052c2004e0900cac592fa31ca5c768574e9481c36db7b0bbe",
+        "report_translator_seed1.json":
+            "ddbf9427dbf0adec06eb9259b1f65fc54d80a49ce4fc58bfd64bba0b2e87071d",
+    },
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ not in PINNED_OUTPUT_DIGESTS,
+    reason=f"no output digests pinned for numpy {np.__version__}",
+)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, workers):
+    """Every report, the aggregate and every cache file (name and bytes) of
+    a small run equal the pinned ones, with one worker or two. On a numpy
+    version with no pin the test is skipped and checks nothing."""
+    monkeypatch.setenv("ETT_NUM_WORKERS", workers)
+    config = harness.load_config(write_cfg(tmp_path, TINY_CFG))
+    harness.run_experiment(config, tmp_path / "out", seeds=(0, 1))
+    assert output_digests(tmp_path / "out") == PINNED_OUTPUT_DIGESTS[np.__version__]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -687,7 +759,7 @@ def test_cli_rejects_bad_seeds_and_arms_before_running(tmp_path, capsys, arms_li
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", [[], [-1], [0, -2]])
+@pytest.mark.parametrize("seeds", [[], [-1], [0, -2], [0, 0], [1, 0, 1]])
 def test_run_experiment_rejects_empty_or_negative_seeds_before_writing(
     tiny_config, tmp_path, seeds
 ):

@@ -733,12 +733,70 @@ def test_param_set_checksum_tracks_values():
     assert params.checksum() != before
 
 
+def test_param_set_is_one_buffer_in_add_order_holding_copies():
+    params = nn.ParamSet()
+    a = np.arange(6.0).reshape(2, 3)
+    params.add("a", a)
+    params.add("s", np.asarray(7.0))
+    params.add("b", -np.ones(4))
+    a[0, 0] = 100.0  # add copied it
+    np.testing.assert_array_equal(params.values, [0, 1, 2, 3, 4, 5, 7, -1, -1, -1, -1])
+    assert [params[n].value.shape for n in params.names()] == [(2, 3), (), (4,)]
+    for name in params.names():
+        assert np.shares_memory(params[name].value, params.values)
+
+
+def test_param_value_setter_refuses_a_shape_change_and_writes_through():
+    params = nn.ParamSet()
+    params.add("a", np.zeros((2, 3)))
+    params.add("b", np.ones(4))
+    before = params.checksum()
+    for name, bad in (("a", np.zeros((3, 2))), ("a", np.zeros(6)), ("b", np.ones(5))):
+        with pytest.raises(DimensionError, match=repr(name)):
+            params[name].value = bad
+    assert params.checksum() == before
+
+    params["a"].value = np.arange(6.0).reshape(2, 3)
+    assert params.checksum() != before
+    np.testing.assert_array_equal(params.values[:6], np.arange(6.0))
+    np.testing.assert_array_equal(
+        params.as_tensors(train=False)["a"].value, np.arange(6.0).reshape(2, 3)
+    )
+    params["b"].value[:] = 0.0  # in place through the view
+    np.testing.assert_array_equal(params.as_tensors()["b"].value, np.zeros(4))
+    assert not params.values[6:].any()
+
+
 def test_frozen_leaves_do_not_collect_gradients():
     params = nn.ParamSet()
-    params.add("w", np.ones((2, 2)), trainable=False)
-    params.add("v", np.ones((2, 2)))
+    params.add("w", np.ones((2, 2)))
+    params.frozen = True
     leaves = params.as_tensors()
-    out = nn.sum_all(nn.matmul(leaves["w"], leaves["v"]))
-    out.backward()
-    grads = nn.collect_grads(leaves)
-    assert set(grads) == {"v"}
+    assert leaves.grad is None
+    x = nn.Tensor(np.ones((2, 2)), requires_grad=True)
+    nn.sum_all(nn.matmul(leaves["w"], x)).backward()
+    assert nn.collect_grads(leaves) == {}
+    assert leaves["w"].grad is None and not leaves["w"].requires_grad
+    np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
+
+
+def test_leaf_used_twice_accumulates_both_terms_in_its_flat_view():
+    params = nn.ParamSet()
+    params.add("u", np.zeros(2))
+    params.add("w", np.array([3.0, -1.0, 0.5]))
+    leaves = params.as_tensors()
+    w = leaves["w"]
+    nn.add(nn.sum_all(nn.mul(w, w)), nn.sum_all(nn.scale(w, 3.0))).backward()
+    np.testing.assert_array_equal(leaves.grad[2:], 2.0 * params["w"].value + 3.0)
+    assert np.shares_memory(w.grad, leaves.grad)
+    assert nn.collect_grads(leaves)["w"] is w.grad
+
+
+def test_unused_leaf_reads_zero_gradient():
+    params = nn.ParamSet()
+    params.add("used", np.ones(3))
+    params.add("unused", np.ones((2, 2)))
+    leaves = params.as_tensors()
+    nn.sum_all(nn.scale(leaves["used"], 2.0)).backward()
+    np.testing.assert_array_equal(leaves.grad, [2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(nn.collect_grads(leaves)["unused"], np.zeros((2, 2)))

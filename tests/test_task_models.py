@@ -5,7 +5,7 @@ from ettrans import nn_core as nn
 from ettrans import task_models as tm
 from ettrans import training as tg
 from ettrans import translator as tr
-from ettrans.errors import AlignmentError, DimensionError
+from ettrans.errors import AlignmentError, ContractViolationError, DimensionError
 from ettrans.temporal_align import FrameSeq
 
 
@@ -176,15 +176,13 @@ def test_freeze_then_train_leaves_checksum_unchanged():
     tm.freeze(frozen)
     checksum = frozen.checksum()
 
-    # a trainable bystander shares the optimizer with the frozen params
-    params = nn.ParamSet()
-    params.add("w", np.ones((3, 1)))
-    for name, p in frozen.params.items():
-        params.add(f"frozen/{name}", p.value, trainable=False)
-    state = tg.OptimState.for_params(params, tg.TrainHyper())
+    # its own leaves track no gradient, and every step on its own set is refused
+    assert frozen.params.as_tensors().grad is None
+    state = tg.OptimState.for_params(frozen.params, tg.TrainHyper())
     rng = np.random.default_rng(14)
     for _ in range(100):
-        tg.optimizer_step(params, {"w": rng.normal(size=(3, 1))}, state)
+        with pytest.raises(ContractViolationError):
+            tg.optimizer_step(frozen.params, rng.normal(size=frozen.params.values.shape), state)
     assert frozen.checksum() == checksum
 
 

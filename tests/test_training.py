@@ -72,10 +72,10 @@ def test_loss_rejects_out_of_range_labels():
 def test_zero_gradient_leaves_parameters_unchanged():
     params = nn.ParamSet()
     params.add("w", np.arange(6.0).reshape(2, 3))
-    before = params.values_copy()
+    before = params.values.copy()
     state = tg.OptimState.for_params(params, tg.TrainHyper())
-    tg.optimizer_step(params, {"w": np.zeros((2, 3))}, state)
-    np.testing.assert_array_equal(params["w"].value, before["w"])
+    tg.optimizer_step(params, np.zeros(6), state)
+    np.testing.assert_array_equal(params.values, before)
     assert state.step == 1
 
 
@@ -93,36 +93,59 @@ def test_adam_matches_scalar_reference_loop():
         m_hat = m_ref / (1 - b1**t)
         v_hat = v_ref / (1 - b2**t)
         w_ref -= lr * m_hat / (math.sqrt(v_hat) + eps)
-        tg.optimizer_step(params, {"w": np.asarray(g)}, state)
+        tg.optimizer_step(params, np.array([g]), state)
         assert float(params["w"].value) == pytest.approx(w_ref, abs=1e-15)
 
     # with saturated moments the step magnitude approaches lr
     last = float(params["w"].value)
-    tg.optimizer_step(params, {"w": np.asarray(g)}, state)
+    tg.optimizer_step(params, np.array([g]), state)
     assert abs(float(params["w"].value) - last) == pytest.approx(lr, rel=1e-3)
 
 
-def test_frozen_parameters_survive_50_steps_bitwise():
+def test_adam_on_two_shapes_matches_the_scalar_reference_loop_entry_by_entry():
+    hyper = tg.TrainHyper(lr=0.01)
+    rng = np.random.default_rng(5)
     params = nn.ParamSet()
-    params.add("live", np.ones(3))
-    params.add("ice", np.pi * np.ones(4), trainable=False)
-    frozen_bytes = params["ice"].value.tobytes()
+    params.add("w", rng.normal(size=(2, 3)))
+    params.add("b", rng.normal(size=4))
+    state = tg.OptimState.for_params(params, hyper)
+    ref = params.values.tolist()
+    m, v = [0.0] * len(ref), [0.0] * len(ref)
+    for t in range(1, 21):
+        grad = rng.normal(size=10) * np.arange(1, 11)  # each entry its own scale
+        tg.optimizer_step(params, grad, state)
+        for i, g in enumerate(grad.tolist()):
+            m[i] = hyper.beta1 * m[i] + (1.0 - hyper.beta1) * g
+            v[i] = hyper.beta2 * v[i] + (1.0 - hyper.beta2) * (g * g)
+            m_hat = m[i] / (1.0 - hyper.beta1**t)
+            v_hat = v[i] / (1.0 - hyper.beta2**t)
+            ref[i] -= hyper.lr * m_hat / (math.sqrt(v_hat) + hyper.eps)
+        assert params.values.tolist() == ref
+    np.testing.assert_array_equal(params["w"].value.ravel(), ref[:6])
+    np.testing.assert_array_equal(params["b"].value, ref[6:])
+
+
+def test_optimizer_refuses_a_frozen_set_and_keeps_its_bytes():
+    params = nn.ParamSet()
+    params.add("ice", np.pi * np.ones(4))
+    params.frozen = True
+    frozen_bytes = params.values.tobytes()
     state = tg.OptimState.for_params(params, tg.TrainHyper())
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        tg.optimizer_step(params, {"live": rng.normal(size=3)}, state)
-    assert params["ice"].value.tobytes() == frozen_bytes
+    with pytest.raises(ContractViolationError):
+        tg.optimizer_step(params, np.ones(4), state)
+    assert params.values.tobytes() == frozen_bytes
+    assert state.step == 0 and not state.m.any()
 
 
-def test_optimizer_rejects_gradient_key_mismatch():
+def test_optimizer_rejects_gradient_shape_mismatch():
     params = nn.ParamSet()
     params.add("a", np.zeros(2))
     params.add("b", np.zeros(2))
     state = tg.OptimState.for_params(params, tg.TrainHyper())
-    with pytest.raises(ValueError, match="missing"):
-        tg.optimizer_step(params, {"a": np.zeros(2)}, state)
-    with pytest.raises(ValueError, match="extra"):
-        tg.optimizer_step(params, {"a": np.zeros(2), "b": np.zeros(2), "c": np.zeros(2)}, state)
+    for bad in (np.ones(3), np.ones(5), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            tg.optimizer_step(params, bad, state)
+    assert state.step == 0 and not params.values.any()
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +404,7 @@ def test_stage2_verifies_frozen_checksums():
 
 def test_stage2_rejects_unfrozen_models():
     config, model, samples = stage2_setup(seed=1)
-    model.frozen = False
+    model.params.frozen = False
     with pytest.raises(ContractViolationError):
         tg.train_stage2(as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
                         tg.TrainHyper(max_epochs=1), seed=1)
@@ -392,15 +415,14 @@ def test_stage2_zero_learning_rate_keeps_initial_parameters():
     init = tr.init_translator_params(
         config, np.random.default_rng(np.random.SeedSequence([2, 0x7A51]))
     )
-    init_values = init.values_copy()
+    init_values = init.values.copy()
     leaves_metric = tg.evaluate_stage2(as_split(samples[16:]), init, config)
 
     params, report, _ = tg.train_stage2(
         as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
         tg.TrainHyper(lr=0.0, max_epochs=3), seed=2,
     )
-    for name, value in init_values.items():
-        np.testing.assert_array_equal(params[name].value, value)
+    np.testing.assert_array_equal(params.values, init_values)
     assert report.val_metrics[0] == pytest.approx(leaves_metric["accuracy"])
 
 
