@@ -73,6 +73,38 @@ hidden = 8
 """
 
 
+# TINY_CFG's clips under a localization primary and a sequence auxiliary.
+# The primary's 2 fps is below the clip rate, so a change at an odd clip
+# frame lies halfway between two primary frames and the lower index wins.
+LOC_SEQ_CFG = TINY_CFG[: TINY_CFG.index("[task:primary]")] + """[task:primary]
+kind = localization
+channels = 0-2
+noise_sigma = 1.0
+signal = 0.5
+corr_rho = 1.0
+native_fps = 2.0
+native_window_s = 1.0
+stride_s = 0.5
+feature_dim = 5
+hidden = 8
+
+[task:helper]
+kind = sequence
+channels = 3-5
+noise_sigma = 0.5
+signal = 0.5
+corr_rho = 0.0
+horizon = 2
+n_verbs = 3
+n_nouns = 3
+native_fps = 4.0
+native_window_s = 2.0
+stride_s = 2.0
+feature_dim = 4
+hidden = 8
+"""
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -661,6 +693,63 @@ def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, workers):
     config = harness.load_config(write_cfg(tmp_path, TINY_CFG))
     harness.run_experiment(config, tmp_path / "out", seeds=(0, 1))
     assert output_digests(tmp_path / "out") == PINNED_OUTPUT_DIGESTS[np.__version__]
+
+
+# Digests of LOC_SEQ_CFG's outputs, both arms, seeds 0-1, by numpy version.
+# They pin the localization target index, loss and readout, and the
+# edit-distance scoring, which TINY_CFG's two binary tasks do not reach.
+PINNED_LOC_SEQ_DIGESTS = {
+    "2.4.6": {
+        "aggregate.json":
+            "b723b201b4ea611f763f1272f55a14658f07f0f14cce5450ddb8a85825378c9f",
+        "cache/helper_34ed148f8ec25b6ac32ac7f6dfa15e74.ettf":
+            "9d6a3141662acaf0d0b63aad20b0950b91cb42110f11b40536bcffb7157a43e9",
+        "cache/helper_5eebf4f35643de6af5879c3c583e2c16.ettf":
+            "4b46a3a7d46c1fcb250e32c06e0e06bc0d1eea33aa3931e20279ba0b5f1e834c",
+        "cache/helper_7d7e910ccfbc3b6236d7208e72616d87.ettf":
+            "a623217c10d09f488a4a640d3b6773c034b3871e7b79c4db03d8858fc683f65b",
+        "cache/helper_886706935d147420240fce6ccc9eff95.ettf":
+            "d5b54c9c8cca0ff42725165508e0e919b45ae83b4135edd62377c6c8a9cb5c06",
+        "cache/helper_db9ffd2b360ad24c6c473ec708d9c7e0.ettf":
+            "5c5ee4ae968ba7984a1abbb57a23f5a2092fce592c40622bf46b52ce98b61845",
+        "cache/helper_fb02d773ea2ce8fbe968380858ac3a1e.ettf":
+            "8c50e62a7ce9e041741e62cc11418874c4433ec3ea1eeca5d021987959b8aa08",
+        "cache/primary_0a5a84680a8ea63268deb2bc8e45269e.ettf":
+            "70194bc5c689680173786dc2c349ab2b86d80cc227e9ea14d11173c56bb52155",
+        "cache/primary_15b257a205b9d787ba22d412b4f568c0.ettf":
+            "29a2f511ed8741233efb539bfa42bd97be581aa9626a034eb5f738005220bada",
+        "cache/primary_3752528e26977e624c19c4b606dd2c22.ettf":
+            "88153000a902af4de7c88796d2c9114e324b33cf8dd04d6332f9959fb0613c93",
+        "cache/primary_dfb96218f8ae03062d9240447a2161d8.ettf":
+            "2d1961ef24a76e97d47f5808bf1e84e69b5ed2d1b6fb462203903df956014b51",
+        "cache/primary_e8f7c1616b466ad9639d4c442dc36254.ettf":
+            "d45ec4950d159760c5159e01de86e4e5faccd3fbf21eaa51b99b419c6641501f",
+        "cache/primary_f9241c5990255b98f87b85afe0ae3e87.ettf":
+            "40baecb4f63b547c5c0b2b116ec7ffc22e6a6b24535fbf8ff652eda0fdd58f15",
+        "report_primary_only_seed0.json":
+            "c235c66e076d9c81570aac73d291a9fcdca8521c07e540270d39de56197bdd3a",
+        "report_primary_only_seed1.json":
+            "407b3f2eacd09e70c8db40dd31bf18ea5c48ab1584f8cea7ce51750ce584b5fe",
+        "report_translator_seed0.json":
+            "24f6a7b93cea0f0a62ab7c99189787717f1012615f4df4449da64bda1cbcd388",
+        "report_translator_seed1.json":
+            "d2f12e93c7953fb2a3d35ef25c6b10208da6976f6b20ea151194867c96600885",
+    },
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ not in PINNED_LOC_SEQ_DIGESTS,
+    reason=f"no output digests pinned for numpy {np.__version__}",
+)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_localization_and_sequence_outputs_match_the_pinned_digests(
+    tmp_path, monkeypatch, workers
+):
+    monkeypatch.setenv("ETT_NUM_WORKERS", workers)
+    config = harness.load_config(write_cfg(tmp_path, LOC_SEQ_CFG))
+    harness.run_experiment(config, tmp_path / "out", seeds=(0, 1))
+    assert output_digests(tmp_path / "out") == PINNED_LOC_SEQ_DIGESTS[np.__version__]
 
 
 # ---------------------------------------------------------------------------
