@@ -18,6 +18,7 @@ Values are float64 throughout; a float32 input is cast once, when its
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -675,20 +676,29 @@ class ParamSet:
         return h.hexdigest()
 
 
-def collect_grads(leaves: Mapping[str, Tensor]) -> dict[str, Array]:
-    """Gradients of every leaf that tracks them; an unused leaf's reads zero."""
-    return {name: t.grad for name, t in leaves.items() if t.requires_grad}
-
-
 # ---------------------------------------------------------------------------
 # encoder layer
 
 
-ENCODER_PARAM_FIELDS = (
-    "wq", "bq", "wk", "wv", "bv", "wo", "bo",
-    "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-    "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
+# The encoder layer's parameters in ParamSet order: name, shape over the
+# model width "d" and the feed-forward width "f", and initial value ("w" for
+# N(0, WEIGHT_INIT_STD) weights, else a fill).
+ENCODER_PARAM_LAYOUT = (
+    ("wq", "dd", "w"), ("bq", "d", 0.0), ("wk", "dd", "w"),
+    ("wv", "dd", "w"), ("bv", "d", 0.0), ("wo", "dd", "w"), ("bo", "d", 0.0),
+    ("ffn_w1", "df", "w"), ("ffn_b1", "f", 0.0), ("ffn_w2", "fd", "w"), ("ffn_b2", "d", 0.0),
+    ("ln1_gamma", "d", 1.0), ("ln1_beta", "d", 0.0), ("ln2_gamma", "d", 1.0), ("ln2_beta", "d", 0.0),
 )
+ENCODER_PARAM_FIELDS = tuple(name for name, _, _ in ENCODER_PARAM_LAYOUT)
+
+
+@functools.cache  # every graph checks its layers' shapes
+def _encoder_shapes(d: int, d_ff: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each encoder parameter by name, in layout order."""
+    return {
+        name: tuple(d if dim == "d" else d_ff for dim in dims)
+        for name, dims, _ in ENCODER_PARAM_LAYOUT
+    }
 
 
 @dataclass
@@ -718,29 +728,17 @@ class EncoderLayerParams:
     ln2_beta: Tensor
 
     def __post_init__(self):
-        d = self.wq.value.shape[0]
+        # encoder_layer runs its kernels without per-op shape checks
+        d = (self.wq.value.shape or (0,))[0]
+        d_ff = (self.ffn_w1.value.shape or (0,))[-1]
         if d % self.n_heads != 0:
             raise DimensionError(
                 f"model width {d} is not divisible by {self.n_heads} heads"
             )
-        for name in ("wq", "wk", "wv", "wo"):
-            if getattr(self, name).value.shape != (d, d):
+        for name, shape in _encoder_shapes(d, d_ff).items():
+            if getattr(self, name).value.shape != shape:
                 raise DimensionError(
-                    f"{name} must be {d}x{d}, got {getattr(self, name).shape}"
-                )
-        if self.ffn_w1.value.shape[0] != d or self.ffn_w2.value.shape[1] != d:
-            raise DimensionError("feed-forward weights do not map back to model width")
-        if self.ffn_w1.value.shape[1] != self.ffn_w2.value.shape[0]:
-            raise DimensionError("feed-forward hidden widths disagree")
-        # encoder_layer broadcasts these vectors without per-op checks
-        d_ff = self.ffn_w1.value.shape[1]
-        vectors = ("bq", "bv", "bo", "ffn_b1", "ffn_b2",
-                   "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta")
-        for name in vectors:
-            width = d_ff if name == "ffn_b1" else d
-            if getattr(self, name).value.shape != (width,):
-                raise DimensionError(
-                    f"{name} must have shape ({width},), got {getattr(self, name).shape}"
+                    f"{name} must have shape {shape}, got {getattr(self, name).shape}"
                 )
 
     @property
@@ -753,19 +751,13 @@ class EncoderLayerParams:
 
 
 def init_encoder_layer_arrays(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Array]:
-    """Fresh per-layer arrays: N(0, 0.02) weights, zero biases/beta, unit gamma."""
-    def w(shape):
-        return rng.normal(0.0, WEIGHT_INIT_STD, size=shape)
-
+    """Fresh per-layer arrays in layout order: N(0, 0.02) weights drawn in
+    that order, zero biases/beta, unit gamma."""
+    shapes = _encoder_shapes(d, d_ff)
     return {
-        "wq": w((d, d)), "bq": np.zeros(d),
-        "wk": w((d, d)),
-        "wv": w((d, d)), "bv": np.zeros(d),
-        "wo": w((d, d)), "bo": np.zeros(d),
-        "ffn_w1": w((d, d_ff)), "ffn_b1": np.zeros(d_ff),
-        "ffn_w2": w((d_ff, d)), "ffn_b2": np.zeros(d),
-        "ln1_gamma": np.ones(d), "ln1_beta": np.zeros(d),
-        "ln2_gamma": np.ones(d), "ln2_beta": np.zeros(d),
+        name: rng.normal(0.0, WEIGHT_INIT_STD, size=shapes[name]) if init == "w"
+        else np.full(shapes[name], init)
+        for name, _, init in ENCODER_PARAM_LAYOUT
     }
 
 

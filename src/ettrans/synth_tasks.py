@@ -33,6 +33,11 @@ from .temporal_align import FrameSeq, frame_count
 BALANCE_CHECK_MIN_N = 1000
 BALANCE_TOL = 0.05
 
+# draws and seed of the Monte Carlo combined ceiling (two or more informative
+# auxiliaries)
+MC_SAMPLES = 2_000_000
+MC_SEED = 7
+
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 _STRUCTURE_STREAM = 0xC0DE
 
@@ -75,19 +80,15 @@ class TaskSpec:
                 )
 
 
-@dataclass(frozen=True)
-class LocalizationLabel:
-    frame: int
-    time_s: float
-
-
 @dataclass
 class SyntheticDataset:
     """A split of clips, stacked as one (samples x frames x channels)
-    ``FrameSeq``, with one label per sample for each task."""
+    ``FrameSeq``, with one label array per task, samples first: the classes
+    (binary), the change times in seconds (localization), or the future
+    (verb, noun) pairs, (samples x horizon x 2) (sequence)."""
 
     clips: FrameSeq
-    labels: dict[str, list]
+    labels: dict[str, np.ndarray]
     specs: tuple[TaskSpec, ...]
     seed: int
     split: str
@@ -96,7 +97,7 @@ class SyntheticDataset:
     def n_samples(self) -> int:
         return len(self.clips.values)
 
-    def task_labels(self, task_id: str) -> list:
+    def task_labels(self, task_id: str) -> np.ndarray:
         return self.labels[task_id]
 
     def summary(self) -> dict:
@@ -236,9 +237,7 @@ def generate(
                 t_star = int(rng.integers(1, n_frames))
                 sign = np.where(np.arange(n_frames) >= t_star, 1.0, -1.0)
                 values[:, group] += sign[:, None] * spec.signal
-                labels[spec.task_id].append(
-                    LocalizationLabel(frame=t_star, time_s=t_star / fps)
-                )
+                labels[spec.task_id].append(t_star / fps)
             else:
                 perm_v, perm_n, code_v, code_n, verb_ch, noun_ch = chains[spec.task_id]
                 v = int(rng.integers(spec.n_verbs))
@@ -251,10 +250,11 @@ def generate(
                     cv = int(perm_v[cv])
                     cn = int(perm_n[cn])
                     future.append((cv, cn))
-                labels[spec.task_id].append(tuple(future))
+                labels[spec.task_id].append(future)
             if spec.noise_sigma > 0:
                 values[:, group] += rng.normal(0.0, spec.noise_sigma, size=(n_frames, len(group)))
 
+    labels = {task_id: np.asarray(values) for task_id, values in labels.items()}
     for spec in specs:
         if spec.kind == KIND_BINARY and n_samples >= BALANCE_CHECK_MIN_N:
             rate = float(np.mean(labels[spec.task_id]))
@@ -318,8 +318,6 @@ def combined_bayes_accuracy(
     primary: TaskSpec,
     auxiliaries: Sequence[TaskSpec],
     duration_s: float | None = None,
-    mc_samples: int = 2_000_000,
-    mc_seed: int = 7,
 ) -> float:
     """Best achievable primary accuracy when auxiliary channel groups are visible.
 
@@ -359,13 +357,13 @@ def combined_bayes_accuracy(
         dens = q * _normal_pdf(v - mu_v) + (1 - q) * _normal_pdf(v + mu_v)
         return float(np.sum(w * dens * correct))
 
-    rng = np.random.default_rng(mc_seed)
-    s_p = rng.integers(2, size=mc_samples) * 2 - 1
-    llr = 2.0 * mu_u * (mu_u * s_p + rng.normal(size=mc_samples)) if mu_u > 0 else np.zeros(mc_samples)
+    rng = np.random.default_rng(MC_SEED)
+    s_p = rng.integers(2, size=MC_SAMPLES) * 2 - 1
+    llr = 2.0 * mu_u * (mu_u * s_p + rng.normal(size=MC_SAMPLES)) if mu_u > 0 else np.zeros(MC_SAMPLES)
     for mu_v, q in informative:
-        agree = rng.random(mc_samples) < q
+        agree = rng.random(MC_SAMPLES) < q
         s_a = np.where(agree, s_p, -s_p)
-        v = mu_v * s_a + rng.normal(size=mc_samples)
+        v = mu_v * s_a + rng.normal(size=MC_SAMPLES)
         llr = llr + _aux_llr(v, mu_v, q)
     decision = np.where(llr > 0, 1, -1)
     return float(np.mean(decision == s_p))

@@ -148,17 +148,18 @@ def add_head_params(
         raise ValueError(f"unknown task kind: {kind!r}")
 
 
-def readout(kind: str, output, frame_times_s: np.ndarray) -> list:
-    """The predicted value of each sample in a head output: the logit as a
-    float, the time of the earliest top-scoring frame, or the argmax
-    (verb, noun) of each step."""
+def readout(kind: str, output, frame_times_s: np.ndarray) -> np.ndarray:
+    """The predicted value of each sample in a head output, samples first:
+    the logits, (samples,); the times of the earliest top-scoring frames,
+    (samples,); or the argmax (verb, noun) of each step, (samples x horizon
+    x 2)."""
     if kind == KIND_BINARY:
-        return [float(z) for z in output.value.reshape(-1)]
+        return output.value.reshape(-1)
     if kind == KIND_LOCALIZATION:
         scores = output.value.reshape(-1, len(frame_times_s))
-        return [float(frame_times_s[i]) for i in np.argmax(scores, axis=1)]
+        return np.asarray(frame_times_s)[np.argmax(scores, axis=1)]
     steps = [(np.argmax(v.value, axis=1), np.argmax(n.value, axis=1)) for v, n in output]
-    return [[(int(v[i]), int(n[i])) for v, n in steps] for i in range(len(steps[0][0]))]
+    return np.array(steps).transpose(2, 0, 1)
 
 
 def init_task_model(

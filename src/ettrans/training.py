@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import nn_core as nn
 from . import task_models as tm
 from . import translator as tr
 from .errors import ContractViolationError, TrainingDivergedError
-from .synth_tasks import LocalizationLabel, SyntheticDataset
+from .synth_tasks import SyntheticDataset
 from .temporal_align import FeatureSequence, FrameSeq
 
 
@@ -82,39 +82,41 @@ def optimizer_step(
 # losses
 
 
-def batch_loss(output, labels: Sequence, kind: str) -> nn.Tensor:
+def batch_loss(output, labels, kind: str) -> nn.Tensor:
     """Summed training loss of the samples a head output of the given task
-    kind holds, one label each; a localization label is the target frame
-    index."""
+    kind holds, against their labels, samples first; a localization label is
+    the target frame index, a sequence label the (horizon x 2) future pairs."""
     if kind == tm.KIND_BINARY:
-        return nn.sigmoid_cross_entropy(output, [float(label) for label in labels])
+        return nn.sigmoid_cross_entropy(output, labels)
     if kind == tm.KIND_LOCALIZATION:
-        return nn.softmax_cross_entropy(output, [int(label) for label in labels])
+        return nn.softmax_cross_entropy(output, labels)
     if kind == tm.KIND_SEQUENCE:
-        for label in labels:
-            if len(output) != len(label):
-                raise ValueError(f"{len(output)} predicted steps for {len(label)} labels")
+        labels = np.asarray(labels)
+        if labels.shape[1:] != (len(output), 2):
+            raise ValueError(f"{len(output)} predicted steps for labels of shape {labels.shape}")
         total = None
         for z, (verb_logits, noun_logits) in enumerate(output):
             term = nn.add(
-                nn.softmax_cross_entropy(verb_logits, [label[z][0] for label in labels]),
-                nn.softmax_cross_entropy(noun_logits, [label[z][1] for label in labels]),
+                nn.softmax_cross_entropy(verb_logits, labels[:, z, 0]),
+                nn.softmax_cross_entropy(noun_logits, labels[:, z, 1]),
             )
             total = term if total is None else nn.add(total, term)
         return nn.scale(total, 1.0 / (2.0 * len(output)))
     raise ValueError(f"unknown task kind: {kind!r}")
 
 
-def localization_target_index(label: LocalizationLabel, frame_times_s: np.ndarray) -> int:
-    """Index of the frame whose timestamp is nearest the labeled change time."""
-    return int(np.argmin(np.abs(np.asarray(frame_times_s) - label.time_s)))
+def localization_target_index(times_s, frame_times_s: np.ndarray) -> np.ndarray:
+    """Index of the frame whose timestamp is nearest each labeled change time
+    (the lowest one on a tie): one index per time in ``times_s``."""
+    gaps = np.abs(np.asarray(frame_times_s) - np.asarray(times_s)[..., None])
+    return np.argmin(gaps, axis=-1)
 
 
-def _label_loss(output, labels: Sequence, kind: str, frame_times_s: np.ndarray) -> nn.Tensor:
+def _label_loss(output, labels: np.ndarray, kind: str, frame_times_s: np.ndarray) -> nn.Tensor:
     """``batch_loss`` against dataset labels; ``frame_times_s`` are the times
     of the frames a localization head scored in each sample."""
     if kind == tm.KIND_LOCALIZATION:
-        labels = [localization_target_index(label, frame_times_s) for label in labels]
+        labels = localization_target_index(labels, frame_times_s)
     return batch_loss(output, labels, kind)
 
 
@@ -277,16 +279,16 @@ def _build_loss(kind: str, forward: Callable, graph_samples: int | None) -> Loss
 
 def _predictions(
     n_samples: int, leaves, kind: str, forward: Callable, graph_samples: int | None
-) -> tuple[list, list, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Predictions, labels and mean loss over every sample of a split."""
     preds, labels = [], []
     total_loss = 0.0
     for part in _chunks(np.arange(n_samples), graph_samples):
         output, frame_times_s, part_labels = forward(part, leaves)
         total_loss += float(_label_loss(output, part_labels, kind, frame_times_s).value)
-        preds.extend(tm.readout(kind, output, frame_times_s))
-        labels.extend(part_labels)
-    return preds, labels, total_loss / n_samples
+        preds.append(tm.readout(kind, output, frame_times_s))
+        labels.append(part_labels)
+    return np.concatenate(preds), np.concatenate(labels), total_loss / n_samples
 
 
 def _metric_for_kind(kind: str) -> tuple[str, bool]:
@@ -297,24 +299,24 @@ def _metric_for_kind(kind: str) -> tuple[str, bool]:
     return "edit_distance_action", False
 
 
-def _score_predictions(kind: str, preds: list, labels: list) -> tuple[float, dict[str, float]]:
-    """Headline metric plus a full metric dict for a batch of predictions."""
+def _score_predictions(
+    kind: str, preds: np.ndarray, labels: np.ndarray
+) -> tuple[float, dict[str, float]]:
+    """Headline metric plus a full metric dict for a batch of predictions,
+    arrays shaped like ``tm.readout``'s and the dataset's labels."""
+    preds, labels = preds.tolist(), labels.tolist()
     if kind == tm.KIND_BINARY:
-        logits = np.array([p for p in preds])
-        classes = (logits > 0).astype(int).tolist()
-        acc = metrics_mod.accuracy(classes, labels)
+        acc = metrics_mod.accuracy([int(p > 0) for p in preds], labels)
         out = {"accuracy": acc}
         if any(labels) and not all(labels):
-            out["map"] = metrics_mod.average_precision(logits.tolist(), labels)
+            out["map"] = metrics_mod.average_precision(preds, labels)
         return acc, out
     if kind == tm.KIND_LOCALIZATION:
-        err = metrics_mod.mean_localization_error(
-            [p for p in preds], [lab.time_s for lab in labels]
-        )
+        err = metrics_mod.mean_localization_error(preds, labels)
         return err, {"localization_error_s": err}
     verb = noun = action = 0.0
     for pred_seq, true_seq in zip(preds, labels):
-        ed = metrics_mod.edit_distance_at_z([pred_seq], list(true_seq))
+        ed = metrics_mod.edit_distance_at_z([pred_seq], true_seq)
         verb += ed.verb
         noun += ed.noun
         action += ed.action
@@ -339,7 +341,7 @@ def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
     def forward(idx, leaves):
         batch = FrameSeq(clips.values[idx], fps=clips.fps, duration_s=clips.duration_s)
         output = tm.head_graph(model.trunk_graph(batch, leaves), leaves, model.kind)
-        return output, clips.frame_times(), [labels[i] for i in idx]
+        return output, clips.frame_times(), labels[idx]
 
     return forward
 
@@ -388,8 +390,8 @@ def train_stage1(
 
 
 # A stage-2 split: each task's features over every sample, stacked
-# (samples x frames x feature_dim), and the primary labels, one per sample.
-Stage2Split = tuple[Mapping[str, FeatureSequence], Sequence]
+# (samples x frames x feature_dim), and the primary labels, samples first.
+Stage2Split = tuple[Mapping[str, FeatureSequence], np.ndarray]
 
 # Tokens per stage-2 graph. Attention memory grows with samples x tokens^2,
 # so a graph holds as many samples as fit in this many tokens, at least one.
@@ -401,13 +403,13 @@ def _stage2_graph_samples(config: tr.TranslatorConfig) -> int:
 
 
 def _stage2_forward(config: tr.TranslatorConfig, split: Stage2Split) -> Callable:
-    features, labels = split
+    features, labels = split[0], np.asarray(split[1])
     frame_times_s = features[config.primary_task_id].frame_times_s
 
     def forward(idx, leaves):
         group = {t: features[t].values[idx] for t in config.task_ids}
         output = tr.translate(group, leaves, config)
-        return output, frame_times_s, [labels[i] for i in idx]
+        return output, frame_times_s, labels[idx]
 
     return forward
 
@@ -422,7 +424,7 @@ def stage2_build_loss(config: tr.TranslatorConfig, split: Stage2Split) -> LossTe
 
 def stage2_predictions(
     split: Stage2Split, params: nn.ParamSet, config: tr.TranslatorConfig
-) -> tuple[list, list, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Forward every sample without gradients; returns preds, labels, mean loss."""
     return _predictions(
         len(split[1]),

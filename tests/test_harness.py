@@ -805,6 +805,15 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("\nmax_epochs = 3", "\nmax_epoch = 3"),
         ("[translator]", "[translater]"),
         ("[experiment]", "[DEFAULT]\nhidden = 32\n\n[experiment]"),
+        ("feature_dim = 5", "feature_dim = 0"),
+        ("feature_dim = 5\nhidden = 8", "feature_dim = 5\nhidden = 0"),
+        ("d_ff = 16", "d_ff = 16\nnorm_first = maybe"),
+        ("[task:helper]", "[task:help.er]"),
+        (TINY_CFG[TINY_CFG.index("[experiment]") : TINY_CFG.index("[translator]")], ""),
+        ("n_channels = 6", "n_channels = 5"),
+        ("noise_sigma = 1.5", "noise_sigma = -1"),
+        ("[task:helper]\nkind = binary", "[task:helper]\nkind = bogus"),
+        ("channels = 3-5", "channels = ,"),
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
          "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
@@ -812,7 +821,9 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
          "patience", "stage1_patience", "channels_not_integer", "channels_open_range",
          "channels_reversed_range", "duration_not_whole_at_native_fps", "native_fps_zero",
          "fps_nan", "duration_inf", "noise_sigma_nan", "signal_inf", "unknown_key",
-         "unknown_section", "default_section"],
+         "unknown_section", "default_section", "feature_dim_zero", "hidden_zero",
+         "norm_first_not_boolean", "task_id_with_dot", "no_experiment_section",
+         "channels_exceed_clip", "noise_sigma_negative", "unknown_kind", "empty_channel_list"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1

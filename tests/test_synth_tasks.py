@@ -26,7 +26,7 @@ def test_fully_correlated_noiseless_auxiliary_copies_primary():
         st.TaskSpec("a", "binary", (2, 3), 0.0, 1.0, 2.0, 2.0, signal=0.5),
     ]
     ds = st.generate(specs, 200, seed=0)
-    assert ds.task_labels("a") == ds.task_labels("p")
+    np.testing.assert_array_equal(ds.task_labels("a"), ds.task_labels("p"))
 
 
 def test_uncorrelated_auxiliary_is_statistically_independent():
@@ -50,20 +50,24 @@ def test_agreement_rate_tracks_correlation_knob():
         assert abs(corr - rho) < 0.06
 
 
+def label_lists(labels):
+    return {task_id: values.tolist() for task_id, values in labels.items()}
+
+
 def test_generation_is_deterministic_per_seed_and_split():
     specs = [binary_spec("p"), st.TaskSpec("a", "localization", (2, 3), 0.5, 0.0, 2.0, 2.0)]
     a = st.generate(specs, 50, seed=3, split="train")
     b = st.generate(specs, 50, seed=3, split="train")
     assert a.clips.values.shape == (50, 4, 4)
     assert a.clips.values.tobytes() == b.clips.values.tobytes()
-    assert a.labels == b.labels
+    assert label_lists(a.labels) == label_lists(b.labels)
     c = st.generate(specs, 50, seed=3, split="val")
     assert any(x.tobytes() != y.tobytes() for x, y in zip(a.clips.values, c.clips.values))
     # each sample draws from its own stream: a split's first k samples are
     # the k-sample split
     k = st.generate(specs, 17, seed=3, split="train")
     assert k.clips.values.tobytes() == a.clips.values[:17].tobytes()
-    assert k.labels == {t: labels[:17] for t, labels in a.labels.items()}
+    assert label_lists(k.labels) == {t: labels[:17] for t, labels in label_lists(a.labels).items()}
 
 
 def test_binary_labels_balanced_at_scale():
@@ -75,7 +79,10 @@ def test_binary_labels_balanced_at_scale():
 def test_changepoints_uniform_over_valid_frames():
     spec = st.TaskSpec("loc", "localization", (0, 1), 0.5, 1.0, 4.0, 8.25, signal=1.0)
     ds = st.generate([spec], 5000, seed=5)
-    frames = np.array([lab.frame for lab in ds.task_labels("loc")])
+    times = ds.task_labels("loc")
+    assert times.shape == (5000,) and times.dtype == np.float64
+    frames = np.rint(times * ds.clips.fps).astype(int)
+    np.testing.assert_array_equal(frames / ds.clips.fps, times)
     n_frames = ds.clips.n_frames
     assert frames.min() >= 1 and frames.max() <= n_frames - 1
     counts, _ = np.histogram(frames, bins=16, range=(1, n_frames))
@@ -88,15 +95,15 @@ def test_sequence_labels_follow_the_latent_chain():
                        signal=0.5, horizon=4, n_verbs=5, n_nouns=3)
     a = st.generate([spec], 64, seed=6)
     b = st.generate([spec], 64, seed=6)
-    assert a.labels == b.labels
-    for labels in a.task_labels("seq"):
-        assert len(labels) == 4
-        for v, n in labels:
-            assert 0 <= v < 5 and 0 <= n < 3
+    assert label_lists(a.labels) == label_lists(b.labels)
+    labels = a.task_labels("seq")
+    assert labels.shape == (64, 4, 2)
+    assert labels[..., 0].min() >= 0 and labels[..., 0].max() < 5
+    assert labels[..., 1].min() >= 0 and labels[..., 1].max() < 3
     # deterministic chain: equal first steps imply equal remaining steps
     by_first = {}
-    for labels in a.task_labels("seq"):
-        by_first.setdefault(labels[0], set()).add(labels[1:])
+    for future in labels.tolist():
+        by_first.setdefault(tuple(future[0]), set()).add(str(future[1:]))
     assert all(len(rest) == 1 for rest in by_first.values())
 
 
@@ -186,6 +193,43 @@ def test_combined_ceiling_matches_monte_carlo_oracle():
     mc = np.mean(np.where(llr > 0, 1, -1) == s_p)
     assert abs(analytic - mc) < 2e-3
     assert analytic > st.bayes_optimal_accuracy(primary, 4.0)
+
+
+def test_combined_ceiling_with_an_almost_uninformative_second_auxiliary_stays_put():
+    """A second informative auxiliary moves the ceiling to the Monte Carlo
+    branch; one that carries almost nothing leaves it within 1e-3 of the
+    one-auxiliary quadrature."""
+    primary = st.TaskSpec("p", "binary", (0, 1, 2, 3), 2.0, 1.0, 4.0, 4.0, signal=0.131)
+    aux = st.TaskSpec("a", "binary", (4, 5, 6, 7), 0.5, 0.9, 2.0, 2.0, signal=0.4)
+    weak = st.TaskSpec("w", "binary", (8,), 50.0, 0.9, 2.0, 2.0, signal=0.01)
+    quadrature = st.combined_bayes_accuracy(primary, [aux], 4.0)
+    monte_carlo = st.combined_bayes_accuracy(primary, [aux, weak], 4.0)
+    assert monte_carlo != quadrature
+    assert abs(monte_carlo - quadrature) < 1e-3
+
+
+def test_combined_ceiling_of_two_auxiliaries_matches_monte_carlo_oracle():
+    primary = st.TaskSpec("p", "binary", (0, 1, 2, 3), 2.0, 1.0, 4.0, 4.0, signal=0.131)
+    auxes = [
+        st.TaskSpec("a", "binary", (4, 5, 6, 7), 0.5, 0.9, 2.0, 2.0, signal=0.4),
+        st.TaskSpec("b", "binary", (8, 9), 1.0, 0.6, 2.0, 2.0, signal=0.3),
+    ]
+    ceiling = st.combined_bayes_accuracy(primary, auxes, 4.0)
+
+    # simulate the generative process under another seed and fuse optimally
+    rng = np.random.default_rng(st.MC_SEED + 4)
+    n = 2_000_000
+    mu_u = st._separation(primary, 4.0) / 2.0
+    s_p = rng.integers(2, size=n) * 2 - 1
+    llr = 2.0 * mu_u * (mu_u * s_p + rng.normal(size=n))
+    for aux in auxes:
+        mu_v = st._separation(aux, 4.0) / 2.0
+        q = (1.0 + aux.corr_rho) / 2.0
+        s_a = np.where(rng.random(n) < q, s_p, -s_p)
+        llr += st._aux_llr(mu_v * s_a + rng.normal(size=n), mu_v, q)
+    mc = np.mean(np.where(llr > 0, 1, -1) == s_p)
+    assert abs(ceiling - mc) < 2e-3
+    assert ceiling > max(st.combined_bayes_accuracy(primary, [aux], 4.0) for aux in auxes)
 
 
 def test_combined_ceiling_increases_with_correlation():

@@ -63,6 +63,9 @@ def test_loss_rejects_out_of_range_labels():
         tg.batch_loss(nn.Tensor(np.zeros((4, 1))), [4], "localization")
     with pytest.raises(ValueError):
         tg.batch_loss(nn.Tensor(np.array([[0.0]])), [2.0], "binary")
+    steps = [(nn.Tensor(np.zeros((1, 3))), nn.Tensor(np.zeros((1, 4))))] * 2
+    with pytest.raises(ValueError, match="2 predicted steps"):
+        tg.batch_loss(steps, np.zeros((1, 3, 2), dtype=int), "sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +223,7 @@ def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     terms = list(tg.stage1_build_loss(model, data)(idx, leaves))
     assert len(terms) == 1  # one graph for the whole minibatch
     terms[0].backward()
-    batched = nn.collect_grads(leaves)
+    batched = leaves
 
     leaves = model.params.as_tensors()
     total = 0.0
@@ -232,12 +235,12 @@ def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
         term = tg.batch_loss(output, [label], kind)
         total += term.item()
         term.backward()
-    per_sample = nn.collect_grads(leaves)
 
     assert terms[0].item() == pytest.approx(total, rel=1e-12, abs=1e-12)
-    assert set(batched) == set(per_sample)
-    for name, grad in per_sample.items():
-        np.testing.assert_allclose(batched[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
+    for name, leaf in leaves.items():
+        np.testing.assert_allclose(
+            batched[name].grad, leaf.grad, rtol=1e-12, atol=1e-12, err_msg=name
+        )
 
 
 def test_fit_without_an_improving_epoch_reports_no_best_metric():
@@ -342,8 +345,7 @@ def _stage2_kind_setup(kind, seed, n=7):
         if kind == tm.KIND_BINARY:
             label = int(rng.integers(2))
         elif kind == tm.KIND_LOCALIZATION:
-            frame = int(rng.integers(24))
-            label = st.LocalizationLabel(frame=frame, time_s=0.25 * frame)
+            label = 0.25 * int(rng.integers(24))
         else:
             label = [(int(rng.integers(3)), int(rng.integers(4))) for _ in range(2)]
         samples.append((feats, label))
@@ -361,7 +363,7 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     assert len(terms) == 3  # graphs of 3, 3 and 1 samples
     for term in terms:
         term.backward()
-    batched = nn.collect_grads(leaves)
+    batched = leaves
     batched_total = sum(term.item() for term in terms)
 
     leaves = params.as_tensors()
@@ -373,23 +375,24 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
         term = tg.batch_loss(output, [label], kind)
         total += term.item()
         term.backward()
-    per_sample = nn.collect_grads(leaves)
 
     assert batched_total == pytest.approx(total, rel=1e-12, abs=1e-12)
-    assert set(batched) == set(per_sample)
-    for name, grad in per_sample.items():
-        np.testing.assert_allclose(batched[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
+    for name, leaf in leaves.items():
+        np.testing.assert_allclose(
+            batched[name].grad, leaf.grad, rtol=1e-12, atol=1e-12, err_msg=name
+        )
 
     preds, labels, _ = tg.stage2_predictions(split, params, config)
+    assert len(preds) == len(labels) == len(samples)
     leaves = params.as_tensors(train=False)
     for (feats, label), pred, got_label in zip(samples, preds, labels):
         output = tr.translate(values_of(feats), leaves, config)
         [want] = tm.readout(kind, output, feats["p"].frame_times_s)
-        assert got_label is label
+        np.testing.assert_array_equal(got_label, label)
         if kind == "binary":
             assert pred == pytest.approx(want, rel=1e-12, abs=1e-12)
         else:
-            assert pred == want
+            np.testing.assert_array_equal(pred, want)
 
 
 def test_stage2_verifies_frozen_checksums():
@@ -438,5 +441,8 @@ def test_fit_restores_best_epoch_parameters():
 
 def test_localization_target_index_maps_time_to_nearest_frame():
     times = np.array([0.0, 0.5, 1.0, 1.5])
-    label = st.LocalizationLabel(frame=2, time_s=1.04)
-    assert tg.localization_target_index(label, times) == 2
+    assert tg.localization_target_index(1.04, times) == 2
+    # 0.25 and 1.25 lie halfway between two frames: the lower index wins
+    np.testing.assert_array_equal(
+        tg.localization_target_index(np.array([1.04, 0.25, 1.25, 9.0]), times), [2, 0, 2, 3]
+    )
