@@ -731,7 +731,7 @@ class EncoderLayerParams:
         # encoder_layer runs its kernels without per-op shape checks
         d = (self.wq.value.shape or (0,))[0]
         d_ff = (self.ffn_w1.value.shape or (0,))[-1]
-        if d % self.n_heads != 0:
+        if self.n_heads < 1 or d % self.n_heads != 0:
             raise DimensionError(
                 f"model width {d} is not divisible by {self.n_heads} heads"
             )

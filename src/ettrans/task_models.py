@@ -157,7 +157,7 @@ def readout(kind: str, output, frame_times_s: np.ndarray) -> np.ndarray:
         return output.value.reshape(-1)
     if kind == KIND_LOCALIZATION:
         scores = output.value.reshape(-1, len(frame_times_s))
-        return np.asarray(frame_times_s)[np.argmax(scores, axis=1)]
+        return frame_times_s[np.argmax(scores, axis=1)]
     steps = [(np.argmax(v.value, axis=1), np.argmax(n.value, axis=1)) for v, n in output]
     return np.array(steps).transpose(2, 0, 1)
 

@@ -238,24 +238,13 @@ def test_attention_weight_rows_sum_to_one():
     np.testing.assert_allclose(weights.sum(axis=2), np.ones((4, 7)), atol=1e-6)
 
 
-@pytest.mark.parametrize("name", ["bq", "bv", "bo", "ffn_b1", "ffn_b2", "ln1_gamma", "ln2_beta"])
+@pytest.mark.parametrize("name", nn.ENCODER_PARAM_FIELDS)
 def test_encoder_layer_params_reject_misshaped_vectors(name):
     arrays = nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16)
     arrays[name] = np.zeros(1)
     tensors = {k: nn.Tensor(v) for k, v in arrays.items()}
     with pytest.raises(DimensionError):
         nn.EncoderLayerParams.from_tensors(tensors, "", 2)
-
-
-@pytest.mark.parametrize("name", nn.ENCODER_PARAM_FIELDS)
-def test_encoder_layer_params_reject_every_misshaped_parameter(name):
-    """Each parameter with one axis too many, or with its last axis one wider."""
-    arrays = nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16)
-    shape = arrays[name].shape
-    for bad in (np.zeros(shape + (1,)), np.zeros(shape[:-1] + (shape[-1] + 1,))):
-        tensors = {k: nn.Tensor(bad if k == name else v) for k, v in arrays.items()}
-        with pytest.raises(DimensionError):
-            nn.EncoderLayerParams.from_tensors(tensors, "", 2)
 
 
 def test_encoder_layout_names_the_dataclass_fields_in_param_set_order():
@@ -271,6 +260,8 @@ def test_attention_rejects_indivisible_heads():
     tensors = {k: nn.Tensor(v) for k, v in arrays.items()}
     with pytest.raises(DimensionError):
         nn.EncoderLayerParams.from_tensors(tensors, "", 4)
+    with pytest.raises(DimensionError):
+        nn.EncoderLayerParams.from_tensors(tensors, "", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +788,7 @@ def test_frozen_leaves_do_not_collect_gradients():
     x = nn.Tensor(np.ones((2, 2)), requires_grad=True)
     nn.sum_all(nn.matmul(leaves["w"], x)).backward()
     assert leaves.grad is None
-    assert leaves["w"].grad is None and not leaves["w"].requires_grad
+    assert all(leaf.grad is None and not leaf.requires_grad for leaf in leaves.values())
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
 
