@@ -61,6 +61,10 @@ def _run(args: argparse.Namespace) -> int:
     aggregate = harness.run_experiment(
         config, Path(args.out), arms=args.arms, seeds=seeds
     )
+    changed = [arm for arm, s in aggregate["arms"].items() if not s["frozen_check_ok"]]
+    if changed:
+        _error_record("frozen_check", f"frozen task models changed during arms {changed}")
+        return EXIT_CHECK_FAILED
     for arm, summary in aggregate["arms"].items():
         for metric, stats in summary["metrics"].items():
             print(f"{arm}: {metric} = {stats['mean']:.4f} +/- {stats['stddev']:.4f}")

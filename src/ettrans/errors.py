@@ -18,7 +18,8 @@ class ClipTooShortError(AlignmentError):
 
 
 class ContractViolationError(RuntimeError):
-    """A frozen-model or staging contract was broken (e.g. unfrozen model in stage 2)."""
+    """A frozen-model contract was broken: an unfrozen model at extraction, or
+    an optimizer step on a frozen parameter set."""
 
 
 class GenerationError(ValueError):

@@ -23,7 +23,6 @@ import os
 import re
 import struct
 import time
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -556,10 +555,8 @@ def run_seed(
     untrained: dict[str, tm.TaskModel] = {}
     if "frozen_random_ablation" in arms:
         untrained = _build_models(config, seed, config.task_ids())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for model in untrained.values():
-                tm.freeze(model)
+        for model in untrained.values():
+            tm.freeze(model)
 
     cache_dir = Path(out_dir) / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -597,7 +594,11 @@ def run_arm_seed(
 ) -> dict:
     """Train and evaluate one arm's translator on the seed's datasets, frozen
     task models and their extracted features; return the arm's report, which
-    carries the config's Bayes summary ``bayes`` (``_bayes_summary``)."""
+    carries the config's Bayes summary ``bayes`` (``_bayes_summary``).
+
+    This is the one place that holds the frozen models to their contract:
+    each model the arm reads is checksummed before stage 2 and again after
+    test evaluation, and ``frozen_check.ok`` is false if any changed."""
     t_start = time.perf_counter()
     tconfig = config.translator_config(arm)
     primary_id = config.primary.spec.task_id
@@ -605,11 +606,11 @@ def run_arm_seed(
         split: (features[split], ds.task_labels(primary_id)) for split, ds in datasets.items()
     }
 
-    params, train_report, checksums_at_freeze = tg.train_stage2(
-        splits["train"], splits["val"], tconfig, models, config.stage2, seed
+    checksums_before = {t: models[t].checksum() for t in tconfig.task_ids}
+    params, train_report = tg.train_stage2(
+        splits["train"], splits["val"], tconfig, config.stage2, seed
     )
     test_metrics = tg.evaluate_stage2(splits["test"], params, tconfig)
-
     checksums_after = {t: models[t].checksum() for t in tconfig.task_ids}
     return {
         "arm": arm,
@@ -622,8 +623,8 @@ def run_arm_seed(
         "bayes": bayes,
         "stage1": {t: r for t, r in stage1_reports.items() if t in tconfig.task_ids},
         "frozen_check": {
-            "ok": checksums_after == checksums_at_freeze,
-            "checksums": checksums_at_freeze,
+            "ok": checksums_after == checksums_before,
+            "checksums": checksums_before,
         },
         "train": train_report.to_dict(),
         "dataset": {split: ds.summary() for split, ds in datasets.items()},

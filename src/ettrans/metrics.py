@@ -53,9 +53,12 @@ def mean_localization_error(pred_times_s: Sequence[float], true_times_s: Sequenc
         )
     if not pred_times_s:
         raise ValueError("localization error of an empty set is undefined")
-    return sum(localization_error(p, t) for p, t in zip(pred_times_s, true_times_s)) / len(
-        pred_times_s
-    )
+    # added left to right on every Python: from 3.12, sum() of floats is
+    # compensated and can differ in the last bits
+    total = 0.0
+    for p, t in zip(pred_times_s, true_times_s):
+        total += localization_error(p, t)
+    return total / len(pred_times_s)
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:

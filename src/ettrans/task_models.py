@@ -12,7 +12,6 @@ parameters must survive any later training bit-identical.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -43,7 +42,6 @@ class TaskModel:
     channels: tuple[int, ...]
     feature_dim: int
     params: nn.ParamSet
-    stage1_complete: bool = False
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -202,16 +200,6 @@ def init_task_model(
 
 def freeze(model: TaskModel) -> TaskModel:
     """Mark a model immutable: no optimizer may touch its parameters again.
-
-    Freezing an untrained model is allowed (frozen-random ablations) but
-    warns, since its features carry no learned signal.
-    """
-    if not model.stage1_complete and not model.frozen:
-        warnings.warn(
-            f"freezing {model.task_id!r} before stage-1 training completed; "
-            "its features are random projections",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    Freezing an untrained model is allowed (frozen-random ablations)."""
     model.params.frozen = True
     return model

@@ -8,7 +8,6 @@ suites directly.
 import itertools
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -381,9 +380,7 @@ def test_criterion_9_overfit_sanity(kind, lr):
         np.random.default_rng(0), horizon=spec.horizon,
         n_verbs=spec.n_verbs, n_nouns=spec.n_nouns,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tm.freeze(model)
+    tm.freeze(model)
     split = (
         {"p": tr.align_and_extract(dataset.clips, model, spec.native_window_s)},
         dataset.task_labels("p"),
@@ -415,11 +412,9 @@ def test_frozen_random_features_underperform_trained_features(uplift_run, tmp_pa
     aggregate, _, _ = uplift_run
     config = harness.load_config(CONFIG_DIR / "default.cfg")
     out = tmp_path_factory.mktemp("ablation")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ablation = harness.run_experiment(
-            config, out, arms=("frozen_random_ablation",), seeds=(0, 1, 2)
-        )
+    ablation = harness.run_experiment(
+        config, out, arms=("frozen_random_ablation",), seeds=(0, 1, 2)
+    )
     trained = aggregate["arms"]["translator"]["metrics"]["accuracy"]["mean"]
     random_frozen = ablation["arms"]["frozen_random_ablation"]["metrics"]["accuracy"]["mean"]
     print(f"[INFO] ablation: trained-frozen={trained:.4f} random-frozen={random_frozen:.4f}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-from ettrans import cli, harness, synth_tasks, training
+from ettrans import cli, harness, synth_tasks, task_models, training
 from ettrans.errors import AlignmentError, CacheFormatError, CacheVersionError, ConfigError
 from ettrans.temporal_align import FeatureSequence, FrameSeq, frame_count, plan_windows, resample
 
@@ -908,6 +908,46 @@ def test_cli_divergence_is_exit_3(tmp_path):
         code = cli.main(["run", "--config", str(cfg), "--arm", "translator",
                          "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+def test_model_changed_during_stage_2_fails_the_frozen_check_and_exits_1(
+    tmp_path, monkeypatch, capsys
+):
+    """``run_arm_seed`` checksums each frozen model before stage 2 and after
+    test evaluation; a model changed in between fails the arm's check, the
+    aggregate's and the CLI run, and the report keeps the checksums taken at
+    freeze."""
+    at_freeze = {}
+    freeze, train_stage2 = task_models.freeze, training.train_stage2
+
+    def capturing_freeze(model):
+        at_freeze[model.task_id] = (model, model.checksum())
+        return freeze(model)
+
+    def tampering_train_stage2(*args, **kwargs):
+        result = train_stage2(*args, **kwargs)
+        at_freeze["helper"][0].params.values[0] += 1.0
+        return result
+
+    monkeypatch.setattr(task_models, "freeze", capturing_freeze)
+    monkeypatch.setattr(training, "train_stage2", tampering_train_stage2)
+    cfg = write_cfg(tmp_path, TINY_CFG)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--arm", "translator", "--out", str(out)])
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "frozen_check" and "translator" in record["message"]
+
+    report = json.loads((out / "report_translator_seed0.json").read_text())
+    assert report["frozen_check"]["ok"] is False
+    assert report["frozen_check"]["checksums"] == {
+        task_id: checksum for task_id, (_, checksum) in at_freeze.items()
+    }
+    assert at_freeze["helper"][0].checksum() != at_freeze["helper"][1]
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    assert aggregate["arms"]["translator"]["frozen_check_ok"] is False
 
 
 def test_cli_io_failure_is_exit_4(tmp_path):

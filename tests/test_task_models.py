@@ -172,7 +172,6 @@ def test_sequence_head_shapes():
 
 def test_freeze_then_train_leaves_checksum_unchanged():
     frozen = make_model(seed=13)
-    frozen.stage1_complete = True
     tm.freeze(frozen)
     checksum = frozen.checksum()
 
@@ -188,25 +187,7 @@ def test_freeze_then_train_leaves_checksum_unchanged():
 
 def test_freeze_is_idempotent():
     model = make_model(seed=15)
-    model.stage1_complete = True
     tm.freeze(model)
     checksum = model.checksum()
     tm.freeze(model)
     assert model.frozen and model.checksum() == checksum
-
-
-def test_freeze_untrained_warns_but_is_allowed():
-    model = make_model(seed=16)
-    with pytest.warns(RuntimeWarning, match="random"):
-        tm.freeze(model)
-    assert model.frozen
-
-
-def test_freeze_trained_does_not_warn():
-    import warnings
-
-    model = make_model(seed=17)
-    model.stage1_complete = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tm.freeze(model)

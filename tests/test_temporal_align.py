@@ -201,7 +201,6 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
     taps = model.params["trunk/mix"].value
     assert np.all(np.abs(taps[1:]) > 1e-3)  # the mix reaches back across frames
-    model.stage1_complete = True
     tm.freeze(model)
     clip = make_clip(5.0, 2.0, seed=9)
     plan = ta.plan_windows(5.0, 2.0, 0.5, 2.0)  # one-frame stride
@@ -307,7 +306,6 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(18)
     for name in model.params.names():
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
-    model.stage1_complete = True
     tm.freeze(model)
     calls = []
     trunk_forward = model.trunk_forward

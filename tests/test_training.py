@@ -171,7 +171,6 @@ def test_stage1_reaches_ceiling_on_mid_noise_task():
     assert st.bayes_optimal_accuracy(spec) == pytest.approx(0.92, abs=0.001)
     report = tg.train_stage1(model, train, val, tg.TrainHyper(lr=3e-3, max_epochs=50), seed=3)
     assert report.best_val_metric >= 0.85
-    assert model.stage1_complete
 
 
 def test_stage1_zero_signal_task_sits_at_chance():
@@ -313,14 +312,11 @@ def stage2_setup(seed=0, n=24):
         task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
         primary_task_id="p", decoder_kind=tm.KIND_BINARY,
     )
-    model = tm.init_task_model("p", "binary", (0, 1), 6, 2.0, 2.0, rng)
-    model.stage1_complete = True
-    tm.freeze(model)
     samples = []
     for _ in range(n):
         feats = {"p": FeatureSequence("p", rng.normal(size=(4, 6)), np.arange(4) * 0.5)}
         samples.append((feats, int(rng.integers(2))))
-    return config, model, samples
+    return config, samples
 
 
 def _stage2_kind_setup(kind, seed, n=7):
@@ -395,34 +391,16 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
             np.testing.assert_array_equal(pred, want)
 
 
-def test_stage2_verifies_frozen_checksums():
-    config, model, samples = stage2_setup()
-    params, report, checksums = tg.train_stage2(
-        as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
-        tg.TrainHyper(max_epochs=2), seed=0,
-    )
-    assert checksums == {"p": model.checksum()}
-    assert report.stopped_epoch >= 0
-
-
-def test_stage2_rejects_unfrozen_models():
-    config, model, samples = stage2_setup(seed=1)
-    model.params.frozen = False
-    with pytest.raises(ContractViolationError):
-        tg.train_stage2(as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
-                        tg.TrainHyper(max_epochs=1), seed=1)
-
-
 def test_stage2_zero_learning_rate_keeps_initial_parameters():
-    config, model, samples = stage2_setup(seed=2)
+    config, samples = stage2_setup(seed=2)
     init = tr.init_translator_params(
         config, np.random.default_rng(np.random.SeedSequence([2, 0x7A51]))
     )
     init_values = init.values.copy()
     leaves_metric = tg.evaluate_stage2(as_split(samples[16:]), init, config)
 
-    params, report, _ = tg.train_stage2(
-        as_split(samples[:16]), as_split(samples[16:]), config, {"p": model},
+    params, report = tg.train_stage2(
+        as_split(samples[:16]), as_split(samples[16:]), config,
         tg.TrainHyper(lr=0.0, max_epochs=3), seed=2,
     )
     np.testing.assert_array_equal(params.values, init_values)
@@ -430,9 +408,9 @@ def test_stage2_zero_learning_rate_keeps_initial_parameters():
 
 
 def test_fit_restores_best_epoch_parameters():
-    config, model, samples = stage2_setup(seed=3, n=32)
-    params, report, _ = tg.train_stage2(
-        as_split(samples[:24]), as_split(samples[24:]), config, {"p": model},
+    config, samples = stage2_setup(seed=3, n=32)
+    params, report = tg.train_stage2(
+        as_split(samples[:24]), as_split(samples[24:]), config,
         tg.TrainHyper(max_epochs=6, patience=2), seed=3,
     )
     metrics = tg.evaluate_stage2(as_split(samples[24:]), params, config)

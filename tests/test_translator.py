@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -295,9 +293,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     with pytest.raises(ContractViolationError):
         tr.align_and_extract(clip, model, 1.0)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tm.freeze(model)
+    tm.freeze(model)
     checksum = model.checksum()
     feats = {"p": tr.align_and_extract(clip, model, 1.0).values}
     logit = tr.translate(feats, params.as_tensors(train=False), config).item()
