@@ -596,9 +596,9 @@ def run_arm_seed(
     task models and their extracted features; return the arm's report, which
     carries the config's Bayes summary ``bayes`` (``_bayes_summary``).
 
-    This is the one place that holds the frozen models to their contract:
-    each model the arm reads is checksummed before stage 2 and again after
-    test evaluation, and ``frozen_check.ok`` is false if any changed."""
+    Only this function checksums the frozen models: each one the arm reads
+    before stage 2 and again after test evaluation; ``frozen_check.ok`` is
+    false if any changed."""
     t_start = time.perf_counter()
     tconfig = config.translator_config(arm)
     primary_id = config.primary.spec.task_id
