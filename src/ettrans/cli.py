@@ -74,9 +74,7 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _run(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _run(args)  # ``run`` is the only command
     except ConfigError as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG

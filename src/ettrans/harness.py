@@ -36,7 +36,7 @@ from . import task_models as tm
 from . import training as tg
 from . import translator as tr
 from .errors import AlignmentError, CacheFormatError, CacheVersionError, ConfigError
-from .temporal_align import FeatureSequence, FrameSeq, frame_count, plan_windows
+from .temporal_align import FeatureSequence, FrameSeq, check_downsampling, frame_count, plan_windows
 
 ARMS = ("translator", "primary_only", "frozen_random_ablation")
 
@@ -251,10 +251,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 corr_rho=get(section, "corr_rho", float),
                 native_fps=get(section, "native_fps", float),
                 native_window_s=get(section, "native_window_s", float),
-                signal=get(section, "signal", float, 0.5),
-                horizon=get(section, "horizon", int, 0),
-                n_verbs=get(section, "n_verbs", int, 0),
-                n_nouns=get(section, "n_nouns", int, 0),
+                signal=get(section, "signal", float, st.TaskSpec.signal),
+                horizon=get(section, "horizon", int, st.TaskSpec.horizon),
+                n_verbs=get(section, "n_verbs", int, st.TaskSpec.n_verbs),
+                n_nouns=get(section, "n_nouns", int, st.TaskSpec.n_nouns),
             )
         except st.GenerationError as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
@@ -281,7 +281,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         n_layers=get(trans, "n_layers", int, 2),
         n_heads=get(trans, "n_heads", int, 4),
         d_ff=get(trans, "d_ff", int, 64),
-        norm_first=get(trans, "norm_first", bool, True),
+        norm_first=get(trans, "norm_first", bool, tr.TranslatorConfig.norm_first),
         stage2=hyper("", tg.TrainHyper(max_epochs=40, patience=8)),
         stage1=hyper("stage1_", tg.TrainHyper()),
         tasks=tuple(tasks),
@@ -313,12 +313,8 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"need 0 <= {prefix}beta1, {prefix}beta2 < 1 and {prefix}eps > 0")
     for t in config.tasks:
         spec = t.spec
-        if spec.native_fps > config.fps:  # ``resample`` refuses to upsample
-            raise ConfigError(
-                f"task {spec.task_id!r} needs {spec.native_fps} fps but clips "
-                f"are recorded at {config.fps} fps (no upsampling)"
-            )
         try:
+            check_downsampling(config.fps, spec.native_fps)
             plan_windows(config.duration_s, spec.native_window_s, t.stride_s, spec.native_fps)
         except AlignmentError as exc:
             raise ConfigError(f"task {spec.task_id!r}: {exc}") from exc

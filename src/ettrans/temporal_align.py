@@ -77,17 +77,19 @@ class FrameSeq:
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """Window offsets covering a clip: regular stride plus an end-aligned tail."""
+    """Window start frames covering a clip: regular stride plus an end-aligned tail."""
 
     window_s: float
-    stride_s: float
     fps: float
-    duration_s: float
-    offsets_s: tuple[float, ...]
+    starts: tuple[int, ...]
+
+    @property
+    def offsets_s(self) -> tuple[float, ...]:
+        return tuple(start / self.fps for start in self.starts)
 
     @property
     def n_windows(self) -> int:
-        return len(self.offsets_s)
+        return len(self.starts)
 
     @property
     def frames_per_window(self) -> int:
@@ -132,6 +134,12 @@ class FeatureSequence:
         return self.values.shape[-1]
 
 
+def check_downsampling(source_fps: float, target_fps: float) -> None:
+    """Refuse to resample ``source_fps`` up to a higher ``target_fps``."""
+    if target_fps > source_fps:
+        raise UpsamplingUnsupportedError(f"cannot resample {source_fps} fps up to {target_fps} fps")
+
+
 def resample(clip: FrameSeq, target_fps: float) -> FrameSeq:
     """Subsample a clip, or every clip of a split, to a lower frame rate by
     nearest source index.
@@ -141,10 +149,7 @@ def resample(clip: FrameSeq, target_fps: float) -> FrameSeq:
     """
     if target_fps <= 0:
         raise AlignmentError(f"target fps must be positive, got {target_fps}")
-    if target_fps > clip.fps:
-        raise UpsamplingUnsupportedError(
-            f"cannot resample {clip.fps} fps up to {target_fps} fps"
-        )
+    check_downsampling(clip.fps, target_fps)
     n_out = frame_count(target_fps, clip.duration_s)
     ratio = clip.fps / target_fps
     idx = np.array(
@@ -166,7 +171,7 @@ def whole_frames(fps: float, seconds: float, name: str) -> int:
 
 
 def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float) -> WindowPlan:
-    """Plan window start offsets so their union covers the full clip."""
+    """Plan window start frames so their union covers the full clip."""
     if fps <= 0:
         raise AlignmentError(f"fps must be positive, got {fps}")
     if stride_s <= 0:
@@ -182,21 +187,14 @@ def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float
         raise AlignmentError(
             f"stride {stride_s} s exceeds window {window_s} s; coverage impossible"
         )
-    # Work on integer frame counts so offsets stay exactly frame-aligned.
+    # Work on integer frame counts so window starts stay exactly frame-aligned.
     dur_f = whole_frames(fps, duration_s, "duration_s")
     win_f = whole_frames(fps, window_s, "window_s")
     stride_f = whole_frames(fps, stride_s, "stride_s")
-    offsets_f = list(range(0, dur_f - win_f + 1, stride_f))
-    if offsets_f[-1] + win_f < dur_f:
-        offsets_f.append(dur_f - win_f)
-    offsets = tuple(o / fps for o in offsets_f)
-    return WindowPlan(
-        window_s=window_s,
-        stride_s=stride_s,
-        fps=fps,
-        duration_s=duration_s,
-        offsets_s=offsets,
-    )
+    starts = list(range(0, dur_f - win_f + 1, stride_f))
+    if starts[-1] + win_f < dur_f:
+        starts.append(dur_f - win_f)
+    return WindowPlan(window_s=window_s, fps=fps, starts=tuple(starts))
 
 
 def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence:
@@ -224,8 +222,7 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence
         )
 
     win_f = plan.frames_per_window
-    starts = [frame_count(plan.fps, offset_s) for offset_s in plan.offsets_s]
-    rows = (np.asarray(starts)[:, None] + np.arange(win_f)).reshape(-1)
+    rows = (np.asarray(plan.starts)[:, None] + np.arange(win_f)).reshape(-1)
     counts = np.bincount(rows, minlength=clip.n_frames)
     if np.any(counts == 0):
         raise AlignmentError("window plan leaves frames uncovered")
@@ -246,7 +243,7 @@ def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence
         feats = feats.reshape(len(chunk), plan.n_windows, win_f, -1)
         # overlap-add in plan order, vectorized over the chunk's clips
         total = np.zeros((len(chunk), clip.n_frames, feats.shape[-1]), dtype=np.float64)
-        for w, start in enumerate(starts):
+        for w, start in enumerate(plan.starts):
             total[:, start : start + win_f] += feats[:, w]
         merged.append((total / counts[:, None]).astype(np.float32))
     values = np.concatenate(merged)

@@ -3,8 +3,8 @@
 Stage 1 fits each task model independently on its native-geometry dataset.
 Stage 2 optimizes translator parameters only, on the primary dataset: it reads
 the features extracted from the frozen models and never the models
-themselves, so no gradient path into them exists. Both stages share one Adam
-loop with early stopping on a validation metric.
+themselves, so no gradient path into them exists. Both stages fit and
+validate through one path: Adam, early-stopped on their task kind's metric.
 
 A split stays stacked throughout: stage 1 reads a dataset's
 (samples x frames x channels) clips, stage 2 one (samples x frames x
@@ -259,15 +259,13 @@ def run_steps(
 # (``_stage2_graph_samples``).
 
 
-def _chunks(idx: np.ndarray, size: int | None):
-    """Consecutive runs of ``size`` indices; None keeps them in one run."""
-    size = size or len(idx)
+def _chunks(idx: np.ndarray, size: int):
+    """Consecutive runs of ``size`` indices."""
     return (idx[lo : lo + size] for lo in range(0, len(idx), size))
 
 
-def _build_loss(kind: str, forward: Callable, graph_samples: int | None) -> LossTerms:
-    """Loss terms of a minibatch: one per graph of ``graph_samples`` samples,
-    or one for the whole minibatch if None."""
+def _build_loss(kind: str, forward: Callable, graph_samples: int) -> LossTerms:
+    """Loss terms of a minibatch: one per graph of ``graph_samples`` samples."""
 
     def build_loss(idx, leaves):
         for part in _chunks(idx, graph_samples):
@@ -278,9 +276,10 @@ def _build_loss(kind: str, forward: Callable, graph_samples: int | None) -> Loss
 
 
 def _predictions(
-    n_samples: int, leaves, kind: str, forward: Callable, graph_samples: int | None
+    n_samples: int, params: nn.ParamSet, kind: str, forward: Callable, graph_samples: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Predictions, labels and mean loss over every sample of a split."""
+    """Predictions, labels and mean loss over a whole split, without gradients."""
+    leaves = params.as_tensors(train=False)
     preds, labels = [], []
     total_loss = 0.0
     for part in _chunks(np.arange(n_samples), graph_samples):
@@ -291,29 +290,26 @@ def _predictions(
     return np.concatenate(preds), np.concatenate(labels), total_loss / n_samples
 
 
-def _metric_for_kind(kind: str) -> tuple[str, bool]:
-    if kind == tm.KIND_BINARY:
-        return "accuracy", True
-    if kind == tm.KIND_LOCALIZATION:
-        return "localization_error_s", False
-    return "edit_distance_action", False
+# Each task kind's early-stopping metric, a key of ``_score_predictions``'s
+# dict, and whether greater is better.
+_STOPPING_METRIC = {
+    tm.KIND_BINARY: ("accuracy", True),
+    tm.KIND_LOCALIZATION: ("localization_error_s", False),
+    tm.KIND_SEQUENCE: ("edit_distance_action", False),
+}
 
 
-def _score_predictions(
-    kind: str, preds: np.ndarray, labels: np.ndarray
-) -> tuple[float, dict[str, float]]:
-    """Headline metric plus a full metric dict for a batch of predictions,
-    arrays shaped like ``tm.readout``'s and the dataset's labels."""
+def _score_predictions(kind: str, preds: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """Every metric of a task kind for a batch of predictions, arrays shaped
+    like ``tm.readout``'s and the dataset's labels."""
     preds, labels = preds.tolist(), labels.tolist()
     if kind == tm.KIND_BINARY:
-        acc = metrics_mod.accuracy([int(p > 0) for p in preds], labels)
-        out = {"accuracy": acc}
+        out = {"accuracy": metrics_mod.accuracy([int(p > 0) for p in preds], labels)}
         if any(labels) and not all(labels):
             out["map"] = metrics_mod.average_precision(preds, labels)
-        return acc, out
+        return out
     if kind == tm.KIND_LOCALIZATION:
-        err = metrics_mod.mean_localization_error(preds, labels)
-        return err, {"localization_error_s": err}
+        return {"localization_error_s": metrics_mod.mean_localization_error(preds, labels)}
     verb = noun = action = 0.0
     for pred_seq, true_seq in zip(preds, labels):
         ed = metrics_mod.edit_distance_at_z([pred_seq], true_seq)
@@ -321,11 +317,26 @@ def _score_predictions(
         noun += ed.noun
         action += ed.action
     n = len(preds)
-    return action / n, {
+    return {
         "edit_distance_verb": verb / n,
         "edit_distance_noun": noun / n,
         "edit_distance_action": action / n,
     }
+
+
+def _fit_and_validate(
+    params: nn.ParamSet, n_train: int, build_loss: LossTerms, kind: str,
+    val_predictions: Callable[[nn.ParamSet], tuple], hyper: TrainHyper, seed: int,
+) -> TrainReport:
+    """``fit`` with early stopping on ``kind``'s metric of the validation
+    predictions, labels and mean loss ``val_predictions`` returns."""
+    metric_name, greater = _STOPPING_METRIC[kind]
+
+    def evaluate(current_params):
+        preds, labels, mean_loss = val_predictions(current_params)
+        return mean_loss, _score_predictions(kind, preds, labels)[metric_name]
+
+    return fit(params, n_train, build_loss, evaluate, metric_name, greater, hyper, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +360,7 @@ def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
 def stage1_build_loss(model: tm.TaskModel, dataset: SyntheticDataset) -> LossTerms:
     """One summed loss term per minibatch of ``dataset``, from one graph over
     all of it."""
-    return _build_loss(model.kind, _stage1_forward(model, dataset), None)
+    return _build_loss(model.kind, _stage1_forward(model, dataset), dataset.n_samples)
 
 
 def train_stage1(
@@ -360,24 +371,15 @@ def train_stage1(
     seed: int,
 ) -> TrainReport:
     """Fit one task model on its own dataset."""
-    metric_name, greater = _metric_for_kind(model.kind)
     val_forward = _stage1_forward(model, val_set)
-
-    def evaluate(params):
-        preds, labels, mean_loss = _predictions(
-            val_set.n_samples, params.as_tensors(train=False), model.kind, val_forward,
-            hyper.batch_size,
-        )
-        metric, _ = _score_predictions(model.kind, preds, labels)
-        return mean_loss, metric
-
-    return fit(
+    return _fit_and_validate(
         model.params,
         train_set.n_samples,
         stage1_build_loss(model, train_set),
-        evaluate,
-        metric_name,
-        greater,
+        model.kind,
+        lambda params: _predictions(
+            val_set.n_samples, params, model.kind, val_forward, hyper.batch_size
+        ),
         hyper,
         seed,
     )
@@ -426,7 +428,7 @@ def stage2_predictions(
     """Forward every sample without gradients; returns preds, labels, mean loss."""
     return _predictions(
         len(split[1]),
-        params.as_tensors(train=False),
+        params,
         config.decoder_kind,
         _stage2_forward(config, split),
         _stage2_graph_samples(config),
@@ -437,9 +439,7 @@ def evaluate_stage2(
     split: Stage2Split, params: nn.ParamSet, config: tr.TranslatorConfig
 ) -> dict[str, float]:
     preds, labels, mean_loss = stage2_predictions(split, params, config)
-    _, metric_dict = _score_predictions(config.decoder_kind, preds, labels)
-    metric_dict["loss"] = mean_loss
-    return metric_dict
+    return {**_score_predictions(config.decoder_kind, preds, labels), "loss": mean_loss}
 
 
 def train_stage2(
@@ -456,20 +456,12 @@ def train_stage2(
     params = tr.init_translator_params(
         config, np.random.default_rng(np.random.SeedSequence([seed, 0x7A51]))
     )
-    metric_name, greater = _metric_for_kind(config.decoder_kind)
-
-    def evaluate(current_params):
-        preds, labels, mean_loss = stage2_predictions(val, current_params, config)
-        metric, _ = _score_predictions(config.decoder_kind, preds, labels)
-        return mean_loss, metric
-
-    return params, fit(
+    return params, _fit_and_validate(
         params,
         len(train[1]),
         stage2_build_loss(config, train),
-        evaluate,
-        metric_name,
-        greater,
+        config.decoder_kind,
+        lambda current_params: stage2_predictions(val, current_params, config),
         hyper,
         seed,
     )

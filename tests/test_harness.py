@@ -814,6 +814,7 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("noise_sigma = 1.5", "noise_sigma = -1"),
         ("[task:helper]\nkind = binary", "[task:helper]\nkind = bogus"),
         ("channels = 3-5", "channels = ,"),
+        ("native_fps = 2.0", "native_fps = 8.0"),  # above the clips' 4 fps
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
          "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
@@ -823,7 +824,8 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
          "fps_nan", "duration_inf", "noise_sigma_nan", "signal_inf", "unknown_key",
          "unknown_section", "default_section", "feature_dim_zero", "hidden_zero",
          "norm_first_not_boolean", "task_id_with_dot", "no_experiment_section",
-         "channels_exceed_clip", "noise_sigma_negative", "unknown_kind", "empty_channel_list"],
+         "channels_exceed_clip", "noise_sigma_negative", "unknown_kind", "empty_channel_list",
+         "native_fps_above_clip"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1
@@ -899,6 +901,12 @@ def test_run_experiment_rejects_a_bad_worker_count_before_writing(
 
 def test_cli_config_required_without_check():
     assert cli.main(["run"]) == 2
+
+
+def test_cli_unknown_command_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
 
 
 def test_cli_divergence_is_exit_3(tmp_path):

@@ -161,8 +161,8 @@ def test_extract_single_window_equals_whole_clip_trunk():
 def test_extract_duplicate_windows_average_to_single_window_output():
     model = LinearStub(native_fps=2.0, native_window_s=4.0)
     clip = make_clip(4.0, 2.0, seed=2)
-    single = ta.WindowPlan(4.0, 1.0, 2.0, 4.0, (0.0,))
-    double = ta.WindowPlan(4.0, 1.0, 2.0, 4.0, (0.0, 0.0))
+    single = ta.WindowPlan(window_s=4.0, fps=2.0, starts=(0,))
+    double = ta.WindowPlan(window_s=4.0, fps=2.0, starts=(0, 0))
     np.testing.assert_array_equal(
         ta.extract_features(clip, model, single).values,
         ta.extract_features(clip, model, double).values,

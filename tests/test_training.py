@@ -417,6 +417,33 @@ def test_fit_restores_best_epoch_parameters():
     assert metrics["accuracy"] == pytest.approx(report.best_val_metric)
 
 
+@pytest.mark.parametrize(
+    "kind, metric_name, greater_is_better",
+    [
+        ("binary", "accuracy", True),
+        ("localization", "localization_error_s", False),
+        ("sequence", "edit_distance_action", False),
+    ],
+)
+def test_both_stages_stop_early_on_their_task_kinds_metric(kind, metric_name, greater_is_better):
+    hyper = tg.TrainHyper(lr=0.2, batch_size=4, max_epochs=2)
+    model, data = _stage1_kind_setup(kind, seed=17)
+    stage1 = tg.train_stage1(model, data, data, hyper, seed=17)
+    config, _, samples = _stage2_kind_setup(kind, seed=18)
+    split = as_split(samples)
+    params, stage2 = tg.train_stage2(split, split, config, hyper, seed=18)
+
+    best = max if greater_is_better else min
+    for report in (stage1, stage2):
+        assert (report.metric_name, report.greater_is_better) == (metric_name, greater_is_better)
+        # two different epochs' metrics, so the direction decides the best one
+        assert len(set(report.val_metrics)) == 2
+        assert report.best_epoch == report.val_metrics.index(best(report.val_metrics))
+        assert report.best_val_metric == report.val_metrics[report.best_epoch]
+    # the best epoch's parameters are restored, and its metric is the test metric's name
+    assert tg.evaluate_stage2(split, params, config)[metric_name] == stage2.best_val_metric
+
+
 def test_localization_target_index_maps_time_to_nearest_frame():
     times = np.array([0.0, 0.5, 1.0, 1.5])
     assert tg.localization_target_index(1.04, times) == 2
