@@ -733,15 +733,13 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         enc_params.add("tokens", rng.normal(size=(5, 8)))
 
         def enc_loss(p):
-            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-            return nn.mean_all(nn.encoder_layer(p["tokens"], layer))
+            return nn.mean_all(nn.encoder_layer(p["tokens"], p, "", 2))
 
         err = nn.grad_check(enc_loss, enc_params)
         record(f"grad_encoder_layer_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
         def post_norm_loss(p):
-            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-            return nn.mean_all(nn.encoder_layer(p["tokens"], layer, norm_first=False))
+            return nn.mean_all(nn.encoder_layer(p["tokens"], p, "", 2, norm_first=False))
 
         err = nn.grad_check(post_norm_loss, enc_params)
         record(f"grad_encoder_layer_post_norm_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
@@ -758,8 +756,7 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         readout = stack_rng.normal(size=(3, 3, 8))
 
         def stacked_enc_loss(p):
-            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-            return nn.sum_all(nn.mul(nn.encoder_layer(p["tokens"], layer), readout))
+            return nn.sum_all(nn.mul(nn.encoder_layer(p["tokens"], p, "", 2), readout))
 
         err = nn.grad_check(stacked_enc_loss, stacked_enc)
         record(f"grad_encoder_layer_stacked_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -322,35 +321,6 @@ def scale(a, c: float) -> Tensor:
     return _node(value, (a,), vjp)
 
 
-def _product(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """x W (+ b) for a matrix W; a batch ``x`` runs as one
-    (samples*rows x K) BLAS product."""
-    flat = x.value.reshape(-1, w.rows)
-    value = flat @ w.value if b is None else flat @ w.value + b.value
-
-    def vjp(g: Array) -> None:
-        g = g.reshape(-1, w.cols)
-        _accumulate(x, (g @ w.value.T).reshape(x.shape))
-        _accumulate(w, flat.T @ g)
-        if b is not None:
-            _accumulate(b, g.sum(axis=0))
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(value.reshape(x.shape[:-1] + (w.cols,)), parents, vjp)
-
-
-def matmul(a, b) -> Tensor:
-    """a @ b for a matrix ``b``: a matrix, or each sample of a batch."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.value.ndim not in (2, 3) or b.value.ndim != 2:
-        raise DimensionError(
-            f"matmul needs a matrix or a batch times a matrix, got shapes {a.shape} and {b.shape}"
-        )
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: left operand is {a.shape}, right operand is {b.shape}")
-    return _product(a, b, None)
-
-
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF."""
     a = as_tensor(a)
@@ -471,20 +441,31 @@ def causal_mix(a, w) -> Tensor:
 
 
 def linear(x, w, b=None) -> Tensor:
-    """y = x W (+ b broadcast per row), fused into one graph node."""
+    """y = x W (+ b broadcast per row), fused into one graph node; a batch
+    ``x`` runs as one (samples*rows x K) BLAS product."""
     x, w = as_tensor(x), as_tensor(w)
     if x.value.ndim not in (2, 3) or w.value.ndim != 2 or x.cols != w.rows:
         raise DimensionError(
             f"linear: input is {x.shape}, weight is {w.shape}; inner dims must match"
         )
-    if b is None:
-        return matmul(x, w)
-    b = as_tensor(b)
-    if b.value.ndim != 1 or b.value.shape[0] != w.cols:
-        raise DimensionError(
-            f"linear: bias has shape {b.shape}, weight produces {w.cols} columns"
-        )
-    return _product(x, w, b)
+    if b is not None:
+        b = as_tensor(b)
+        if b.value.ndim != 1 or b.value.shape[0] != w.cols:
+            raise DimensionError(
+                f"linear: bias has shape {b.shape}, weight produces {w.cols} columns"
+            )
+    flat = x.value.reshape(-1, w.rows)
+    value = flat @ w.value if b is None else flat @ w.value + b.value
+
+    def vjp(g: Array) -> None:
+        g = g.reshape(-1, w.cols)
+        _accumulate(x, (g @ w.value.T).reshape(x.shape))
+        _accumulate(w, flat.T @ g)
+        if b is not None:
+            _accumulate(b, g.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(value.reshape(x.shape[:-1] + (w.cols,)), parents, vjp)
 
 
 def layer_norm(x, gamma, beta, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -682,7 +663,10 @@ class ParamSet:
 
 # The encoder layer's parameters in ParamSet order: name, shape over the
 # model width "d" and the feed-forward width "f", and initial value ("w" for
-# N(0, WEIGHT_INIT_STD) weights, else a fill).
+# N(0, WEIGHT_INIT_STD) weights, else a fill). A layer reads its leaves as
+# ``leaves[prefix + name]``. The key projection carries no bias: a shared key
+# offset shifts every score in a row equally, which softmax ignores, so its
+# gradient is identically zero.
 ENCODER_PARAM_LAYOUT = (
     ("wq", "dd", "w"), ("bq", "d", 0.0), ("wk", "dd", "w"),
     ("wv", "dd", "w"), ("bv", "d", 0.0), ("wo", "dd", "w"), ("bo", "d", 0.0),
@@ -701,53 +685,21 @@ def _encoder_shapes(d: int, d_ff: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-@dataclass
-class EncoderLayerParams:
-    """Per-layer attention + feed-forward parameters, as graph leaves.
-
-    The key projection carries no bias: a shared key offset shifts every
-    score in a row equally, which softmax ignores, so its gradient is
-    identically zero.
-    """
-
-    n_heads: int
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ffn_w1: Tensor
-    ffn_b1: Tensor
-    ffn_w2: Tensor
-    ffn_b2: Tensor
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-
-    def __post_init__(self):
-        # encoder_layer runs its kernels without per-op shape checks
-        d = (self.wq.value.shape or (0,))[0]
-        d_ff = (self.ffn_w1.value.shape or (0,))[-1]
-        if self.n_heads < 1 or d % self.n_heads != 0:
-            raise DimensionError(
-                f"model width {d} is not divisible by {self.n_heads} heads"
-            )
-        for name, shape in _encoder_shapes(d, d_ff).items():
-            if getattr(self, name).value.shape != shape:
-                raise DimensionError(
-                    f"{name} must have shape {shape}, got {getattr(self, name).shape}"
-                )
-
-    @property
-    def width(self) -> int:
-        return self.wq.value.shape[0]
-
-    @classmethod
-    def from_tensors(cls, tensors: Mapping[str, Tensor], prefix: str, n_heads: int) -> "EncoderLayerParams":
-        return cls(n_heads=n_heads, **{f: tensors[prefix + f] for f in ENCODER_PARAM_FIELDS})
+def _layer_leaves(x: Tensor, leaves: Mapping, prefix: str, n_heads: int) -> dict[str, Tensor]:
+    """One encoder layer's leaves by layout name, checked against each other,
+    ``n_heads`` and the input ``x``: the fused layer runs its kernels without
+    per-op shape checks."""
+    p = {name: leaves[prefix + name] for name in ENCODER_PARAM_FIELDS}
+    d = (p["wq"].value.shape or (0,))[0]
+    d_ff = (p["ffn_w1"].value.shape or (0,))[-1]
+    for name, shape in _encoder_shapes(d, d_ff).items():
+        if p[name].value.shape != shape:
+            raise DimensionError(f"{prefix}{name} must have shape {shape}, got {p[name].shape}")
+    if n_heads < 1 or d % n_heads != 0:
+        raise DimensionError(f"model width {d} is not divisible by {n_heads} heads")
+    if x.value.ndim not in (2, 3) or x.cols != d:
+        raise DimensionError(f"input of shape {x.shape} does not match layer width {d}")
+    return p
 
 
 def init_encoder_layer_arrays(rng: np.random.Generator, d: int, d_ff: int) -> dict[str, Array]:
@@ -790,75 +742,77 @@ def scaled_dot_attention(q, k, v, n_heads: int, weights_out: list | None = None)
     return _node(out.reshape(q.shape), (q, k, v), vjp)
 
 
-def multi_head_attention(x, p: EncoderLayerParams, weights_out: list | None = None) -> Tensor:
-    """Scaled dot-product self-attention within each sample of ``x``."""
+def multi_head_attention(
+    x, leaves: Mapping[str, Tensor], prefix: str, n_heads: int, weights_out: list | None = None
+) -> Tensor:
+    """Scaled dot-product self-attention within each sample of ``x``, with
+    the projections of the encoder layer whose leaves are
+    ``leaves[prefix + name]``."""
     x = as_tensor(x)
-    d = x.cols
-    if d != p.width:
-        raise DimensionError(f"input width {d} does not match layer width {p.width}")
-    q = linear(x, p.wq, p.bq)
-    k = linear(x, p.wk)
-    v = linear(x, p.wv, p.bv)
-    attended = scaled_dot_attention(q, k, v, p.n_heads, weights_out)
-    return linear(attended, p.wo, p.bo)
+    p = _layer_leaves(x, leaves, prefix, n_heads)
+    q = linear(x, p["wq"], p["bq"])
+    k = linear(x, p["wk"])
+    v = linear(x, p["wv"], p["bv"])
+    attended = scaled_dot_attention(q, k, v, n_heads, weights_out)
+    return linear(attended, p["wo"], p["bo"])
 
 
 def encoder_layer(
-    x,
-    p: EncoderLayerParams,
-    norm_first: bool = True,
+    x, leaves: Mapping[str, Tensor], prefix: str, n_heads: int, norm_first: bool = True,
     weights_out: list | None = None,
 ) -> Tensor:
     """One transformer encoder layer over a (T x D) token sequence or a
     (samples x T x D) batch of them; pre-norm residual by default. Only
-    attention mixes rows, and it stays within each sample.
+    attention mixes rows, and it stays within each sample. The layer reads
+    its parameters as ``leaves[prefix + name]`` for each name in
+    ``ENCODER_PARAM_LAYOUT``.
 
     The layer is one graph node: the forward pass chains the numpy kernels
     on the batch flattened to (samples*T x D) and one analytic VJP covers
     the whole layer. It computes the same function as ``layer_norm``,
     ``multi_head_attention``, ``linear``, ``gelu`` and ``add`` composed,
-    with Q, K and V in one matmul. ``weights_out`` receives one
+    with Q, K and V in one product. ``weights_out`` receives one
     (heads x T x T) attention array per sample, as from
     ``scaled_dot_attention``.
     """
     x = as_tensor(x)
-    if x.value.ndim not in (2, 3) or x.cols != p.width:
-        raise DimensionError(f"input of shape {x.shape} does not match layer width {p.width}")
-    d = p.width
-    w_qkv = np.concatenate((p.wq.value, p.wk.value, p.wv.value), axis=1)
-    b_qkv = np.concatenate((p.bq.value, np.zeros_like(p.bq.value), p.bv.value))
-    wo, w1, w2 = p.wo.value, p.ffn_w1.value, p.ffn_w2.value
-    g1, g2 = p.ln1_gamma.value, p.ln2_gamma.value
+    layer = _layer_leaves(x, leaves, prefix, n_heads)
+    p = {name: leaf.value for name, leaf in layer.items()}
+    d = x.cols
+    w_qkv = np.concatenate((p["wq"], p["wk"], p["wv"]), axis=1)
+    b_qkv = np.concatenate((p["bq"], np.zeros_like(p["bq"]), p["bv"]))
+    wo, w1, w2 = p["wo"], p["ffn_w1"], p["ffn_w2"]
+    g1, g2 = p["ln1_gamma"], p["ln2_gamma"]
     xv = x.value.reshape(-1, d)
 
     # attention block: pre-norm adds to x, post-norm normalizes the sum
     if norm_first:
-        attn_in, ln1 = _layer_norm_forward(xv, g1, p.ln1_beta.value, LAYER_NORM_EPS)
+        attn_in, ln1 = _layer_norm_forward(xv, g1, p["ln1_beta"], LAYER_NORM_EPS)
     else:
         attn_in = xv
     qkv = attn_in @ w_qkv
     qkv += b_qkv
     attended, attn_saved = _attention_forward(
-        qkv.reshape(x.shape[:-1] + (3 * d,)), p.n_heads, weights_out
+        qkv.reshape(x.shape[:-1] + (3 * d,)), n_heads, weights_out
     )
     h = attended @ wo
-    h += p.bo.value
+    h += p["bo"]
     h += xv
     if norm_first:
-        ffn_in, ln2 = _layer_norm_forward(h, g2, p.ln2_beta.value, LAYER_NORM_EPS)
+        ffn_in, ln2 = _layer_norm_forward(h, g2, p["ln2_beta"], LAYER_NORM_EPS)
     else:
-        h, ln1 = _layer_norm_forward(h, g1, p.ln1_beta.value, LAYER_NORM_EPS)
+        h, ln1 = _layer_norm_forward(h, g1, p["ln1_beta"], LAYER_NORM_EPS)
         ffn_in = h
 
     # feed-forward block
     hidden = ffn_in @ w1
-    hidden += p.ffn_b1.value
+    hidden += p["ffn_b1"]
     act, gelu_saved = _gelu_forward(hidden)
     out = act @ w2
-    out += p.ffn_b2.value
+    out += p["ffn_b2"]
     out += h
     if not norm_first:
-        out, ln2 = _layer_norm_forward(out, g2, p.ln2_beta.value, LAYER_NORM_EPS)
+        out, ln2 = _layer_norm_forward(out, g2, p["ln2_beta"], LAYER_NORM_EPS)
 
     def vjp(g: Array) -> None:
         # d_out: gradient at the second residual sum; d_h: at h, the first
@@ -893,11 +847,10 @@ def encoder_layer(
             ln1_gamma=d_g1, ln1_beta=d_be1, ln2_gamma=d_g2, ln2_beta=d_be2,
         )
         _accumulate(x, d_x.reshape(x.shape))
-        for name in ENCODER_PARAM_FIELDS:
-            _accumulate(getattr(p, name), grads[name])
+        for name, leaf in layer.items():
+            _accumulate(leaf, grads[name])
 
-    parents = (x,) + tuple(getattr(p, name) for name in ENCODER_PARAM_FIELDS)
-    return _node(out.reshape(x.shape), parents, vjp)
+    return _node(out.reshape(x.shape), (x, *layer.values()), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ BALANCE_TOL = 0.05
 # auxiliaries)
 MC_SAMPLES = 2_000_000
 MC_SEED = 7
+EXACT_SEPARATION = 9.0  # Phi(-9) ~ 1e-19: an auxiliary this separated is read without error
 
 _SPLIT_CODES = {"train": 0, "val": 1, "test": 2}
 _STRUCTURE_STREAM = 0xC0DE
@@ -322,10 +323,12 @@ def combined_bayes_accuracy(
     """Best achievable primary accuracy when auxiliary channel groups are visible.
 
     Only binary auxiliaries with corr_rho > 0 carry information about a binary
-    primary; all others are ignored. One informative auxiliary is integrated
-    over its statistic ``v`` by Gauss-Legendre quadrature on each side of
-    ``v = 0``, where the log-likelihood ratio changes sign; more than one falls
-    back to seeded Monte Carlo over the optimal decision rule.
+    primary; all others are ignored. One separated by ``EXACT_SEPARATION`` or
+    more (zero noise included) adds +-log(q / (1 - q)) to the log-likelihood
+    ratio. One other informative auxiliary is integrated over its statistic
+    ``v`` by Gauss-Legendre quadrature on each side of ``v = 0``, where the
+    log-likelihood ratio changes sign; more than one falls back to seeded
+    Monte Carlo over the optimal decision rule.
     """
     if primary.kind != KIND_BINARY:
         raise ValueError("combined ceiling is defined for a binary primary task")
@@ -333,16 +336,21 @@ def combined_bayes_accuracy(
     informative = [
         (_separation(a, duration_s) / 2.0, (1.0 + a.corr_rho) / 2.0)
         for a in auxiliaries
-        if a.kind == KIND_BINARY and a.corr_rho > 0 and a.noise_sigma > 0 and a.signal > 0
+        if a.kind == KIND_BINARY and a.corr_rho > 0
     ]
     informative = [(mu, q) for mu, q in informative if mu > 0]
-    if not informative:
+    if not informative or np.isinf(mu_u):
         return float(_normal_cdf(mu_u)[0])
-    if np.isinf(mu_u) or any(np.isinf(mu) for mu, _ in informative):
-        raise ValueError("combined ceiling needs finite separations; got a zero-noise task")
+    with np.errstate(divide="ignore"):  # log(0) = -inf at q = 1 is exact here
+        log_odds = [np.log(q) - np.log1p(-q) for _, q in informative]
 
     if len(informative) == 1:
         mu_v, q = informative[0]
+        if mu_v >= EXACT_SEPARATION:
+            if mu_u == 0:
+                return q
+            shifts = np.array([log_odds[0], -log_odds[0]]) / (2.0 * mu_u)
+            return float(np.dot([q, 1.0 - q], _normal_cdf(mu_u + shifts)[0]))
         # a 64-point Gauss-Legendre rule on each half of [-mu_v-10, mu_v+10]:
         # lam changes sign at v = 0, where the mu_u = 0 integrand steps
         x, w = np.polynomial.legendre.leggauss(64)
@@ -360,10 +368,10 @@ def combined_bayes_accuracy(
     rng = np.random.default_rng(MC_SEED)
     s_p = rng.integers(2, size=MC_SAMPLES) * 2 - 1
     llr = 2.0 * mu_u * (mu_u * s_p + rng.normal(size=MC_SAMPLES)) if mu_u > 0 else np.zeros(MC_SAMPLES)
-    for mu_v, q in informative:
+    for (mu_v, q), odds in zip(informative, log_odds):
         agree = rng.random(MC_SAMPLES) < q
         s_a = np.where(agree, s_p, -s_p)
-        v = mu_v * s_a + rng.normal(size=MC_SAMPLES)
-        llr = llr + _aux_llr(v, mu_v, q)
+        v = mu_v * s_a + rng.normal(size=MC_SAMPLES)  # drawn even if unread: streams stay aligned
+        llr = llr + (s_a * odds if mu_v >= EXACT_SEPARATION else _aux_llr(v, mu_v, q))
     decision = np.where(llr > 0, 1, -1)
     return float(np.mean(decision == s_p))

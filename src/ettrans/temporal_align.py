@@ -1,19 +1,20 @@
 """Temporal alignment between a clip and a task model's native geometry.
 
 A model trained on short windows at its own frame rate is applied to a longer
-clip by (1) subsampling the clip down to the model's FPS, (2) planning sliding
-windows of the model's native duration, (3) running the model over a batch
-of the clip's windows, each from its own causal start, and (4) averaging
-per-frame features where windows overlap. A whole split of clips of one
-geometry goes through the same steps at once: one resampling index and one
-window plan serve every clip, and the clips' windows go to the trunk in
-(windows x frames x channels) batches of at most ``_EXTRACT_CHUNK_FRAMES``
-frames.
+clip by (1) subsampling the clip down to the model's FPS, (2) planning the
+start frames of sliding windows of the model's native duration, (3) running
+the model over a batch of the clip's windows, each from its own causal
+start, and (4) averaging per-frame features where windows overlap. A whole
+split of clips of one geometry goes through the same steps at once: one
+resampling index and one tuple of window starts serve every clip, and the
+clips' windows go to the trunk in (windows x frames x channels) batches of at
+most ``_EXTRACT_CHUNK_FRAMES`` frames.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -73,27 +74,6 @@ class FrameSeq:
 
     def frame_times(self) -> np.ndarray:
         return np.arange(self.n_frames, dtype=np.float64) / self.fps
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """Window start frames covering a clip: regular stride plus an end-aligned tail."""
-
-    window_s: float
-    fps: float
-    starts: tuple[int, ...]
-
-    @property
-    def offsets_s(self) -> tuple[float, ...]:
-        return tuple(start / self.fps for start in self.starts)
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.starts)
-
-    @property
-    def frames_per_window(self) -> int:
-        return frame_count(self.fps, self.window_s)
 
 
 @dataclass
@@ -170,8 +150,9 @@ def whole_frames(fps: float, seconds: float, name: str) -> int:
     return frame_count(fps, seconds)
 
 
-def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float) -> WindowPlan:
-    """Plan window start frames so their union covers the full clip."""
+def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float) -> tuple[int, ...]:
+    """Window start frames at ``fps`` whose windows cover the full clip: a
+    regular stride plus an end-aligned tail."""
     if fps <= 0:
         raise AlignmentError(f"fps must be positive, got {fps}")
     if stride_s <= 0:
@@ -194,56 +175,54 @@ def plan_windows(duration_s: float, window_s: float, stride_s: float, fps: float
     starts = list(range(0, dur_f - win_f + 1, stride_f))
     if starts[-1] + win_f < dur_f:
         starts.append(dur_f - win_f)
-    return WindowPlan(window_s=window_s, fps=fps, starts=tuple(starts))
+    return tuple(starts)
 
 
-def extract_features(clip: FrameSeq, model, plan: WindowPlan) -> FeatureSequence:
-    """Run a frozen model's trunk over every planned window of a clip, or of
-    every clip of a split, and merge outputs.
+def extract_features(clip: FrameSeq, model, starts: Sequence[int]) -> FeatureSequence:
+    """Run a frozen model's trunk over windows of its native length starting
+    at frames ``starts`` of a clip, or of every clip of a split, at the
+    model's native fps, and merge outputs.
 
     The result keeps one feature row per clip frame, averaging rows that fall
     in several windows. Clips' windows go to the trunk in batches of at most
     ``_EXTRACT_CHUNK_FRAMES`` frames (at least one clip per call).
     """
-    if abs(clip.fps - plan.fps) > _FRAME_ALIGN_TOL:
-        raise AlignmentError(f"clip at {clip.fps} fps but plan was made for {plan.fps} fps")
-    if abs(model.native_fps - plan.fps) > _FRAME_ALIGN_TOL:
-        raise AlignmentError(
-            f"model {model.task_id!r} runs at {model.native_fps} fps, plan is {plan.fps} fps"
-        )
-    if abs(model.native_window_s - plan.window_s) > _FRAME_ALIGN_TOL:
-        raise AlignmentError(
-            f"model {model.task_id!r} expects {model.native_window_s} s windows, "
-            f"plan uses {plan.window_s} s"
-        )
+    fps, window_s = model.native_fps, model.native_window_s
+    if abs(clip.fps - fps) > _FRAME_ALIGN_TOL:
+        raise AlignmentError(f"clip at {clip.fps} fps, model {model.task_id!r} at {fps} fps")
     if not model.frozen:
         raise ContractViolationError(
             f"model {model.task_id!r} must be frozen before feature extraction"
         )
 
-    win_f = plan.frames_per_window
-    rows = (np.asarray(plan.starts)[:, None] + np.arange(win_f)).reshape(-1)
+    win_f = frame_count(fps, window_s)
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    outside = starts[(starts < 0) | (starts + win_f > clip.n_frames)]
+    if outside.size:
+        raise AlignmentError(
+            f"windows of {win_f} frames starting at {outside.tolist()} "
+            f"run outside the clip's {clip.n_frames} frames"
+        )
+    rows = (starts[:, None] + np.arange(win_f)).reshape(-1)
     counts = np.bincount(rows, minlength=clip.n_frames)
     if np.any(counts == 0):
-        raise AlignmentError("window plan leaves frames uncovered")
+        raise AlignmentError("window starts leave frames uncovered")
 
     clips = clip.values.reshape(-1, clip.n_frames, clip.n_channels)
     step = max(1, _EXTRACT_CHUNK_FRAMES // rows.size)
     merged = []
     for lo in range(0, len(clips), step):
         chunk = clips[lo : lo + step, rows]
-        windows = FrameSeq(
-            chunk.reshape(-1, win_f, clip.n_channels), fps=plan.fps, duration_s=plan.window_s
-        )
+        windows = FrameSeq(chunk.reshape(-1, win_f, clip.n_channels), fps=fps, duration_s=window_s)
         feats = model.trunk_forward(windows)
         if feats.shape[:-1] != windows.values.shape[:-1]:
             raise AlignmentError(
                 f"trunk returned shape {feats.shape} for windows of shape {windows.values.shape}"
             )
-        feats = feats.reshape(len(chunk), plan.n_windows, win_f, -1)
-        # overlap-add in plan order, vectorized over the chunk's clips
+        feats = feats.reshape(len(chunk), len(starts), win_f, -1)
+        # overlap-add in start order, vectorized over the chunk's clips
         total = np.zeros((len(chunk), clip.n_frames, feats.shape[-1]), dtype=np.float64)
-        for w, start in enumerate(plan.starts):
+        for w, start in enumerate(starts.tolist()):
             total[:, start : start + win_f] += feats[:, w]
         merged.append((total / counts[:, None]).astype(np.float32))
     values = np.concatenate(merged)

@@ -1,9 +1,9 @@
 """The task translator: fuse per-task feature sequences into one prediction.
 
 ``translate`` builds the whole graph in one body from ``nn_core`` ops: each
-task's features are projected into a shared latent space (one matmul per
-task), the task blocks are concatenated (primary task first, then
-auxiliaries in declared order), a learned task positional embedding is
+task's features are projected into a shared latent space (one bias-free
+``linear`` per task), the task blocks are concatenated (primary task first,
+then auxiliaries in declared order), a learned task positional embedding is
 added, a stack of transformer encoder layers mixes tokens across tasks and
 time, and the primary task kind's head from ``task_models`` (under the
 ``dec/`` prefix) decodes the encoded tokens; a localization head reads only
@@ -124,11 +124,12 @@ def translate(
                 f"task {task_id!r}: expected features of shape {group + (t_k, d_k)}, "
                 f"got {values.shape}"
             )
-        blocks.append(nn.matmul(values, leaves[f"proj/{task_id}"]))
+        blocks.append(nn.linear(values, leaves[f"proj/{task_id}"]))
     h = nn.add(nn.concat_rows(blocks), leaves["task_pos"])
     for layer in range(config.n_layers):
-        params = nn.EncoderLayerParams.from_tensors(leaves, f"enc{layer}/", config.n_heads)
-        h = nn.encoder_layer(h, params, config.norm_first, weights_out)
+        h = nn.encoder_layer(
+            h, leaves, f"enc{layer}/", config.n_heads, config.norm_first, weights_out
+        )
     if config.decoder_kind == task_models.KIND_LOCALIZATION:
         h = nn.slice_rows(h, 0, config.task_dims[0][1])
     return task_models.head_graph(h, leaves, config.decoder_kind, "dec")
@@ -140,7 +141,7 @@ def align_and_extract(
     stride_s: float,
 ) -> FeatureSequence:
     """Resample a clip, or a split of clips (samples x frames x channels), to
-    one model's native fps, plan windows once for all of them, extract."""
+    one model's native fps, plan window starts once for all of them, extract."""
     clip_k = resample(clip, model.native_fps)
-    plan = plan_windows(clip_k.duration_s, model.native_window_s, stride_s, model.native_fps)
-    return extract_features(clip_k, model, plan)
+    starts = plan_windows(clip_k.duration_s, model.native_window_s, stride_s, model.native_fps)
+    return extract_features(clip_k, model, starts)

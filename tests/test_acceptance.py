@@ -139,12 +139,10 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
         params.add("tokens", rng.normal(size=(4, 8)))
 
         def mha_loss(p):
-            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-            return nn.mean_all(nn.multi_head_attention(p["tokens"], layer))
+            return nn.mean_all(nn.multi_head_attention(p["tokens"], p, "", 2))
 
         def enc_loss(p):
-            layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-            return nn.mean_all(nn.encoder_layer(p["tokens"], layer))
+            return nn.mean_all(nn.encoder_layer(p["tokens"], p, "", 2))
 
         worst_op = max(worst_op, nn.grad_check(mha_loss, params))
         worst_op = max(worst_op, nn.grad_check(enc_loss, params))
@@ -225,16 +223,12 @@ def test_criterion_5_task_block_permutation_property():
     }
     # translate's graph, composed from the same public ops with the task
     # blocks concatenated in each of the six orders
-    projected = {t: nn.matmul(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in dims}
-    layers = [
-        nn.EncoderLayerParams.from_tensors(leaves, f"enc{i}/", cfg.n_heads)
-        for i in range(cfg.n_layers)
-    ]
+    projected = {t: nn.linear(feats[t].values, leaves[f"proj/{t}"]) for t, _, _ in dims}
     logits = []
     for order in itertools.permutations(cfg.task_ids):
         h = nn.add(nn.concat_rows([projected[t] for t in order]), leaves["task_pos"])
-        for layer in layers:
-            h = nn.encoder_layer(h, layer, cfg.norm_first)
+        for i in range(cfg.n_layers):
+            h = nn.encoder_layer(h, leaves, f"enc{i}/", cfg.n_heads, cfg.norm_first)
         logits.append(tm.head_graph(h, leaves, tm.KIND_BINARY, "dec").item())
     spread = max(logits) - min(logits)
     report(
@@ -290,23 +284,21 @@ def test_criterion_7_window_alignment():
         win_f = int(rng.integers(1, 33))
         dur_f = win_f + int(rng.integers(0, 65))
         stride_f = int(rng.integers(1, win_f + 1))
-        plan = ta.plan_windows(dur_f / fps, win_f / fps, stride_f / fps, fps)
-        fuzz_ok &= [round(o * fps) for o in plan.offsets_s] == _oracle_offsets(
-            dur_f, win_f, stride_f
-        )
+        starts = ta.plan_windows(dur_f / fps, win_f / fps, stride_f / fps, fps)
+        fuzz_ok &= list(starts) == _oracle_offsets(dur_f, win_f, stride_f)
 
     clip = ta.FrameSeq(
         np.random.default_rng(12).normal(size=(64, 3)), fps=4.0, duration_s=16.0
     )
     resampled = ta.resample(clip, 2.0)
-    plan = ta.plan_windows(resampled.duration_s, 8.0, 4.0, resampled.fps)
-    example_ok = resampled.n_frames == 32 and plan.n_windows == 3
+    starts = ta.plan_windows(resampled.duration_s, 8.0, 4.0, resampled.fps)
+    example_ok = resampled.n_frames == 32 and len(starts) == 3
     report(
         7,
         "window alignment",
         fuzz_ok and example_ok,
         f"1000-case enumeration match={fuzz_ok}; 16s@4fps -> 2fps, 8s windows "
-        f"stride 4s -> {plan.n_windows} windows (need 3)",
+        f"stride 4s -> {len(starts)} windows (need 3)",
     )
 
 

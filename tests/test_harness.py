@@ -765,6 +765,17 @@ def test_cli_run_exits_zero(tiny_config, tmp_path):
     assert (out / "aggregate.json").exists()
 
 
+def test_cli_run_with_a_noiseless_primary_reports_a_combined_ceiling_of_one(tmp_path):
+    noiseless = TINY_CFG.replace("noise_sigma = 1.5", "noise_sigma = 0.0")
+    cfg = write_cfg(tmp_path, noiseless)
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg), "--arm", "translator", "--out", str(out)])
+    assert code == 0
+    aggregate = json.loads((out / "aggregate.json").read_text())
+    assert aggregate["bayes"]["primary_only_ceiling"] == 1.0
+    assert aggregate["bayes"]["combined_ceiling"] == 1.0
+
+
 def test_cli_missing_config_is_exit_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     err = capsys.readouterr().err

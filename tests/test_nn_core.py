@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -24,9 +23,9 @@ def rand_layer_arrays(rng, d, d_ff, scale=0.35):
     return {k: rng.normal(0.0, scale, size=v.shape) for k, v in arrays.items()}
 
 
-def rand_layer(rng, d, d_ff, n_heads, scale=0.35):
-    tensors = {k: nn.Tensor(v) for k, v in rand_layer_arrays(rng, d, d_ff, scale).items()}
-    return nn.EncoderLayerParams.from_tensors(tensors, "", n_heads)
+def rand_layer(rng, d, d_ff, scale=0.35):
+    """Layer leaves at a generic point, under the empty prefix."""
+    return {k: nn.Tensor(v) for k, v in rand_layer_arrays(rng, d, d_ff, scale).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +63,22 @@ def test_linear_shape_mismatch_names_both_operands():
         nn.linear(np.zeros((2, 3)), np.zeros((4, 5)))
     with pytest.raises(DimensionError, match=r"bias has shape \(4,\).*5 columns"):
         nn.linear(np.zeros((2, 3)), np.zeros((3, 5)), np.zeros(4))
+
+
+def test_bias_free_linear_on_a_batch_is_matmul_bit_for_bit_and_grad_checks():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 4, 5))
+    w = rng.normal(size=(5, 2))
+    out = nn.linear(x, w)
+    assert out.shape == (3, 4, 2)
+    np.testing.assert_array_equal(out.value, np.matmul(x, w))
+
+    params = nn.ParamSet()
+    params.add("x", x)
+    params.add("w", w)
+    readout = rng.normal(size=(3, 4, 2))
+    f = lambda p: nn.sum_all(nn.mul(nn.linear(p["x"], p["w"]), readout))
+    assert nn.grad_check(f, params) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -191,48 +206,48 @@ def test_sigmoid_loss_gradient_is_expit():
 
 def test_attention_single_token_weight_is_one():
     rng = np.random.default_rng(0)
-    p = rand_layer(rng, 8, 16, 2)
+    p = rand_layer(rng, 8, 16)
     x = rng.normal(size=(1, 8))
     captured = []
-    out = nn.multi_head_attention(nn.Tensor(x), p, weights_out=captured)
+    out = nn.multi_head_attention(nn.Tensor(x), p, "", 2, weights_out=captured)
     np.testing.assert_allclose(captured[0], np.ones((2, 1, 1)))
-    v = x @ p.wv.value + p.bv.value
-    expected = v @ p.wo.value + p.bo.value
+    v = x @ p["wv"].value + p["bv"].value
+    expected = v @ p["wo"].value + p["bo"].value
     np.testing.assert_allclose(out.value, expected, atol=1e-12)
 
 
 def test_attention_identical_tokens_give_identical_rows():
     rng = np.random.default_rng(1)
-    p = rand_layer(rng, 8, 16, 4)
+    p = rand_layer(rng, 8, 16)
     x = np.tile(rng.normal(size=(1, 8)), (5, 1))
-    out = nn.multi_head_attention(nn.Tensor(x), p).value
+    out = nn.multi_head_attention(nn.Tensor(x), p, "", 4).value
     np.testing.assert_allclose(out, np.tile(out[:1], (5, 1)), atol=1e-12)
 
 
 def test_attention_matches_dense_loop_oracle():
     rng = np.random.default_rng(2)
-    p = rand_layer(rng, 6, 12, 1)
+    p = rand_layer(rng, 6, 12)
     x = rng.normal(size=(3, 6))
-    out = nn.multi_head_attention(nn.Tensor(x), p).value
+    out = nn.multi_head_attention(nn.Tensor(x), p, "", 1).value
 
-    q = x @ p.wq.value + p.bq.value
-    k = x @ p.wk.value
-    v = x @ p.wv.value + p.bv.value
+    q = x @ p["wq"].value + p["bq"].value
+    k = x @ p["wk"].value
+    v = x @ p["wv"].value + p["bv"].value
     expected = np.zeros((3, 6))
     for i in range(3):
         logits = np.array([np.dot(q[i], k[j]) / math.sqrt(6) for j in range(3)])
         weights = np.exp(logits - logits.max())
         weights /= weights.sum()
         expected[i] = sum(weights[j] * v[j] for j in range(3))
-    expected = expected @ p.wo.value + p.bo.value
+    expected = expected @ p["wo"].value + p["bo"].value
     np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
 def test_attention_weight_rows_sum_to_one():
     rng = np.random.default_rng(4)
-    p = rand_layer(rng, 8, 16, 4)
+    p = rand_layer(rng, 8, 16)
     captured = []
-    nn.multi_head_attention(nn.Tensor(rng.normal(size=(7, 8))), p, weights_out=captured)
+    nn.multi_head_attention(nn.Tensor(rng.normal(size=(7, 8))), p, "", 4, weights_out=captured)
     (weights,) = captured
     assert weights.shape == (4, 7, 7)
     np.testing.assert_allclose(weights.sum(axis=2), np.ones((4, 7)), atol=1e-6)
@@ -242,14 +257,15 @@ def test_attention_weight_rows_sum_to_one():
 def test_encoder_layer_params_reject_misshaped_vectors(name):
     arrays = nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16)
     arrays[name] = np.zeros(1)
-    tensors = {k: nn.Tensor(v) for k, v in arrays.items()}
-    with pytest.raises(DimensionError):
-        nn.EncoderLayerParams.from_tensors(tensors, "", 2)
+    leaves = {f"enc0/{k}": nn.Tensor(v) for k, v in arrays.items()}
+    x = nn.Tensor(np.zeros((3, 8)))
+    with pytest.raises(DimensionError, match=f"enc0/{name}"):
+        nn.encoder_layer(x, leaves, "enc0/", 2)
+    with pytest.raises(DimensionError, match=f"enc0/{name}"):
+        nn.multi_head_attention(x, leaves, "enc0/", 2)
 
 
-def test_encoder_layout_names_the_dataclass_fields_in_param_set_order():
-    fields = [f.name for f in dataclasses.fields(nn.EncoderLayerParams)]
-    assert fields == ["n_heads", *nn.ENCODER_PARAM_FIELDS]
+def test_encoder_layout_names_the_init_arrays_in_param_set_order():
     arrays = nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16)
     assert tuple(arrays) == nn.ENCODER_PARAM_FIELDS
 
@@ -258,10 +274,12 @@ def test_attention_rejects_indivisible_heads():
     rng = np.random.default_rng(5)
     arrays = nn.init_encoder_layer_arrays(rng, 6, 12)
     tensors = {k: nn.Tensor(v) for k, v in arrays.items()}
-    with pytest.raises(DimensionError):
-        nn.EncoderLayerParams.from_tensors(tensors, "", 4)
-    with pytest.raises(DimensionError):
-        nn.EncoderLayerParams.from_tensors(tensors, "", 0)
+    x = nn.Tensor(rng.normal(size=(3, 6)))
+    for n_heads in (4, 0):
+        with pytest.raises(DimensionError, match="heads"):
+            nn.encoder_layer(x, tensors, "", n_heads)
+        with pytest.raises(DimensionError, match="heads"):
+            nn.multi_head_attention(x, tensors, "", n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +289,8 @@ def test_attention_rejects_indivisible_heads():
 @pytest.mark.parametrize("t,d", [(1, 8), (5, 16), (32, 32)])
 def test_encoder_layer_preserves_shape(t, d):
     rng = np.random.default_rng(d)
-    p = rand_layer(rng, d, 2 * d, 4)
-    out = nn.encoder_layer(nn.Tensor(rng.normal(size=(t, d))), p)
+    p = rand_layer(rng, d, 2 * d)
+    out = nn.encoder_layer(nn.Tensor(rng.normal(size=(t, d))), p, "", 4)
     assert out.shape == (t, d)
     assert np.all(np.isfinite(out.value))
 
@@ -281,10 +299,9 @@ def test_encoder_layer_zero_weights_is_identity():
     zero = {k: np.zeros_like(v) for k, v in nn.init_encoder_layer_arrays(np.random.default_rng(0), 8, 16).items()}
     zero["ln1_gamma"] = np.ones(8)
     zero["ln2_gamma"] = np.ones(8)
-    tensors = {k: nn.Tensor(v) for k, v in zero.items()}
-    p = nn.EncoderLayerParams.from_tensors(tensors, "", 2)
+    p = {k: nn.Tensor(v) for k, v in zero.items()}
     x = np.random.default_rng(1).normal(size=(5, 8))
-    out = nn.encoder_layer(nn.Tensor(x), p).value
+    out = nn.encoder_layer(nn.Tensor(x), p, "", 2).value
     np.testing.assert_array_equal(out, x)
 
 
@@ -292,21 +309,21 @@ def test_encoder_layer_permutation_equivariance_all_orders():
     import itertools
 
     rng = np.random.default_rng(6)
-    p = rand_layer(rng, 8, 16, 2)
+    p = rand_layer(rng, 8, 16)
     x = rng.normal(size=(3, 8))
-    base = nn.encoder_layer(nn.Tensor(x), p).value
+    base = nn.encoder_layer(nn.Tensor(x), p, "", 2).value
     for perm in itertools.permutations(range(3)):
         perm = list(perm)
-        permuted = nn.encoder_layer(nn.Tensor(x[perm]), p).value
+        permuted = nn.encoder_layer(nn.Tensor(x[perm]), p, "", 2).value
         assert np.abs(permuted - base[perm]).max() < 1e-6
 
 
 def test_encoder_layer_post_norm_variant_runs():
     rng = np.random.default_rng(8)
-    p = rand_layer(rng, 8, 16, 2)
+    p = rand_layer(rng, 8, 16)
     x = rng.normal(size=(4, 8))
-    pre = nn.encoder_layer(nn.Tensor(x), p, norm_first=True).value
-    post = nn.encoder_layer(nn.Tensor(x), p, norm_first=False).value
+    pre = nn.encoder_layer(nn.Tensor(x), p, "", 2, norm_first=True).value
+    post = nn.encoder_layer(nn.Tensor(x), p, "", 2, norm_first=False).value
     assert pre.shape == post.shape == (4, 8)
     assert not np.allclose(pre, post)
 
@@ -316,19 +333,20 @@ def test_encoder_layer_post_norm_variant_runs():
 
 
 def composed_encoder_layer(x, p, norm_first=True, weights_out=None):
-    """The encoder layer as a composition of public graph ops: the reference
-    the fused single-node ``encoder_layer`` must reproduce."""
+    """The encoder layer, with 2 heads and leaves ``p`` under the empty
+    prefix, as a composition of public graph ops: the reference the fused
+    single-node ``encoder_layer`` must reproduce."""
 
     def feed_forward(h):
-        return nn.linear(nn.gelu(nn.linear(h, p.ffn_w1, p.ffn_b1)), p.ffn_w2, p.ffn_b2)
+        return nn.linear(nn.gelu(nn.linear(h, p["ffn_w1"], p["ffn_b1"])), p["ffn_w2"], p["ffn_b2"])
 
     if norm_first:
-        normed = nn.layer_norm(x, p.ln1_gamma, p.ln1_beta)
-        h = nn.add(x, nn.multi_head_attention(normed, p, weights_out))
-        return nn.add(h, feed_forward(nn.layer_norm(h, p.ln2_gamma, p.ln2_beta)))
-    attended = nn.multi_head_attention(x, p, weights_out)
-    h = nn.layer_norm(nn.add(x, attended), p.ln1_gamma, p.ln1_beta)
-    return nn.layer_norm(nn.add(h, feed_forward(h)), p.ln2_gamma, p.ln2_beta)
+        normed = nn.layer_norm(x, p["ln1_gamma"], p["ln1_beta"])
+        h = nn.add(x, nn.multi_head_attention(normed, p, "", 2, weights_out))
+        return nn.add(h, feed_forward(nn.layer_norm(h, p["ln2_gamma"], p["ln2_beta"])))
+    attended = nn.multi_head_attention(x, p, "", 2, weights_out)
+    h = nn.layer_norm(nn.add(x, attended), p["ln1_gamma"], p["ln1_beta"])
+    return nn.layer_norm(nn.add(h, feed_forward(h)), p["ln2_gamma"], p["ln2_beta"])
 
 
 def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
@@ -337,11 +355,10 @@ def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
     ``per_sample``, of ``composed_encoder_layer`` run on each sample alone,
     so no attention can cross from one sample into another."""
     leaves = {k: nn.Tensor(v, requires_grad=True) for k, v in arrays.items()}
-    p = nn.EncoderLayerParams.from_tensors(leaves, "", 2)
     weights = []
     if per_sample:
         inputs = [nn.Tensor(x, requires_grad=True) for x in x0.reshape((-1,) + x0.shape[-2:])]
-        outputs = [composed_encoder_layer(x, p, norm_first, weights) for x in inputs]
+        outputs = [composed_encoder_layer(x, leaves, norm_first, weights) for x in inputs]
         readouts = readout.reshape((-1,) + readout.shape[-2:])
         terms = [nn.sum_all(nn.mul(out, r)) for out, r in zip(outputs, readouts)]
         total = terms[0]
@@ -352,7 +369,7 @@ def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
         dx = np.stack([x.grad for x in inputs]).reshape(x0.shape)
     else:
         x = nn.Tensor(x0, requires_grad=True)
-        out = nn.encoder_layer(x, p, norm_first, weights)
+        out = nn.encoder_layer(x, leaves, "", 2, norm_first, weights)
         nn.sum_all(nn.mul(out, readout)).backward()
         value, dx = out.value, x.grad
     return value, dx, {k: t.grad for k, t in leaves.items()}, weights
@@ -400,8 +417,7 @@ def test_grad_check_fused_encoder_layer_three_sequences(norm_first):
     readout = rng.normal(size=(3, 4, 8))
 
     def f(p):
-        layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-        out = nn.encoder_layer(p["tokens"], layer, norm_first)
+        out = nn.encoder_layer(p["tokens"], p, "", 2, norm_first)
         return nn.sum_all(nn.mul(out, readout))
 
     assert nn.grad_check(f, params) < 1e-4
@@ -471,12 +487,10 @@ def test_grad_check_every_parameterized_operation(seed):
     params.add("tokens", rng.normal(size=(4, 8)))
 
     def attn_loss(p):
-        layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-        return nn.mean_all(nn.multi_head_attention(p["tokens"], layer))
+        return nn.mean_all(nn.multi_head_attention(p["tokens"], p, "", 2))
 
     def enc_loss(p):
-        layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
-        return nn.mean_all(nn.encoder_layer(p["tokens"], layer))
+        return nn.mean_all(nn.encoder_layer(p["tokens"], p, "", 2))
 
     worst = max(worst, nn.grad_check(attn_loss, params))
     worst = max(worst, nn.grad_check(enc_loss, params))
@@ -594,9 +608,9 @@ def test_stacked_attention_concat_and_slice_equal_per_sequence_ops():
     q, k, v = (rng.normal(size=(n, t, d)) for _ in range(3))
     captured = []
     attended = nn.scaled_dot_attention(q, k, v, heads, captured).value
-    layer = rand_layer(rng, d, 16, heads)
+    layer = rand_layer(rng, d, 16)
     x = rng.normal(size=(n, t, d))
-    encoded = nn.encoder_layer(x, layer).value
+    encoded = nn.encoder_layer(x, layer, "", heads).value
     first = rng.normal(size=(n, 2, d))
     joined = nn.concat_rows([first, x]).value
     cut = nn.slice_rows(x, 1, 4).value
@@ -610,7 +624,7 @@ def test_stacked_attention_concat_and_slice_equal_per_sequence_ops():
         want = nn.scaled_dot_attention(q[i], k[i], v[i], heads, alone).value
         np.testing.assert_allclose(attended[i], want, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(captured[i], alone[0], rtol=1e-12, atol=1e-12)
-        want = nn.encoder_layer(x[i], layer).value
+        want = nn.encoder_layer(x[i], layer, "", heads).value
         np.testing.assert_allclose(encoded[i], want, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(joined[i], nn.concat_rows([first[i], x[i]]).value)
         np.testing.assert_array_equal(cut[i], nn.slice_rows(x[i], 1, 4).value)
@@ -652,9 +666,8 @@ def test_grad_check_stacked_attention_concat_and_slice(seed):
     readout = rng.normal(size=(n, 2, d))
 
     def f(p):
-        layer = nn.EncoderLayerParams.from_tensors(p, "", 2)
         tokens = nn.add(nn.concat_rows([p["a"], p["b"]]), p["pos"])
-        attended = nn.multi_head_attention(tokens, layer)
+        attended = nn.multi_head_attention(tokens, p, "", 2)
         return nn.sum_all(nn.mul(nn.slice_rows(attended, 1, 3), readout))
 
     assert nn.grad_check(f, params) < 1e-4
@@ -710,8 +723,8 @@ def test_forward_operations_finite_on_extreme_inputs():
     assert np.all(np.isfinite(nn.softmax(big.ravel()).value))
     assert np.all(np.isfinite(nn.layer_norm(big, np.ones(4), np.zeros(4)).value))
     assert np.all(np.isfinite(nn.gelu(big).value))
-    p = rand_layer(rng, 4, 8, 2)
-    assert np.all(np.isfinite(nn.encoder_layer(nn.Tensor(np.tile(big, (3, 1))), p).value))
+    p = rand_layer(rng, 4, 8)
+    assert np.all(np.isfinite(nn.encoder_layer(nn.Tensor(np.tile(big, (3, 1))), p, "", 2).value))
     assert np.isfinite(nn.sigmoid_cross_entropy(np.asarray([[1e4]]), 0.0).value)
     assert np.isfinite(nn.softmax_cross_entropy(np.asarray([1e4, -1e4, 0.0]), 1).value)
 
@@ -786,7 +799,7 @@ def test_frozen_leaves_do_not_collect_gradients():
     leaves = params.as_tensors()
     assert leaves.grad is None
     x = nn.Tensor(np.ones((2, 2)), requires_grad=True)
-    nn.sum_all(nn.matmul(leaves["w"], x)).backward()
+    nn.sum_all(nn.linear(leaves["w"], x)).backward()
     assert leaves.grad is None
     assert all(leaf.grad is None and not leaf.requires_grad for leaf in leaves.values())
     np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -266,6 +267,51 @@ def test_combined_ceiling_without_primary_signal_is_the_auxiliary_vote(rho):
     q = (1.0 + rho) / 2.0
     want = q * norm.cdf(mu_v) + (1.0 - q) * norm.cdf(-mu_v)
     assert st.combined_bayes_accuracy(primary, [aux], 4.0) == pytest.approx(want, abs=1e-12)
+
+
+def test_combined_ceiling_with_a_sharp_auxiliary_is_bounded_and_monotone():
+    """Less auxiliary noise never lowers the ceiling, which lies between the
+    primary-only ceiling and 1. An auxiliary separated by 9 noise stddevs or
+    more is read without error: the ceiling is then the closed form
+    q Phi(mu_u + L / 2 mu_u) + (1 - q) Phi(mu_u - L / 2 mu_u), L = log(q / (1 - q))."""
+    primary = st.TaskSpec("p", "binary", (0, 1, 2, 3), 2.0, 1.0, 4.0, 4.0, signal=0.131)
+    solo = st.bayes_optimal_accuracy(primary, 4.0)
+    mu_u = st._separation(primary, 4.0) / 2.0
+    q = (1.0 + 0.9) / 2.0
+    shift = np.log(q / (1.0 - q)) / (2.0 * mu_u)
+    exact = q * norm.cdf(mu_u + shift) + (1.0 - q) * norm.cdf(mu_u - shift)
+    ceilings = []
+    for sigma in (0.5, 0.02, 1e-3, 0.0):
+        aux = st.TaskSpec("a", "binary", (4, 5, 6, 7), sigma, 0.9, 2.0, 2.0, signal=0.4)
+        ceiling = st.combined_bayes_accuracy(primary, [aux], 4.0)
+        assert solo < ceiling <= 1.0, sigma
+        if st._separation(aux, 4.0) / 2.0 >= st.EXACT_SEPARATION:
+            assert ceiling == pytest.approx(exact, abs=1e-12), sigma
+        ceilings.append(ceiling)
+    assert ceilings == sorted(ceilings)
+    assert ceilings[0] == pytest.approx(exact, abs=1e-5)  # 0.5 is not yet sharp
+
+
+def test_combined_ceiling_with_a_noiseless_auxiliary_in_monte_carlo_matches_closed_form():
+    """A zero-noise auxiliary next to an almost uninformative one: the Monte
+    Carlo ceiling stays within its sampling error of the one-auxiliary closed
+    form, and without primary signal the ceiling is q."""
+    primary = st.TaskSpec("p", "binary", (0, 1, 2, 3), 2.0, 1.0, 4.0, 4.0, signal=0.131)
+    sharp = st.TaskSpec("a", "binary", (4, 5, 6, 7), 0.0, 0.9, 2.0, 2.0, signal=0.4)
+    weak = st.TaskSpec("w", "binary", (8,), 50.0, 0.9, 2.0, 2.0, signal=0.01)
+    closed_form = st.combined_bayes_accuracy(primary, [sharp], 4.0)
+    assert abs(st.combined_bayes_accuracy(primary, [sharp, weak], 4.0) - closed_form) < 1e-3
+    silent = binary_spec("p", signal=0.0, channels=(0, 1, 2, 3))
+    assert st.combined_bayes_accuracy(silent, [sharp], 4.0) == 0.95
+    assert abs(st.combined_bayes_accuracy(silent, [sharp, weak], 4.0) - 0.95) < 1e-3
+
+
+def test_combined_ceiling_of_a_noiseless_primary_is_one():
+    primary = st.TaskSpec("p", "binary", (0, 1, 2, 3), 0.0, 1.0, 4.0, 4.0, signal=0.131)
+    aux = st.TaskSpec("a", "binary", (4, 5, 6, 7), 0.5, 0.9, 2.0, 2.0, signal=0.4)
+    sharp = dataclasses.replace(aux, noise_sigma=0.0)
+    for auxiliaries in ([aux], [sharp], [aux, sharp]):
+        assert st.combined_bayes_accuracy(primary, auxiliaries, 4.0) == 1.0
 
 
 def test_default_config_ceilings_match_scipy_stats():

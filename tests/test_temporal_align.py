@@ -82,25 +82,20 @@ def test_resample_is_a_projection(src_fps, dst_fps):
 
 
 def test_plan_windows_regular_cover():
-    plan = ta.plan_windows(16.0, 8.0, 4.0, 2.0)
-    assert plan.offsets_s == (0.0, 4.0, 8.0)
-    assert plan.n_windows == 3
+    assert ta.plan_windows(16.0, 8.0, 4.0, 2.0) == (0, 8, 16)
 
 
 def test_plan_windows_full_cover_single_window():
     for stride in (0.5, 1.0, 100.0):
-        plan = ta.plan_windows(4.0, 4.0, stride, 2.0)
-        assert plan.offsets_s == (0.0,)
+        assert ta.plan_windows(4.0, 4.0, stride, 2.0) == (0,)
 
 
 def test_plan_windows_exact_fit_without_tail():
-    plan = ta.plan_windows(10.0, 4.0, 3.0, 1.0)
-    assert plan.offsets_s == (0.0, 3.0, 6.0)
+    assert ta.plan_windows(10.0, 4.0, 3.0, 1.0) == (0, 3, 6)
 
 
 def test_plan_windows_appends_end_aligned_tail():
-    plan = ta.plan_windows(10.0, 4.0, 4.0, 1.0)
-    assert plan.offsets_s == (0.0, 4.0, 6.0)
+    assert ta.plan_windows(10.0, 4.0, 4.0, 1.0) == (0, 4, 6)
 
 
 def test_plan_windows_rejects_long_window():
@@ -133,10 +128,9 @@ def test_plan_windows_matches_enumeration_oracle_on_1000_fuzz_cases():
         win_f = int(rng.integers(1, 33))
         dur_f = win_f + int(rng.integers(0, 65))
         stride_f = int(rng.integers(1, win_f + 1))
-        plan = ta.plan_windows(dur_f / fps, win_f / fps, stride_f / fps, fps)
+        starts = ta.plan_windows(dur_f / fps, win_f / fps, stride_f / fps, fps)
         expected = _oracle_offsets(dur_f, win_f, stride_f)
-        got = [round(o * fps) for o in plan.offsets_s]
-        assert got == expected
+        assert list(starts) == expected
         # coverage: every frame of the clip lies inside at least one window
         covered = np.zeros(dur_f, dtype=bool)
         for o in expected:
@@ -151,8 +145,8 @@ def test_plan_windows_matches_enumeration_oracle_on_1000_fuzz_cases():
 def test_extract_single_window_equals_whole_clip_trunk():
     model = LinearStub(native_fps=2.0, native_window_s=4.0)
     clip = make_clip(4.0, 2.0, seed=1)
-    plan = ta.plan_windows(4.0, 4.0, 1.0, 2.0)
-    seq = ta.extract_features(clip, model, plan)
+    starts = ta.plan_windows(4.0, 4.0, 1.0, 2.0)
+    seq = ta.extract_features(clip, model, starts)
     expected = (clip.values @ model.matrix).astype(np.float32)
     np.testing.assert_array_equal(seq.values, expected)
     np.testing.assert_array_equal(seq.frame_times_s, clip.frame_times())
@@ -161,25 +155,32 @@ def test_extract_single_window_equals_whole_clip_trunk():
 def test_extract_duplicate_windows_average_to_single_window_output():
     model = LinearStub(native_fps=2.0, native_window_s=4.0)
     clip = make_clip(4.0, 2.0, seed=2)
-    single = ta.WindowPlan(window_s=4.0, fps=2.0, starts=(0,))
-    double = ta.WindowPlan(window_s=4.0, fps=2.0, starts=(0, 0))
     np.testing.assert_array_equal(
-        ta.extract_features(clip, model, single).values,
-        ta.extract_features(clip, model, double).values,
+        ta.extract_features(clip, model, (0,)).values,
+        ta.extract_features(clip, model, (0, 0)).values,
     )
+
+
+@pytest.mark.parametrize("starts", [(0, 1), (-1, 0)])
+def test_extract_rejects_windows_outside_the_clip(starts):
+    """4 s windows at 2 fps are 8 frames, as long as the clip: a window
+    starting at frame 1 ends past it, and one at -1 starts before it."""
+    model = LinearStub(native_fps=2.0, native_window_s=4.0)
+    clip = make_clip(4.0, 2.0, seed=2)
+    with pytest.raises(AlignmentError, match="outside the clip's 8 frames"):
+        ta.extract_features(clip, model, starts)
 
 
 def test_extract_overlapping_windows_match_materialize_and_average_oracle():
     model = LinearStub(native_fps=2.0, native_window_s=2.0)
     clip = make_clip(4.0, 2.0, seed=3)
-    plan = ta.plan_windows(4.0, 2.0, 1.0, 2.0)
-    seq = ta.extract_features(clip, model, plan)
+    starts = ta.plan_windows(4.0, 2.0, 1.0, 2.0)
+    seq = ta.extract_features(clip, model, starts)
 
-    win_f = plan.frames_per_window
+    win_f = ta.frame_count(model.native_fps, model.native_window_s)
     totals = np.zeros((clip.n_frames, 2))
     counts = np.zeros(clip.n_frames)
-    for offset in plan.offsets_s:
-        start = round(offset * plan.fps)
+    for start in starts:
         window_out = clip.values[start : start + win_f] @ model.matrix
         totals[start : start + win_f] += window_out
         counts[start : start + win_f] += 1
@@ -203,8 +204,8 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
     assert np.all(np.abs(taps[1:]) > 1e-3)  # the mix reaches back across frames
     tm.freeze(model)
     clip = make_clip(5.0, 2.0, seed=9)
-    plan = ta.plan_windows(5.0, 2.0, 0.5, 2.0)  # one-frame stride
-    seq = ta.extract_features(clip, model, plan)
+    starts = ta.plan_windows(5.0, 2.0, 0.5, 2.0)  # one-frame stride
+    seq = ta.extract_features(clip, model, starts)
 
     p = {name: model.params[name].value for name in model.params.names()}
 
@@ -221,12 +222,11 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
                     out[t] += taps[tau] * frames[t - tau]
         return out
 
-    win_f = plan.frames_per_window
+    win_f = ta.frame_count(model.native_fps, model.native_window_s)
     x = clip.values[:, [0, 2]]
     totals = np.zeros((clip.n_frames, 3))
     counts = np.zeros(clip.n_frames)
-    for offset in plan.offsets_s:
-        start = round(offset * plan.fps)
+    for start in starts:
         totals[start : start + win_f] += mix(per_frame(x[start : start + win_f]))
         counts[start : start + win_f] += 1
     expected = totals / counts[:, None]
@@ -235,8 +235,7 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
     # history carried over from one window into the next would differ
     leaked = np.zeros((clip.n_frames, 3))
     whole = mix(per_frame(x))
-    for offset in plan.offsets_s:
-        start = round(offset * plan.fps)
+    for start in starts:
         leaked[start : start + win_f] += whole[start : start + win_f]
     assert np.abs(leaked / counts[:, None] - expected).max() > 1e-2
 
@@ -244,25 +243,25 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
 def test_extract_rejects_fps_mismatch():
     model = LinearStub(native_fps=2.0, native_window_s=2.0)
     clip = make_clip(4.0, 4.0)
-    plan = ta.plan_windows(4.0, 2.0, 1.0, 4.0)
+    starts = ta.plan_windows(4.0, 2.0, 1.0, 4.0)
     with pytest.raises(AlignmentError):
-        ta.extract_features(clip, model, plan)
+        ta.extract_features(clip, model, starts)
 
 
 def test_extract_rejects_unfrozen_model():
     model = LinearStub(native_fps=2.0, native_window_s=2.0, frozen=False)
     clip = make_clip(4.0, 2.0)
-    plan = ta.plan_windows(4.0, 2.0, 1.0, 2.0)
+    starts = ta.plan_windows(4.0, 2.0, 1.0, 2.0)
     with pytest.raises(ContractViolationError):
-        ta.extract_features(clip, model, plan)
+        ta.extract_features(clip, model, starts)
 
 
 def test_extract_output_is_finite_full_length_and_deterministic():
     model = LinearStub(native_fps=2.0, native_window_s=2.0)
     clip = make_clip(6.0, 2.0, seed=4)
-    plan = ta.plan_windows(6.0, 2.0, 1.5, 2.0)
-    a = ta.extract_features(clip, model, plan)
-    b = ta.extract_features(clip, model, plan)
+    starts = ta.plan_windows(6.0, 2.0, 1.5, 2.0)
+    a = ta.extract_features(clip, model, starts)
+    b = ta.extract_features(clip, model, starts)
     assert a.n_frames == clip.n_frames
     assert np.all(np.isfinite(a.values))
     assert np.all(np.diff(a.frame_times_s) > 0)

@@ -121,11 +121,10 @@ def test_translate_localization_scores_each_primary_frame_only():
     scores = tr.translate(feats, leaves, config)
     assert scores.shape == (4, 1)  # primary "p" has 4 frames of 8 tokens
 
-    blocks = [nn.matmul(feats[t], leaves[f"proj/{t}"]) for t in config.task_ids]
+    blocks = [nn.linear(feats[t], leaves[f"proj/{t}"]) for t in config.task_ids]
     h = nn.add(nn.concat_rows(blocks), leaves["task_pos"])
     for layer in range(config.n_layers):
-        layer_params = nn.EncoderLayerParams.from_tensors(leaves, f"enc{layer}/", config.n_heads)
-        h = nn.encoder_layer(h, layer_params, config.norm_first)
+        h = nn.encoder_layer(h, leaves, f"enc{layer}/", config.n_heads, config.norm_first)
     expected = h.value[:4] @ leaves["dec/w"].value + leaves["dec/b"].value
     np.testing.assert_array_equal(scores.value, expected)
 
