@@ -351,8 +351,12 @@ def cache_store(path: str | Path, seq: FeatureSequence) -> None:
     # write aside, then rename: a concurrent reader sees no file or a whole one
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(header + values + times)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(header + values + times)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cache_file_size(task_id: str, *shape: int) -> int:
@@ -599,7 +603,7 @@ def run_arm_seed(
     tconfig = config.translator_config(arm)
     primary_id = config.primary.spec.task_id
     splits = {
-        split: (features[split], ds.task_labels(primary_id)) for split, ds in datasets.items()
+        split: (features[split], ds.labels[primary_id]) for split, ds in datasets.items()
     }
 
     checksums_before = {t: models[t].checksum() for t in tconfig.task_ids}
@@ -771,7 +775,7 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
 
         def stacked_loss(p):
             output = tm.head_graph(tm.trunk_graph(p["x"], p), p, tm.KIND_BINARY)
-            return tg.batch_loss(output, [1.0, 0.0, 1.0], tm.KIND_BINARY)
+            return tm.loss(tm.KIND_BINARY, output, [1.0, 0.0, 1.0], None)
 
         err = nn.grad_check(stacked_loss, stacked_params)
         record(f"grad_stacked_trunk_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
@@ -794,7 +798,7 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
 
         def translator_loss(p):
             output = tr.translate(group, p, tconfig)
-            return tg.batch_loss(output, [0, 2, 1], tm.KIND_LOCALIZATION)
+            return tm.loss(tm.KIND_LOCALIZATION, output, [0, 2, 1], np.arange(3.0))
 
         err = nn.grad_check(translator_loss, tparams)
         record(f"grad_stacked_translator_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")

@@ -68,6 +68,8 @@ class TaskSpec:
             raise GenerationError(f"task {self.task_id!r} repeats channels")
         if self.noise_sigma < 0:
             raise GenerationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.signal < 0:
+            raise GenerationError(f"signal must be >= 0, got {self.signal}")
         if not 0.0 <= self.corr_rho <= 1.0:
             raise GenerationError(f"corr_rho must lie in [0, 1], got {self.corr_rho}")
         if self.kind == KIND_SEQUENCE:
@@ -97,9 +99,6 @@ class SyntheticDataset:
     @property
     def n_samples(self) -> int:
         return len(self.clips.values)
-
-    def task_labels(self, task_id: str) -> np.ndarray:
-        return self.labels[task_id]
 
     def summary(self) -> dict:
         out = {

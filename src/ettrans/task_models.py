@@ -5,7 +5,8 @@ perceptron and one causal lag-mixing layer, so features carry temporal
 context. This module owns the task kind: the head for each kind (its
 parameters, its graph and the readout of a prediction from its output) is
 defined here once and reused, under another parameter prefix, as the
-translator's decoder.
+translator's decoder, and so are the kind's loss against dataset labels, its
+metrics and the metric both training stages stop early on.
 Models are trained in stage 1 and frozen afterwards; a frozen model's
 parameters must survive any later training bit-identical.
 """
@@ -17,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import metrics as metrics_mod
 from . import nn_core as nn
 from .errors import DimensionError
 from .temporal_align import FrameSeq, whole_frames
@@ -158,6 +160,71 @@ def readout(kind: str, output, frame_times_s: np.ndarray) -> np.ndarray:
         return frame_times_s[np.argmax(scores, axis=1)]
     steps = [(np.argmax(v.value, axis=1), np.argmax(n.value, axis=1)) for v, n in output]
     return np.array(steps).transpose(2, 0, 1)
+
+
+def localization_target_index(times_s, frame_times_s: np.ndarray) -> np.ndarray:
+    """Index of the frame whose timestamp is nearest each labeled change time
+    (the lowest one on a tie): one index per time in ``times_s``."""
+    gaps = np.abs(np.asarray(frame_times_s) - np.asarray(times_s)[..., None])
+    return np.argmin(gaps, axis=-1)
+
+
+def loss(kind: str, output, labels, frame_times_s) -> nn.Tensor:
+    """Summed training loss of the samples a head output holds, against their
+    dataset labels, samples first: the classes (binary), the change times,
+    each mapped to the nearest of the scored frames at ``frame_times_s``
+    (localization), or the (horizon x 2) future pairs (sequence)."""
+    if kind == KIND_BINARY:
+        return nn.sigmoid_cross_entropy(output, labels)
+    if kind == KIND_LOCALIZATION:
+        return nn.softmax_cross_entropy(output, localization_target_index(labels, frame_times_s))
+    if kind == KIND_SEQUENCE:
+        labels = np.asarray(labels)
+        if labels.shape[1:] != (len(output), 2):
+            raise ValueError(f"{len(output)} predicted steps for labels of shape {labels.shape}")
+        total = None
+        for z, (verb_logits, noun_logits) in enumerate(output):
+            term = nn.add(
+                nn.softmax_cross_entropy(verb_logits, labels[:, z, 0]),
+                nn.softmax_cross_entropy(noun_logits, labels[:, z, 1]),
+            )
+            total = term if total is None else nn.add(total, term)
+        return nn.scale(total, 1.0 / (2.0 * len(output)))
+    raise ValueError(f"unknown task kind: {kind!r}")
+
+
+# Each task kind's early-stopping metric, a key of ``score_predictions``'s
+# dict, and whether greater is better.
+STOPPING_METRIC = {
+    KIND_BINARY: ("accuracy", True),
+    KIND_LOCALIZATION: ("localization_error_s", False),
+    KIND_SEQUENCE: ("edit_distance_action", False),
+}
+
+
+def score_predictions(kind: str, preds: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """Every metric of a task kind for a batch of predictions, arrays shaped
+    like ``readout``'s and the dataset's labels."""
+    preds, labels = preds.tolist(), labels.tolist()
+    if kind == KIND_BINARY:
+        out = {"accuracy": metrics_mod.accuracy([int(p > 0) for p in preds], labels)}
+        if any(labels) and not all(labels):
+            out["map"] = metrics_mod.average_precision(preds, labels)
+        return out
+    if kind == KIND_LOCALIZATION:
+        return {"localization_error_s": metrics_mod.mean_localization_error(preds, labels)}
+    verb = noun = action = 0.0
+    for pred_seq, true_seq in zip(preds, labels):
+        ed = metrics_mod.edit_distance_at_z([pred_seq], true_seq)
+        verb += ed.verb
+        noun += ed.noun
+        action += ed.action
+    n = len(preds)
+    return {
+        "edit_distance_verb": verb / n,
+        "edit_distance_noun": noun / n,
+        "edit_distance_action": action / n,
+    }
 
 
 def init_task_model(

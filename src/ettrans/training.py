@@ -4,7 +4,9 @@ Stage 1 fits each task model independently on its native-geometry dataset.
 Stage 2 optimizes translator parameters only, on the primary dataset: it reads
 the features extracted from the frozen models and never the models
 themselves, so no gradient path into them exists. Both stages fit and
-validate through one path: Adam, early-stopped on their task kind's metric.
+validate through one path, ``fit``: Adam, early-stopped on their task kind's
+metric. Each kind's loss, metrics and stopping metric come from
+``task_models``; nothing here branches on a kind.
 
 A split stays stacked throughout: stage 1 reads a dataset's
 (samples x frames x channels) clips, stage 2 one (samples x frames x
@@ -20,7 +22,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from . import nn_core as nn
 from . import task_models as tm
 from . import translator as tr
@@ -55,9 +56,7 @@ class OptimState:
         return cls(hyper, 0, np.zeros_like(params.values), np.zeros_like(params.values))
 
 
-def optimizer_step(
-    params: nn.ParamSet, grad: np.ndarray, state: OptimState
-) -> tuple[nn.ParamSet, OptimState]:
+def optimizer_step(params: nn.ParamSet, grad: np.ndarray, state: OptimState) -> None:
     """One Adam update of the whole set from its flat gradient ``grad``, in
     place. A frozen set, or a gradient not shaped like ``params.values``, is
     a caller bug and raises."""
@@ -75,49 +74,6 @@ def optimizer_step(
     m_hat = state.m / bias1
     v_hat = state.v / bias2
     params.values -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-    return params, state
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def batch_loss(output, labels, kind: str) -> nn.Tensor:
-    """Summed training loss of the samples a head output of the given task
-    kind holds, against their labels, samples first; a localization label is
-    the target frame index, a sequence label the (horizon x 2) future pairs."""
-    if kind == tm.KIND_BINARY:
-        return nn.sigmoid_cross_entropy(output, labels)
-    if kind == tm.KIND_LOCALIZATION:
-        return nn.softmax_cross_entropy(output, labels)
-    if kind == tm.KIND_SEQUENCE:
-        labels = np.asarray(labels)
-        if labels.shape[1:] != (len(output), 2):
-            raise ValueError(f"{len(output)} predicted steps for labels of shape {labels.shape}")
-        total = None
-        for z, (verb_logits, noun_logits) in enumerate(output):
-            term = nn.add(
-                nn.softmax_cross_entropy(verb_logits, labels[:, z, 0]),
-                nn.softmax_cross_entropy(noun_logits, labels[:, z, 1]),
-            )
-            total = term if total is None else nn.add(total, term)
-        return nn.scale(total, 1.0 / (2.0 * len(output)))
-    raise ValueError(f"unknown task kind: {kind!r}")
-
-
-def localization_target_index(times_s, frame_times_s: np.ndarray) -> np.ndarray:
-    """Index of the frame whose timestamp is nearest each labeled change time
-    (the lowest one on a tie): one index per time in ``times_s``."""
-    gaps = np.abs(np.asarray(frame_times_s) - np.asarray(times_s)[..., None])
-    return np.argmin(gaps, axis=-1)
-
-
-def _label_loss(output, labels: np.ndarray, kind: str, frame_times_s: np.ndarray) -> nn.Tensor:
-    """``batch_loss`` against dataset labels; ``frame_times_s`` are the times
-    of the frames a localization head scored in each sample."""
-    if kind == tm.KIND_LOCALIZATION:
-        labels = localization_target_index(labels, frame_times_s)
-    return batch_loss(output, labels, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +130,23 @@ def fit(
     params: nn.ParamSet,
     n_train: int,
     build_loss: LossTerms,
-    evaluate: Callable[[nn.ParamSet], tuple[float, float]],
-    metric_name: str,
-    greater_is_better: bool,
+    kind: str,
+    val_predictions: Callable[[nn.ParamSet], tuple[np.ndarray, np.ndarray, float]],
     hyper: TrainHyper,
     seed: int,
 ) -> TrainReport:
-    """Minibatch Adam with early stopping; restores the best-epoch parameters.
+    """Minibatch Adam, stopped early on ``kind``'s metric; restores the
+    best-epoch parameters.
 
     Each epoch draws one seeded permutation of the ``n_train`` training
     samples and cuts it into minibatches of ``hyper.batch_size`` indices.
     ``build_loss`` maps (minibatch indices, leaves) to the minibatch's loss
     terms: scalar graph nodes whose values sum to its summed loss.
-    ``evaluate`` returns (mean loss, metric) on the validation split at the
-    current parameters.
+    ``val_predictions`` returns the predictions, labels and mean loss of the
+    validation split at the current parameters.
     """
     t_start = time.perf_counter()
+    metric_name, greater_is_better = tm.STOPPING_METRIC[kind]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
     state = OptimState.for_params(params, hyper)
     report = TrainReport(seed=seed, metric_name=metric_name, greater_is_better=greater_is_better)
@@ -206,7 +163,11 @@ def fit(
             epoch_loss += _train_step(params, build_loss, idx, state, where)
         report.train_losses.append(epoch_loss / n_train)
 
-        val_loss, val_metric = evaluate(params)
+        preds, labels, val_loss = val_predictions(params)
+        val_metric = tm.score_predictions(kind, preds, labels)[metric_name]
+        # freed before the next epoch's graphs: kept alive, they shift where
+        # glibc trims the heap, and an uplift run took ~10% more page faults
+        del preds, labels
         report.val_losses.append(val_loss)
         report.val_metrics.append(val_metric)
         if _improved(val_metric, best_metric, greater_is_better):
@@ -270,7 +231,7 @@ def _build_loss(kind: str, forward: Callable, graph_samples: int) -> LossTerms:
     def build_loss(idx, leaves):
         for part in _chunks(idx, graph_samples):
             output, frame_times_s, labels = forward(part, leaves)
-            yield _label_loss(output, labels, kind, frame_times_s)
+            yield tm.loss(kind, output, labels, frame_times_s)
 
     return build_loss
 
@@ -284,59 +245,10 @@ def _predictions(
     total_loss = 0.0
     for part in _chunks(np.arange(n_samples), graph_samples):
         output, frame_times_s, part_labels = forward(part, leaves)
-        total_loss += float(_label_loss(output, part_labels, kind, frame_times_s).value)
+        total_loss += float(tm.loss(kind, output, part_labels, frame_times_s).value)
         preds.append(tm.readout(kind, output, frame_times_s))
         labels.append(part_labels)
     return np.concatenate(preds), np.concatenate(labels), total_loss / n_samples
-
-
-# Each task kind's early-stopping metric, a key of ``_score_predictions``'s
-# dict, and whether greater is better.
-_STOPPING_METRIC = {
-    tm.KIND_BINARY: ("accuracy", True),
-    tm.KIND_LOCALIZATION: ("localization_error_s", False),
-    tm.KIND_SEQUENCE: ("edit_distance_action", False),
-}
-
-
-def _score_predictions(kind: str, preds: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-    """Every metric of a task kind for a batch of predictions, arrays shaped
-    like ``tm.readout``'s and the dataset's labels."""
-    preds, labels = preds.tolist(), labels.tolist()
-    if kind == tm.KIND_BINARY:
-        out = {"accuracy": metrics_mod.accuracy([int(p > 0) for p in preds], labels)}
-        if any(labels) and not all(labels):
-            out["map"] = metrics_mod.average_precision(preds, labels)
-        return out
-    if kind == tm.KIND_LOCALIZATION:
-        return {"localization_error_s": metrics_mod.mean_localization_error(preds, labels)}
-    verb = noun = action = 0.0
-    for pred_seq, true_seq in zip(preds, labels):
-        ed = metrics_mod.edit_distance_at_z([pred_seq], true_seq)
-        verb += ed.verb
-        noun += ed.noun
-        action += ed.action
-    n = len(preds)
-    return {
-        "edit_distance_verb": verb / n,
-        "edit_distance_noun": noun / n,
-        "edit_distance_action": action / n,
-    }
-
-
-def _fit_and_validate(
-    params: nn.ParamSet, n_train: int, build_loss: LossTerms, kind: str,
-    val_predictions: Callable[[nn.ParamSet], tuple], hyper: TrainHyper, seed: int,
-) -> TrainReport:
-    """``fit`` with early stopping on ``kind``'s metric of the validation
-    predictions, labels and mean loss ``val_predictions`` returns."""
-    metric_name, greater = _STOPPING_METRIC[kind]
-
-    def evaluate(current_params):
-        preds, labels, mean_loss = val_predictions(current_params)
-        return mean_loss, _score_predictions(kind, preds, labels)[metric_name]
-
-    return fit(params, n_train, build_loss, evaluate, metric_name, greater, hyper, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +259,7 @@ def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
     """Trunk and head over a batch of a native-geometry dataset's indexed
     clips, each clip from its own causal start."""
     clips = dataset.clips
-    labels = dataset.task_labels(model.task_id)
+    labels = dataset.labels[model.task_id]
 
     def forward(idx, leaves):
         batch = FrameSeq(clips.values[idx], fps=clips.fps, duration_s=clips.duration_s)
@@ -372,7 +284,7 @@ def train_stage1(
 ) -> TrainReport:
     """Fit one task model on its own dataset."""
     val_forward = _stage1_forward(model, val_set)
-    return _fit_and_validate(
+    return fit(
         model.params,
         train_set.n_samples,
         stage1_build_loss(model, train_set),
@@ -439,7 +351,7 @@ def evaluate_stage2(
     split: Stage2Split, params: nn.ParamSet, config: tr.TranslatorConfig
 ) -> dict[str, float]:
     preds, labels, mean_loss = stage2_predictions(split, params, config)
-    return {**_score_predictions(config.decoder_kind, preds, labels), "loss": mean_loss}
+    return {**tm.score_predictions(config.decoder_kind, preds, labels), "loss": mean_loss}
 
 
 def train_stage2(
@@ -456,7 +368,7 @@ def train_stage2(
     params = tr.init_translator_params(
         config, np.random.default_rng(np.random.SeedSequence([seed, 0x7A51]))
     )
-    return params, _fit_and_validate(
+    return params, fit(
         params,
         len(train[1]),
         stage2_build_loss(config, train),

@@ -193,7 +193,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
             total = None
             for feats, label in batch:
                 output = tr.translate(feats, leaves, cfg)
-                term = tg.batch_loss(output, [label], cfg.decoder_kind)
+                term = tm.loss(cfg.decoder_kind, output, [label], None)
                 total = term if total is None else nn.add(total, term)
             return nn.scale(total, 0.5)
 
@@ -375,7 +375,7 @@ def test_criterion_9_overfit_sanity(kind, lr):
     tm.freeze(model)
     split = (
         {"p": tr.align_and_extract(dataset.clips, model, spec.native_window_s)},
-        dataset.task_labels("p"),
+        dataset.labels["p"],
     )
     t_p = split[0]["p"].n_frames
     # pooled width must exceed the sample count for raw memorization capacity

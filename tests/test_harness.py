@@ -418,6 +418,7 @@ def test_interrupted_cache_write_leaves_the_old_file_whole(tmp_path, monkeypatch
     monkeypatch.undo()
     loaded = harness.cache_load(path)
     assert loaded.values.tobytes() == old.values.tobytes()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +827,7 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("[task:helper]\nkind = binary", "[task:helper]\nkind = bogus"),
         ("channels = 3-5", "channels = ,"),
         ("native_fps = 2.0", "native_fps = 8.0"),  # above the clips' 4 fps
+        ("signal = 0.2", "signal = -0.2"),
     ],
     ids=["n_heads", "n_layers", "batch_size", "max_epochs", "stage1_max_epochs", "lr",
          "stage1_batch_size", "beta1", "beta2", "beta1_negative", "eps", "eps_nan",
@@ -836,7 +838,7 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
          "unknown_section", "default_section", "feature_dim_zero", "hidden_zero",
          "norm_first_not_boolean", "task_id_with_dot", "no_experiment_section",
          "channels_exceed_clip", "noise_sigma_negative", "unknown_kind", "empty_channel_list",
-         "native_fps_above_clip"],
+         "native_fps_above_clip", "signal_negative"],
 )
 def test_cli_rejects_degenerate_hyperparameters_before_running(tmp_path, capsys, old, new):
     assert TINY_CFG.count(old) == 1

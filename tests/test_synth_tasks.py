@@ -27,14 +27,14 @@ def test_fully_correlated_noiseless_auxiliary_copies_primary():
         st.TaskSpec("a", "binary", (2, 3), 0.0, 1.0, 2.0, 2.0, signal=0.5),
     ]
     ds = st.generate(specs, 200, seed=0)
-    np.testing.assert_array_equal(ds.task_labels("a"), ds.task_labels("p"))
+    np.testing.assert_array_equal(ds.labels["a"], ds.labels["p"])
 
 
 def test_uncorrelated_auxiliary_is_statistically_independent():
     specs = [binary_spec("p"), st.TaskSpec("a", "binary", (2, 3), 1.0, 0.0, 2.0, 2.0)]
     ds = st.generate(specs, 2000, seed=1)
-    y_p = np.array(ds.task_labels("p"))
-    y_a = np.array(ds.task_labels("a"))
+    y_p = np.array(ds.labels["p"])
+    y_a = np.array(ds.labels["a"])
     corr = np.corrcoef(y_p, y_a)[0, 1]
     assert -0.1 < corr < 0.1
 
@@ -44,10 +44,10 @@ def test_agreement_rate_tracks_correlation_knob():
     for rho in (0.0, 0.5, 0.9):
         specs = [binary_spec("p"), st.TaskSpec("a", "binary", (2, 3), 1.0, rho, 2.0, 2.0)]
         ds = st.generate(specs, 4000, seed=2)
-        agree = np.mean(np.array(ds.task_labels("p")) == np.array(ds.task_labels("a")))
+        agree = np.mean(np.array(ds.labels["p"]) == np.array(ds.labels["a"]))
         expected = (1.0 + rho) / 2.0
         assert abs(agree - expected) < 0.03
-        corr = np.corrcoef(ds.task_labels("p"), ds.task_labels("a"))[0, 1]
+        corr = np.corrcoef(ds.labels["p"], ds.labels["a"])[0, 1]
         assert abs(corr - rho) < 0.06
 
 
@@ -73,14 +73,14 @@ def test_generation_is_deterministic_per_seed_and_split():
 
 def test_binary_labels_balanced_at_scale():
     ds = st.generate([binary_spec("p")], 2000, seed=4)
-    rate = np.mean(ds.task_labels("p"))
+    rate = np.mean(ds.labels["p"])
     assert abs(rate - 0.5) <= 0.05
 
 
 def test_changepoints_uniform_over_valid_frames():
     spec = st.TaskSpec("loc", "localization", (0, 1), 0.5, 1.0, 4.0, 8.25, signal=1.0)
     ds = st.generate([spec], 5000, seed=5)
-    times = ds.task_labels("loc")
+    times = ds.labels["loc"]
     assert times.shape == (5000,) and times.dtype == np.float64
     frames = np.rint(times * ds.clips.fps).astype(int)
     np.testing.assert_array_equal(frames / ds.clips.fps, times)
@@ -97,7 +97,7 @@ def test_sequence_labels_follow_the_latent_chain():
     a = st.generate([spec], 64, seed=6)
     b = st.generate([spec], 64, seed=6)
     assert label_lists(a.labels) == label_lists(b.labels)
-    labels = a.task_labels("seq")
+    labels = a.labels["seq"]
     assert labels.shape == (64, 4, 2)
     assert labels[..., 0].min() >= 0 and labels[..., 0].max() < 5
     assert labels[..., 1].min() >= 0 and labels[..., 1].max() < 3
@@ -133,7 +133,7 @@ def test_generate_rejects_bad_specs():
 def test_signal_lands_on_the_declared_channels():
     specs = [binary_spec("p", sigma=0.0, channels=(0, 1))]
     ds = st.generate(specs, 20, seed=7, n_channels=4)
-    for clip, label in zip(ds.clips.values, ds.task_labels("p")):
+    for clip, label in zip(ds.clips.values, ds.labels["p"]):
         expected = (2 * label - 1) * 0.5
         np.testing.assert_allclose(clip[:, :2], expected)
         np.testing.assert_allclose(clip[:, 2:], 0.0)

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,12 @@ from ettrans.temporal_align import FeatureSequence, FrameSeq
 
 def test_binary_loss_closed_form():
     logit = nn.Tensor(np.array([[0.0]]))
-    assert tg.batch_loss(logit, [1], "binary").item() == pytest.approx(math.log(2.0), abs=1e-12)
+    assert tm.loss("binary", logit, [1], None).item() == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_localization_loss_closed_form_uniform_scores():
     scores = nn.Tensor(np.zeros((16, 1)))
-    got = tg.batch_loss(scores, [5], "localization").item()
+    got = tm.loss("localization", scores, [5], np.arange(16.0)).item()
     assert got == pytest.approx(math.log(16.0), abs=1e-12)
 
 
@@ -32,14 +34,14 @@ def test_losses_match_direct_formula_oracle():
 
     z = float(rng.normal())
     y = int(rng.integers(2))
-    got = tg.batch_loss(nn.Tensor(np.array([[z]])), [y], "binary").item()
+    got = tm.loss("binary", nn.Tensor(np.array([[z]])), [y], None).item()
     p = 1.0 / (1.0 + math.exp(-z))
     expected = -(y * math.log(p) + (1 - y) * math.log(1 - p))
     assert got == pytest.approx(expected, abs=1e-10)
 
     scores = rng.normal(size=(9, 1))
     target = 4
-    got = tg.batch_loss(nn.Tensor(scores), [target], "localization").item()
+    got = tm.loss("localization", nn.Tensor(scores), [target], np.arange(9.0)).item()
     probs = np.exp(scores.ravel()) / np.exp(scores.ravel()).sum()
     assert got == pytest.approx(-math.log(probs[target]), abs=1e-10)
 
@@ -48,7 +50,7 @@ def test_losses_match_direct_formula_oracle():
         for _ in range(3)
     ]
     labels = [(int(rng.integers(5)), int(rng.integers(7))) for _ in range(3)]
-    got = tg.batch_loss(steps, [labels], "sequence").item()
+    got = tm.loss("sequence", steps, [labels], None).item()
     total = 0.0
     for (verb, noun), (v, n) in zip(steps, labels):
         for logits, idx in ((verb.value.ravel(), v), (noun.value.ravel(), n)):
@@ -60,12 +62,12 @@ def test_losses_match_direct_formula_oracle():
 
 def test_loss_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
-        tg.batch_loss(nn.Tensor(np.zeros((4, 1))), [4], "localization")
+        tm.loss("localization", nn.Tensor(np.zeros((4, 1))), [4], np.arange(5.0))
     with pytest.raises(ValueError):
-        tg.batch_loss(nn.Tensor(np.array([[0.0]])), [2.0], "binary")
+        tm.loss("binary", nn.Tensor(np.array([[0.0]])), [2.0], None)
     steps = [(nn.Tensor(np.zeros((1, 3))), nn.Tensor(np.zeros((1, 4))))] * 2
     with pytest.raises(ValueError, match="2 predicted steps"):
-        tg.batch_loss(steps, np.zeros((1, 3, 2), dtype=int), "sequence")
+        tm.loss("sequence", steps, np.zeros((1, 3, 2), dtype=int), None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +228,10 @@ def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
 
     leaves = model.params.as_tensors()
     total = 0.0
-    for values, label in zip(data.clips.values, data.task_labels("t")):
+    for values, label in zip(data.clips.values, data.labels["t"]):
         clip = FrameSeq(values, fps=data.clips.fps, duration_s=data.clips.duration_s)
         output = tm.head_graph(model.trunk_graph(clip, leaves), leaves, model.kind)
-        if kind == "localization":
-            label = tg.localization_target_index(label, clip.frame_times())
-        term = tg.batch_loss(output, [label], kind)
+        term = tm.loss(kind, output, [label], clip.frame_times())
         total += term.item()
         term.backward()
 
@@ -250,8 +250,8 @@ def test_fit_without_an_improving_epoch_reports_no_best_metric():
         yield nn.sum_all(nn.mul(leaves["w"], leaves["w"]))
 
     report = tg.fit(
-        params, 3, build_loss, lambda p: (0.0, float("nan")),
-        "accuracy", True, tg.TrainHyper(max_epochs=3, patience=5), seed=0,
+        params, 3, build_loss, "localization", lambda p: (np.array([np.nan]), np.zeros(1), 0.0),
+        tg.TrainHyper(max_epochs=3, patience=5), seed=0,
     )
     assert report.best_epoch == -1
     assert report.stopped_epoch == 2
@@ -270,7 +270,7 @@ def test_fit_hands_build_loss_each_epochs_seeded_permutation_in_minibatches():
 
     n, seed, epochs = 23, 7, 3
     tg.fit(
-        params, n, build_loss, lambda p: (0.0, 0.0), "accuracy", True,
+        params, n, build_loss, "binary", lambda p: (np.zeros(1), np.zeros(1), 0.0),
         tg.TrainHyper(batch_size=5, max_epochs=epochs, patience=5), seed=seed,
     )
     assert len(seen) == 5 * epochs
@@ -366,9 +366,7 @@ def test_stage2_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     total = 0.0
     for feats, label in samples:
         output = tr.translate(values_of(feats), leaves, config)
-        if kind == "localization":
-            label = tg.localization_target_index(label, feats["p"].frame_times_s)
-        term = tg.batch_loss(output, [label], kind)
+        term = tm.loss(kind, output, [label], feats["p"].frame_times_s)
         total += term.item()
         term.backward()
 
@@ -446,8 +444,29 @@ def test_both_stages_stop_early_on_their_task_kinds_metric(kind, metric_name, gr
 
 def test_localization_target_index_maps_time_to_nearest_frame():
     times = np.array([0.0, 0.5, 1.0, 1.5])
-    assert tg.localization_target_index(1.04, times) == 2
+    assert tm.localization_target_index(1.04, times) == 2
     # 0.25 and 1.25 lie halfway between two frames: the lower index wins
     np.testing.assert_array_equal(
-        tg.localization_target_index(np.array([1.04, 0.25, 1.25, 9.0]), times), [2, 0, 2, 3]
+        tm.localization_target_index(np.array([1.04, 0.25, 1.25, 9.0]), times), [2, 0, 2, 3]
     )
+
+
+def test_training_names_no_task_kind_and_imports_no_metrics():
+    """Each task kind's loss, metrics and stopping metric live in
+    ``task_models``: ``training`` names no ``KIND_*`` constant and imports no
+    ``metrics``, so no kind rule can grow a second owner there."""
+    path = Path(__file__).resolve().parents[1] / "src" / "ettrans" / "training.py"
+    tree = ast.parse(path.read_text())
+    names, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+            imported.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.update(node.module.split("."))
+    assert not [name for name in names if name.startswith("KIND_")]
+    assert "metrics" not in imported

@@ -299,7 +299,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
 
     # one full training step over the translator touches nothing frozen
     leaves = params.as_tensors()
-    loss = tg.batch_loss(tr.translate(feats, leaves, config), [1], config.decoder_kind)
+    loss = tm.loss(config.decoder_kind, tr.translate(feats, leaves, config), [1], None)
     loss.backward()
     assert all(leaf.requires_grad for leaf in leaves.values())
     assert all(np.shares_memory(leaf.grad, leaves.grad) for leaf in leaves.values())
