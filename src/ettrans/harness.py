@@ -297,8 +297,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def validate_config(config: ExperimentConfig) -> None:
     """Raise ``ConfigError`` unless the run can go through: each geometry and
     width rule is asked of the code that the run itself calls."""
+    specs = [t.spec for t in config.tasks]
     try:
-        st.validate_specs([t.spec for t in config.tasks], config.n_channels)
+        st.validate_specs(specs, config.n_channels)
     except st.GenerationError as exc:
         raise ConfigError(str(exc)) from exc
     if min(config.seeds, config.n_train, config.n_val, config.n_test) < 1:
@@ -316,7 +317,10 @@ def validate_config(config: ExperimentConfig) -> None:
         try:
             check_downsampling(config.fps, spec.native_fps)
             plan_windows(config.duration_s, spec.native_window_s, t.stride_s, spec.native_fps)
-        except AlignmentError as exc:
+            # this task's stage-1 data draws every task's labels on its native
+            # window; the clips hold at least as many frames
+            st.check_frame_count(specs, frame_count(spec.native_fps, spec.native_window_s))
+        except (AlignmentError, st.GenerationError) as exc:
             raise ConfigError(f"task {spec.task_id!r}: {exc}") from exc
         if t.feature_dim < 1 or t.hidden < 1:
             raise ConfigError(f"task {spec.task_id!r} needs positive widths")

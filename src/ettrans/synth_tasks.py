@@ -149,6 +149,17 @@ def validate_specs(specs: Sequence[TaskSpec], n_channels: int) -> None:
             )
 
 
+def check_frame_count(specs: Sequence[TaskSpec], n_frames: int) -> None:
+    """A localization label is a change frame drawn from ``[1, n_frames)``,
+    so it takes at least two values only in clips of 3 or more frames."""
+    for spec in specs:
+        if spec.kind == KIND_LOCALIZATION and n_frames < 3:
+            raise GenerationError(
+                f"localization task {spec.task_id!r} needs clips of at least 3 frames, "
+                f"got {n_frames}"
+            )
+
+
 def _sample_rng(seed: int, split: str, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, _SPLIT_CODES[split], index]))
 
@@ -193,11 +204,7 @@ def generate(
     if fps is None:
         fps = specs[0].native_fps
     n_frames = frame_count(fps, duration_s)
-    for spec in specs:
-        if spec.kind == KIND_LOCALIZATION and n_frames < 2:
-            raise GenerationError(
-                f"localization task {spec.task_id!r} needs at least 2 frames"
-            )
+    check_frame_count(specs, n_frames)
 
     struct = _structure_rng(seed)
     chains: dict[str, tuple] = {}

@@ -165,9 +165,6 @@ def fit(
 
         preds, labels, val_loss = val_predictions(params)
         val_metric = tm.score_predictions(kind, preds, labels)[metric_name]
-        # freed before the next epoch's graphs: kept alive, they shift where
-        # glibc trims the heap, and an uplift run took ~10% more page faults
-        del preds, labels
         report.val_losses.append(val_loss)
         report.val_metrics.append(val_metric)
         if _improved(val_metric, best_metric, greater_is_better):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -76,6 +77,7 @@ hidden = 8
 # TINY_CFG's clips under a localization primary and a sequence auxiliary.
 # The primary's 2 fps is below the clip rate, so a change at an odd clip
 # frame lies halfway between two primary frames and the lower index wins.
+# Its 3-frame window is the shortest that gives stage 1 two labels.
 LOC_SEQ_CFG = TINY_CFG[: TINY_CFG.index("[task:primary]")] + """[task:primary]
 kind = localization
 channels = 0-2
@@ -83,7 +85,7 @@ noise_sigma = 1.0
 signal = 0.5
 corr_rho = 1.0
 native_fps = 2.0
-native_window_s = 1.0
+native_window_s = 1.5
 stride_s = 0.5
 feature_dim = 5
 hidden = 8
@@ -249,6 +251,75 @@ def test_validator_accepts_exactly_the_geometries_the_run_can_plan(
     except ConfigError:
         accepted = False
     assert accepted == runs
+
+
+@pytest.fixture(scope="module")
+def loc_seq_base(tmp_path_factory):
+    return harness.load_config(write_cfg(tmp_path_factory.mktemp("cfg"), LOC_SEQ_CFG))
+
+
+_NATIVE_FPS = hst.sampled_from([1.0, 2.0, 4.0])
+_WINDOW_FRAMES = hst.integers(1, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fps=hst.sampled_from([4.0, 8.0]), duration_s=hst.sampled_from([2.0, 3.0, 4.0]),
+       native_fps=_NATIVE_FPS, window_frames=_WINDOW_FRAMES,
+       helper_kind=hst.sampled_from([task_models.KIND_SEQUENCE, task_models.KIND_LOCALIZATION]),
+       helper_fps=_NATIVE_FPS, helper_frames=_WINDOW_FRAMES)
+def test_every_accepted_config_gives_each_localization_task_two_labels(
+    loc_seq_base, fps, duration_s, native_fps, window_frames, helper_kind, helper_fps,
+    helper_frames,
+):
+    """A run draws every task's labels on the clips and on each task's native
+    window (that task's stage-1 data). For a config ``validate_config``
+    accepts, each localization task gets at least two labels on every
+    window, and the localization primary at least two stage-2 target
+    frames at its native fps."""
+    native_window_s, helper_window_s = window_frames / native_fps, helper_frames / helper_fps
+    primary, helper = loc_seq_base.tasks
+    primary = dataclasses.replace(
+        primary,
+        spec=dataclasses.replace(primary.spec, native_fps=native_fps, native_window_s=native_window_s),
+        stride_s=native_window_s,
+    )
+    helper = dataclasses.replace(
+        helper,
+        spec=dataclasses.replace(
+            helper.spec, kind=helper_kind, native_fps=helper_fps, native_window_s=helper_window_s
+        ),
+        stride_s=helper_window_s,
+    )
+    config = dataclasses.replace(loc_seq_base, fps=fps, duration_s=duration_s, tasks=(primary, helper))
+    try:
+        harness.validate_config(config)
+    except ConfigError:
+        return
+    specs = [primary.spec, helper.spec]
+    localization = [s.task_id for s in specs if s.kind == task_models.KIND_LOCALIZATION]
+
+    def labels(duration_s, fps):
+        return synth_tasks.generate(
+            specs, 32, 0, duration_s=duration_s, fps=fps, n_channels=config.n_channels
+        ).labels
+
+    native_times = np.arange(frame_count(native_fps, duration_s)) / native_fps
+    targets = task_models.localization_target_index(labels(duration_s, fps)["primary"], native_times)
+    assert len(set(targets)) >= 2
+    for spec in specs:
+        window = labels(spec.native_window_s, spec.native_fps)
+        assert min(len(set(window[task_id])) for task_id in localization) >= 2
+
+
+def test_cli_refuses_a_two_frame_localization_window_before_the_output_directory(tmp_path, capsys):
+    """A 1 s primary window at 2 fps holds 2 frames: every stage-1 change
+    frame would be frame 1."""
+    assert LOC_SEQ_CFG.count("native_window_s = 1.5") == 1
+    cfg = write_cfg(tmp_path, LOC_SEQ_CFG.replace("native_window_s = 1.5", "native_window_s = 1.0"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "at least 3 frames" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +773,7 @@ def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, workers):
 PINNED_LOC_SEQ_DIGESTS = {
     "2.4.6": {
         "aggregate.json":
-            "b723b201b4ea611f763f1272f55a14658f07f0f14cce5450ddb8a85825378c9f",
+            "a30254973185233ff48638562793365b15ef343fc6546e074c6d980772fbba78",
         "cache/helper_34ed148f8ec25b6ac32ac7f6dfa15e74.ettf":
             "9d6a3141662acaf0d0b63aad20b0950b91cb42110f11b40536bcffb7157a43e9",
         "cache/helper_5eebf4f35643de6af5879c3c583e2c16.ettf":
@@ -715,26 +786,26 @@ PINNED_LOC_SEQ_DIGESTS = {
             "5c5ee4ae968ba7984a1abbb57a23f5a2092fce592c40622bf46b52ce98b61845",
         "cache/helper_fb02d773ea2ce8fbe968380858ac3a1e.ettf":
             "8c50e62a7ce9e041741e62cc11418874c4433ec3ea1eeca5d021987959b8aa08",
-        "cache/primary_0a5a84680a8ea63268deb2bc8e45269e.ettf":
-            "70194bc5c689680173786dc2c349ab2b86d80cc227e9ea14d11173c56bb52155",
-        "cache/primary_15b257a205b9d787ba22d412b4f568c0.ettf":
-            "29a2f511ed8741233efb539bfa42bd97be581aa9626a034eb5f738005220bada",
-        "cache/primary_3752528e26977e624c19c4b606dd2c22.ettf":
-            "88153000a902af4de7c88796d2c9114e324b33cf8dd04d6332f9959fb0613c93",
-        "cache/primary_dfb96218f8ae03062d9240447a2161d8.ettf":
-            "2d1961ef24a76e97d47f5808bf1e84e69b5ed2d1b6fb462203903df956014b51",
-        "cache/primary_e8f7c1616b466ad9639d4c442dc36254.ettf":
-            "d45ec4950d159760c5159e01de86e4e5faccd3fbf21eaa51b99b419c6641501f",
-        "cache/primary_f9241c5990255b98f87b85afe0ae3e87.ettf":
-            "40baecb4f63b547c5c0b2b116ec7ffc22e6a6b24535fbf8ff652eda0fdd58f15",
+        "cache/primary_570130bfc728e50c609a4f70b2a1ddae.ettf":
+            "4204cfc879c0e9f46a72aa7a066f7549581f232404f94748e4be5b501fffcb37",
+        "cache/primary_755417a6968b0c97fb73a313f6828961.ettf":
+            "ce0d790dd0f7ac409690ceca0e2f9468512be98980ed3c64c724348c2e313715",
+        "cache/primary_91dcdfcf6ec65665573d99f857d3fe89.ettf":
+            "f86e2b9f2c4aa41de337e5038f5446e33647c5ee1113654ef90ef2cccfb5cbdc",
+        "cache/primary_920eca6bc9c2e7b62d7718e9ae9e2b59.ettf":
+            "789fa3bfe6aa58c6edc3f26880f7e30ed781224b92b4c256ffd74d78e8369448",
+        "cache/primary_b9d4ff0b979a55298d48359c948549cc.ettf":
+            "f84fd4b9036ba4e2758f277541f38c5aee8c597be4e6e41ae3bb0c56a3b28f1b",
+        "cache/primary_f19f458bee52ce9a0b540094275e1c1c.ettf":
+            "0c8bf5b04cc943f6037faa54898d5fb4ec6fd47620a27d0d00c86cf5a6b96a0d",
         "report_primary_only_seed0.json":
-            "c235c66e076d9c81570aac73d291a9fcdca8521c07e540270d39de56197bdd3a",
+            "4659a57dcc056d21629a4d095186653a5e9de10dd3dc91908ba6fd6ac8637e5d",
         "report_primary_only_seed1.json":
-            "407b3f2eacd09e70c8db40dd31bf18ea5c48ab1584f8cea7ce51750ce584b5fe",
+            "28ab1e854353d855c5a03fe3cfc0baf5c9819dc1ce0d0d26577af61a11f76439",
         "report_translator_seed0.json":
-            "24f6a7b93cea0f0a62ab7c99189787717f1012615f4df4449da64bda1cbcd388",
+            "84ebc1a75b4e3a54ea3be082d0455e575b75995dc9eccda11e6a390c927bc475",
         "report_translator_seed1.json":
-            "d2f12e93c7953fb2a3d35ef25c6b10208da6976f6b20ea151194867c96600885",
+            "b89da94216a5c7ff6c6f213fac38ae9e183698d05189de1551c8c56c38448b1d",
     },
 }
 
@@ -1004,6 +1075,35 @@ def test_cli_import_pins_blas_to_one_thread():
     status = _fresh_python("import ettrans.cli; print(open('/proc/self/status').read())", env)
     threads = [line for line in status.splitlines() if line.startswith("Threads:")]
     assert threads == ["Threads:\t1"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_a_warm_process_keeps_its_heap_between_runs(tmp_path):
+    """Once a process has run one seed, a run of the next seed reuses heap
+    the first one freed: glibc neither trims it after each training step nor
+    maps large extraction arrays afresh. Shrunk runs of the default and the
+    dense-window configs made ~4.9k and ~16.6k minor page faults with glibc's
+    default thresholds, and ~10 with the ones ``import ettrans`` sets."""
+    configs = [CONFIG_DIR / "default.cfg", CONFIG_DIR.parent / "perfbench/configs/dense_windows.cfg"]
+    code = (
+        "import dataclasses, resource\n"
+        "from pathlib import Path\n"
+        "from ettrans import harness\n"
+        f"out = Path({str(tmp_path)!r})\n"
+        f"for i, path in enumerate({[str(c) for c in configs]!r}):\n"
+        "    c = harness.load_config(path)\n"
+        "    c = dataclasses.replace(\n"
+        "        c, n_train=64, n_val=32, n_test=32,\n"
+        "        stage1=dataclasses.replace(c.stage1, max_epochs=1),\n"
+        "        stage2=dataclasses.replace(c.stage2, max_epochs=2),\n"
+        "    )\n"
+        "    harness.run_experiment(c, out / f'warm{i}', seeds=(0,))\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    harness.run_experiment(c, out / f'run{i}', seeds=(1,))\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    faults = _fresh_python(code, dict(os.environ, ETT_NUM_WORKERS="1"))
+    assert [int(n) < 500 for n in faults.split()] == [True, True], faults
 
 
 def test_import_loads_neither_scipy_stats_nor_integrate_nor_process_pools():
