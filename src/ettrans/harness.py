@@ -1,5 +1,9 @@
 """Experiment harness: config files, feature cache, seeded end-to-end runs.
 
+A config is one ``ExperimentConfig`` that holds one ``synth_tasks.TaskSpec``
+per ``[task:<id>]`` section, the primary task first; making one checks that
+a run over its tasks can go through.
+
 A run executes, per seed: generate data, then stage-1-train and freeze each
 task model the arms need, and extract (through the cache) each needed task's
 features for each split, once; then per arm: train the translator on those
@@ -45,6 +49,7 @@ CACHE_VERSION = 2
 _CACHE_DTYPE_F32 = 0
 
 _TASK_ID_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
+_REQUIRED = object()  # the default of a config key that must be given
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +57,13 @@ _TASK_ID_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
 
 @dataclass(frozen=True)
-class TaskConfig:
-    spec: st.TaskSpec
-    stride_s: float
-    feature_dim: int
-    hidden: int
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. Making one, by ``load_config`` or by
+    ``dataclasses.replace`` of another, raises ``ConfigError`` unless a run
+    over its tasks can go through: each geometry rule is asked of the code
+    that the run itself calls. The arms are checked where they are chosen,
+    by ``load_config`` and ``run_experiment``."""
+
     name: str
     arms: tuple[str, ...]
     seeds: int
@@ -77,42 +80,58 @@ class ExperimentConfig:
     norm_first: bool
     stage2: tg.TrainHyper
     stage1: tg.TrainHyper
-    tasks: tuple[TaskConfig, ...]
+    tasks: tuple[st.TaskSpec, ...]
+
+    def __post_init__(self):
+        try:
+            st.validate_specs(self.tasks, self.n_channels)
+        except st.GenerationError as exc:
+            raise ConfigError(str(exc)) from exc
+        if min(self.seeds, self.n_train, self.n_val, self.n_test) < 1:
+            raise ConfigError("seeds and split sizes must all be >= 1")
+        for prefix, hyper in (("", self.stage2), ("stage1_", self.stage1)):
+            if not (hyper.lr > 0 and min(hyper.batch_size, hyper.max_epochs) >= 1):
+                raise ConfigError(
+                    f"need {prefix}lr > 0 and {prefix}batch_size, {prefix}max_epochs >= 1"
+                )
+            if hyper.patience < 0:
+                raise ConfigError(f"need {prefix}patience >= 0, got {hyper.patience}")
+            # Adam divides by 1 - beta**t and by sqrt(v_hat) + eps
+            if not (0 <= hyper.beta1 < 1 and 0 <= hyper.beta2 < 1 and hyper.eps > 0):
+                raise ConfigError(f"need 0 <= {prefix}beta1, {prefix}beta2 < 1 and {prefix}eps > 0")
+        for spec in self.tasks:
+            try:
+                check_downsampling(self.fps, spec.native_fps)
+                plan_windows(self.duration_s, spec.native_window_s, spec.stride_s, spec.native_fps)
+                # this task's stage-1 data draws every task's labels on its native
+                # window; the clips hold at least as many frames
+                st.check_frame_count(self.tasks, frame_count(spec.native_fps, spec.native_window_s))
+            except (AlignmentError, st.GenerationError) as exc:
+                raise ConfigError(f"task {spec.task_id!r}: {exc}") from exc
+        try:
+            self.translator_config("translator")
+        except ValueError as exc:
+            raise ConfigError(f"[translator]: {exc}") from exc
 
     @property
-    def primary(self) -> TaskConfig:
+    def primary(self) -> st.TaskSpec:
         return self.tasks[0]
 
-    def task(self, task_id: str) -> TaskConfig:
-        for t in self.tasks:
-            if t.spec.task_id == task_id:
-                return t
-        raise KeyError(task_id)
-
     def task_ids(self) -> tuple[str, ...]:
-        return tuple(t.spec.task_id for t in self.tasks)
-
-    def tokens_for(self, task_id: str) -> int:
-        spec = self.task(task_id).spec
-        return frame_count(spec.native_fps, self.duration_s)
+        return tuple(spec.task_id for spec in self.tasks)
 
     def translator_config(self, arm: str) -> tr.TranslatorConfig:
-        ids = (
-            (self.primary.spec.task_id,)
-            if arm == "primary_only"
-            else self.task_ids()
-        )
+        specs = self.tasks[:1] if arm == "primary_only" else self.tasks
         dims = tuple(
-            (t, self.tokens_for(t), self.task(t).feature_dim) for t in ids
+            (s.task_id, frame_count(s.native_fps, self.duration_s), s.feature_dim) for s in specs
         )
-        p = self.primary.spec
+        p = self.primary
         return tr.TranslatorConfig(
             task_dims=dims,
             d_model=self.d_model,
             n_layers=self.n_layers,
             n_heads=self.n_heads,
             d_ff=self.d_ff,
-            primary_task_id=p.task_id,
             decoder_kind=p.kind,
             horizon=p.horizon,
             n_verbs=p.n_verbs,
@@ -127,7 +146,7 @@ class ExperimentConfig:
         return {
             "translator": {k: fields.pop(k) for k in translator},
             "training": {k: fields.pop(k) for k in ("stage2", "stage1")},
-            "tasks": [{**task.pop("spec"), **task} for task in fields.pop("tasks")],
+            "tasks": fields.pop("tasks"),
             "experiment": fields,
         }
 
@@ -166,11 +185,11 @@ def _check_arms(arms: Sequence[str]) -> None:
         raise ConfigError(f"arms repeat: {list(arms)}")
 
 
-def _get(section, key, cast, default=None):
+def _get(section, key, cast, default=_REQUIRED):
     if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+        return default
     raw = section[key]
     try:
         if cast is bool:
@@ -190,7 +209,8 @@ def _get(section, key, cast, default=None):
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a plain-text experiment config."""
-    parser = configparser.ConfigParser()
+    # values are read literally: a ``%`` is text, not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict({"translator": {}, "training": {}})  # both sections are optional
     path = Path(path)
     if not path.exists():
@@ -211,7 +231,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     exp = parser["experiment"]
     read: set[tuple[str, str]] = set()
 
-    def get(section, key, cast, default=None):
+    def get(section, key, cast, default=_REQUIRED):
         read.add((section.name, key))
         return _get(section, key, cast, default)
 
@@ -236,7 +256,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     task_sections = [s for s in parser.sections() if s.startswith("task:")]
     if not task_sections:
         raise ConfigError("config needs at least one [task:<id>] section")
-    tasks = []
+    specs = []
     for name in task_sections:
         section = parser[name]
         task_id = name.split(":", 1)[1]
@@ -255,19 +275,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 horizon=get(section, "horizon", int, st.TaskSpec.horizon),
                 n_verbs=get(section, "n_verbs", int, st.TaskSpec.n_verbs),
                 n_nouns=get(section, "n_nouns", int, st.TaskSpec.n_nouns),
+                stride_s=get(section, "stride_s", float, st.TaskSpec.stride_s),
+                feature_dim=get(section, "feature_dim", int, st.TaskSpec.feature_dim),
+                hidden=get(section, "hidden", int, st.TaskSpec.hidden),
             )
         except st.GenerationError as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
-        tasks.append(
-            TaskConfig(
-                spec=spec,
-                stride_s=get(section, "stride_s", float, spec.native_window_s),
-                feature_dim=get(section, "feature_dim", int, 8),
-                hidden=get(section, "hidden", int, 16),
-            )
-        )
+        specs.append(spec)
 
-    config = ExperimentConfig(
+    fields = dict(
         name=get(exp, "name", str, "experiment"),
         arms=arms,
         seeds=get(exp, "seeds", int, 3),
@@ -284,50 +300,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         norm_first=get(trans, "norm_first", bool, tr.TranslatorConfig.norm_first),
         stage2=hyper("", tg.TrainHyper(max_epochs=40, patience=8)),
         stage1=hyper("stage1_", tg.TrainHyper()),
-        tasks=tuple(tasks),
+        tasks=tuple(specs),
     )
     for name in parser.sections():
         unknown = sorted(k for k in parser[name] if (name, k) not in read)
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {', '.join(unknown)}")
-    validate_config(config)
-    return config
-
-
-def validate_config(config: ExperimentConfig) -> None:
-    """Raise ``ConfigError`` unless the run can go through: each geometry and
-    width rule is asked of the code that the run itself calls."""
-    specs = [t.spec for t in config.tasks]
-    try:
-        st.validate_specs(specs, config.n_channels)
-    except st.GenerationError as exc:
-        raise ConfigError(str(exc)) from exc
-    if min(config.seeds, config.n_train, config.n_val, config.n_test) < 1:
-        raise ConfigError("seeds and split sizes must all be >= 1")
-    for prefix, hyper in (("", config.stage2), ("stage1_", config.stage1)):
-        if not (hyper.lr > 0 and min(hyper.batch_size, hyper.max_epochs) >= 1):
-            raise ConfigError(f"need {prefix}lr > 0 and {prefix}batch_size, {prefix}max_epochs >= 1")
-        if hyper.patience < 0:
-            raise ConfigError(f"need {prefix}patience >= 0, got {hyper.patience}")
-        # Adam divides by 1 - beta**t and by sqrt(v_hat) + eps
-        if not (0 <= hyper.beta1 < 1 and 0 <= hyper.beta2 < 1 and hyper.eps > 0):
-            raise ConfigError(f"need 0 <= {prefix}beta1, {prefix}beta2 < 1 and {prefix}eps > 0")
-    for t in config.tasks:
-        spec = t.spec
-        try:
-            check_downsampling(config.fps, spec.native_fps)
-            plan_windows(config.duration_s, spec.native_window_s, t.stride_s, spec.native_fps)
-            # this task's stage-1 data draws every task's labels on its native
-            # window; the clips hold at least as many frames
-            st.check_frame_count(specs, frame_count(spec.native_fps, spec.native_window_s))
-        except (AlignmentError, st.GenerationError) as exc:
-            raise ConfigError(f"task {spec.task_id!r}: {exc}") from exc
-        if t.feature_dim < 1 or t.hidden < 1:
-            raise ConfigError(f"task {spec.task_id!r} needs positive widths")
-    try:
-        config.translator_config("translator")
-    except ValueError as exc:
-        raise ConfigError(f"[translator]: {exc}") from exc
+    return ExperimentConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -427,34 +406,21 @@ def _derived_seed(*parts: int) -> int:
 def _build_models(
     config: ExperimentConfig, seed: int, task_ids: Sequence[str]
 ) -> dict[str, tm.TaskModel]:
-    models = {}
-    for idx, t in enumerate(config.tasks):
-        spec = t.spec
-        if spec.task_id not in task_ids:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x0DE1, idx]))
-        models[spec.task_id] = tm.init_task_model(
-            task_id=spec.task_id,
-            kind=spec.kind,
-            channels=spec.channels,
-            feature_dim=t.feature_dim,
-            native_fps=spec.native_fps,
-            native_window_s=spec.native_window_s,
-            rng=rng,
-            hidden=t.hidden,
-            horizon=spec.horizon,
-            n_verbs=spec.n_verbs,
-            n_nouns=spec.n_nouns,
+    return {
+        spec.task_id: tm.init_task_model(
+            spec, np.random.default_rng(np.random.SeedSequence([seed, 0x0DE1, idx]))
         )
-    return models
+        for idx, spec in enumerate(config.tasks)
+        if spec.task_id in task_ids
+    }
 
 
 def _bayes_summary(config: ExperimentConfig) -> dict:
-    primary = config.primary.spec
+    primary = config.primary
     if primary.kind != tm.KIND_BINARY:
         return {}
-    aux = [t.spec for t in config.tasks[1:]]
-    out = {
+    aux = config.tasks[1:]
+    return {
         "primary_only_ceiling": st.bayes_optimal_accuracy(primary, config.duration_s),
         "combined_ceiling": st.combined_bayes_accuracy(primary, aux, config.duration_s),
         "stage1_ceilings": {
@@ -463,36 +429,36 @@ def _bayes_summary(config: ExperimentConfig) -> dict:
             if s.kind == tm.KIND_BINARY
         },
     }
-    return out
 
 
-def _split_features(
-    cache_dir: Path, model: tm.TaskModel, clips: FrameSeq, stride_s: float
-) -> FeatureSequence:
-    """One task's features over a split, in one cache file keyed on
-    everything they are computed from: the model's parameters and input
-    geometry, the stride and the clips themselves (their count included).
+def _split_features(cache_dir: Path, model: tm.TaskModel, clips: FrameSeq) -> FeatureSequence:
+    """One task's features over a split, at its spec's stride, in one cache
+    file keyed on everything they are computed from: the model's parameters
+    and input geometry, the stride and the clips themselves (their count
+    included).
     A file that fails to load, or that holds another task or sample count,
     is a miss: the split is re-extracted and the file rewritten."""
+    spec = model.spec
     digest = hashlib.sha256(
         repr(
             (
-                model.checksum(), model.channels, model.native_fps, model.native_window_s,
-                stride_s, clips.fps, clips.duration_s, clips.values.shape, clips.values.dtype.str,
+                model.checksum(), spec.channels, spec.native_fps, spec.native_window_s,
+                spec.stride_s, clips.fps, clips.duration_s, clips.values.shape,
+                clips.values.dtype.str,
             )
         ).encode()
     )
     digest.update(np.ascontiguousarray(clips.values).tobytes())
-    path = cache_dir / f"{model.task_id}_{digest.hexdigest()[:32]}.ettf"
+    path = cache_dir / f"{spec.task_id}_{digest.hexdigest()[:32]}.ettf"
     if path.exists():
         try:
             seq = cache_load(path)
         except CacheFormatError:
             pass  # a damaged file is a miss
         else:
-            if seq.task_id == model.task_id and len(seq.values) == len(clips.values):
+            if seq.task_id == spec.task_id and len(seq.values) == len(clips.values):
                 return seq
-    seq = tr.align_and_extract(clips, model, stride_s)
+    seq = tr.align_and_extract(clips, model, spec.stride_s)
     cache_store(path, seq)
     return seq
 
@@ -508,10 +474,9 @@ def run_seed(
     built only for ``frozen_random_ablation``, and each model's features are
     extracted once per split.
     """
-    specs = [t.spec for t in config.tasks]
     datasets = {
         split: st.generate(
-            specs,
+            config.tasks,
             n,
             seed,
             split,
@@ -534,17 +499,16 @@ def run_seed(
     }
     trained = _build_models(config, seed, needed)
     stage1_reports: dict[str, dict] = {}
-    for idx, t in enumerate(config.tasks):
-        spec = t.spec
+    for idx, spec in enumerate(config.tasks):
         if spec.task_id not in trained:
             continue
         geo = {"duration_s": spec.native_window_s, "fps": spec.native_fps}
         ds_seed = _derived_seed(seed, 0x57A1, idx)
         s1_train = st.generate(
-            specs, config.n_train, ds_seed, "train", n_channels=config.n_channels, **geo
+            config.tasks, config.n_train, ds_seed, "train", n_channels=config.n_channels, **geo
         )
         s1_val = st.generate(
-            specs, config.n_val, ds_seed, "val", n_channels=config.n_channels, **geo
+            config.tasks, config.n_val, ds_seed, "val", n_channels=config.n_channels, **geo
         )
         report = tg.train_stage1(trained[spec.task_id], s1_train, s1_val, config.stage1, seed)
         stage1_reports[spec.task_id] = {
@@ -568,7 +532,7 @@ def run_seed(
     def extract(models: Mapping[str, tm.TaskModel]) -> dict[str, dict[str, FeatureSequence]]:
         return {
             split: {
-                t: _split_features(cache_dir, model, ds.clips, config.task(t).stride_s)
+                t: _split_features(cache_dir, model, ds.clips)
                 for t, model in models.items()
             }
             for split, ds in datasets.items()
@@ -605,7 +569,7 @@ def run_arm_seed(
     false if any changed."""
     t_start = time.perf_counter()
     tconfig = config.translator_config(arm)
-    primary_id = config.primary.spec.task_id
+    primary_id = config.primary.task_id
     splits = {
         split: (features[split], ds.labels[primary_id]) for split, ds in datasets.items()
     }
@@ -771,7 +735,11 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
 
         # a batch of three 4-frame windows as in extraction and stage 1,
         # through trunk, binary head and row-batched loss, at a generic point
-        model = tm.init_task_model("check", tm.KIND_BINARY, (0, 1), 3, 2.0, 2.0, rng, hidden=5)
+        spec = st.TaskSpec(
+            task_id="check", kind=tm.KIND_BINARY, channels=(0, 1), noise_sigma=0.0, corr_rho=1.0,
+            native_fps=2.0, native_window_s=2.0, feature_dim=3, hidden=5,
+        )
+        model = tm.init_task_model(spec, rng)
         stacked_params = nn.ParamSet()
         for name, param in model.params.items():
             stacked_params.add(name, rng.normal(0.0, 0.5, size=param.value.shape))
@@ -789,7 +757,7 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         # loss, at a generic point
         tconfig = tr.TranslatorConfig(
             task_dims=(("p", 3, 2), ("a", 2, 3)), d_model=4, n_layers=1, n_heads=2,
-            d_ff=8, primary_task_id="p", decoder_kind=tm.KIND_LOCALIZATION,
+            d_ff=8, decoder_kind=tm.KIND_LOCALIZATION,
         )
         tparams = nn.ParamSet()
         for name, param in tr.init_translator_params(tconfig, rng).items():

@@ -45,7 +45,12 @@ _STRUCTURE_STREAM = 0xC0DE
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One synthetic task: label rule, channel group, noise, correlation."""
+    """One task, as one ``[task:<id>]`` config section describes it: the
+    synthetic label rule, channel group, noise and correlation of its data;
+    its model's native geometry and widths (``feature_dim``, ``hidden``); and
+    the window stride its features are extracted at, one native window
+    unless given. ``dataclasses.replace`` carries the resolved stride over,
+    so a replace that changes the window passes the stride too."""
 
     task_id: str
     kind: str
@@ -58,8 +63,13 @@ class TaskSpec:
     horizon: int = 0
     n_verbs: int = 0
     n_nouns: int = 0
+    stride_s: float | None = None
+    feature_dim: int = 8
+    hidden: int = 16
 
     def __post_init__(self):
+        if self.stride_s is None:
+            object.__setattr__(self, "stride_s", self.native_window_s)
         if self.kind not in TASK_KINDS:
             raise GenerationError(f"unknown task kind: {self.kind!r}")
         if not self.channels:
@@ -72,6 +82,8 @@ class TaskSpec:
             raise GenerationError(f"signal must be >= 0, got {self.signal}")
         if not 0.0 <= self.corr_rho <= 1.0:
             raise GenerationError(f"corr_rho must lie in [0, 1], got {self.corr_rho}")
+        if self.feature_dim < 1 or self.hidden < 1:
+            raise GenerationError(f"task {self.task_id!r} needs positive widths")
         if self.kind == KIND_SEQUENCE:
             if self.horizon < 1 or self.n_verbs < 1 or self.n_nouns < 1:
                 raise GenerationError(

@@ -14,7 +14,7 @@ parameters must survive any later training bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from . import metrics as metrics_mod
 from . import nn_core as nn
 from .errors import DimensionError
 from .temporal_align import FrameSeq, whole_frames
+
+if TYPE_CHECKING:  # synth_tasks imports this module's task kinds
+    from .synth_tasks import TaskSpec
 
 MIX_KERNEL = 4
 
@@ -33,24 +36,16 @@ TASK_KINDS = (KIND_BINARY, KIND_LOCALIZATION, KIND_SEQUENCE)
 
 @dataclass
 class TaskModel:
-    """One task's model. ``channels`` is the fixed input slice its trunk reads
-    from a multichannel clip; everything outside that group is invisible to
-    it, the way a face model never sees the audio track."""
+    """One task's model, shaped by its ``spec``: the trunk reads the fixed
+    channel group ``spec.channels`` of a multichannel clip, over windows of
+    the spec's native geometry; everything outside that group is invisible
+    to it, the way a face model never sees the audio track."""
 
-    task_id: str
-    kind: str
-    native_fps: float
-    native_window_s: float
-    channels: tuple[int, ...]
-    feature_dim: int
+    spec: TaskSpec
     params: nn.ParamSet
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind: {self.kind!r}")
-        if not self.channels:
-            raise ValueError(f"model {self.task_id!r} needs at least one input channel")
-        whole_frames(self.native_fps, self.native_window_s, "native_window_s")
+        whole_frames(self.spec.native_fps, self.spec.native_window_s, "native_window_s")
 
     @property
     def frozen(self) -> bool:
@@ -65,18 +60,19 @@ class TaskModel:
     def trunk_graph(self, window: FrameSeq, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
         """Trunk forward over a window or a batch of windows as a graph node."""
         self._check_window(window)
-        return trunk_graph(nn.Tensor(window.values[..., list(self.channels)]), leaves)
+        return trunk_graph(nn.Tensor(window.values[..., list(self.spec.channels)]), leaves)
 
     def _check_window(self, window: FrameSeq) -> None:
-        frames = whole_frames(self.native_fps, self.native_window_s, "native_window_s")
-        if window.fps != self.native_fps or window.n_frames != frames:
+        spec = self.spec
+        frames = whole_frames(spec.native_fps, spec.native_window_s, "native_window_s")
+        if window.fps != spec.native_fps or window.n_frames != frames:
             raise DimensionError(
-                f"model {self.task_id!r} expects {frames} frames "
-                f"at {self.native_fps} fps, got {window.n_frames} at {window.fps}"
+                f"model {spec.task_id!r} expects {frames} frames "
+                f"at {spec.native_fps} fps, got {window.n_frames} at {window.fps}"
             )
-        if window.n_channels <= max(self.channels):
+        if window.n_channels <= max(spec.channels):
             raise DimensionError(
-                f"model {self.task_id!r} reads channels {self.channels}, "
+                f"model {spec.task_id!r} reads channels {spec.channels}, "
                 f"clip has only {window.n_channels}"
             )
 
@@ -129,7 +125,8 @@ def add_head_params(
     n_verbs: int = 0,
     n_nouns: int = 0,
 ) -> None:
-    """Add a fresh head over ``width``-wide features to ``params``."""
+    """Add a fresh head over ``width``-wide features to ``params``; a
+    sequence head's sizes are checked by the record it is made from."""
     def w(shape):
         return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape)
 
@@ -137,8 +134,6 @@ def add_head_params(
         params.add(f"{prefix}/w", w((width, 1)))
         params.add(f"{prefix}/b", np.zeros(1))
     elif kind == KIND_SEQUENCE:
-        if horizon < 1 or n_verbs < 1 or n_nouns < 1:
-            raise ValueError("sequence head needs horizon, n_verbs and n_nouns >= 1")
         for z in range(horizon):
             params.add(f"{prefix}/step{z}/verb_w", w((width, n_verbs)))
             params.add(f"{prefix}/step{z}/verb_b", np.zeros(n_verbs))
@@ -227,42 +222,23 @@ def score_predictions(kind: str, preds: np.ndarray, labels: np.ndarray) -> dict[
     }
 
 
-def init_task_model(
-    task_id: str,
-    kind: str,
-    channels: tuple[int, ...],
-    feature_dim: int,
-    native_fps: float,
-    native_window_s: float,
-    rng: np.random.Generator,
-    hidden: int = 16,
-    horizon: int = 0,
-    n_verbs: int = 0,
-    n_nouns: int = 0,
-) -> TaskModel:
+def init_task_model(spec: TaskSpec, rng: np.random.Generator) -> TaskModel:
     def w(shape):
         return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape)
 
     params = nn.ParamSet()
-    params.add("trunk/w1", w((len(channels), hidden)))
-    params.add("trunk/b1", np.zeros(hidden))
-    params.add("trunk/w2", w((hidden, feature_dim)))
-    params.add("trunk/b2", np.zeros(feature_dim))
+    params.add("trunk/w1", w((len(spec.channels), spec.hidden)))
+    params.add("trunk/b1", np.zeros(spec.hidden))
+    params.add("trunk/w2", w((spec.hidden, spec.feature_dim)))
+    params.add("trunk/b2", np.zeros(spec.feature_dim))
     mix = np.zeros(MIX_KERNEL)
     mix[0] = 1.0  # identity mixing at init
     params.add("trunk/mix", mix)
 
-    add_head_params(params, "head", kind, feature_dim, rng, horizon, n_verbs, n_nouns)
-
-    return TaskModel(
-        task_id=task_id,
-        kind=kind,
-        native_fps=native_fps,
-        native_window_s=native_window_s,
-        channels=tuple(channels),
-        feature_dim=feature_dim,
-        params=params,
+    add_head_params(
+        params, "head", spec.kind, spec.feature_dim, rng, spec.horizon, spec.n_verbs, spec.n_nouns
     )
+    return TaskModel(spec, params)
 
 
 def freeze(model: TaskModel) -> TaskModel:

@@ -187,12 +187,13 @@ def extract_features(clip: FrameSeq, model, starts: Sequence[int]) -> FeatureSeq
     in several windows. Clips' windows go to the trunk in batches of at most
     ``_EXTRACT_CHUNK_FRAMES`` frames (at least one clip per call).
     """
-    fps, window_s = model.native_fps, model.native_window_s
+    spec = model.spec
+    fps, window_s = spec.native_fps, spec.native_window_s
     if abs(clip.fps - fps) > _FRAME_ALIGN_TOL:
-        raise AlignmentError(f"clip at {clip.fps} fps, model {model.task_id!r} at {fps} fps")
+        raise AlignmentError(f"clip at {clip.fps} fps, model {spec.task_id!r} at {fps} fps")
     if not model.frozen:
         raise ContractViolationError(
-            f"model {model.task_id!r} must be frozen before feature extraction"
+            f"model {spec.task_id!r} must be frozen before feature extraction"
         )
 
     win_f = frame_count(fps, window_s)
@@ -227,4 +228,4 @@ def extract_features(clip: FrameSeq, model, starts: Sequence[int]) -> FeatureSeq
         merged.append((total / counts[:, None]).astype(np.float32))
     values = np.concatenate(merged)
     values = values.reshape(clip.values.shape[:-1] + values.shape[-1:])
-    return FeatureSequence(model.task_id, values, clip.frame_times())
+    return FeatureSequence(spec.task_id, values, clip.frame_times())

@@ -256,11 +256,11 @@ def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
     """Trunk and head over a batch of a native-geometry dataset's indexed
     clips, each clip from its own causal start."""
     clips = dataset.clips
-    labels = dataset.labels[model.task_id]
+    labels = dataset.labels[model.spec.task_id]
 
     def forward(idx, leaves):
         batch = FrameSeq(clips.values[idx], fps=clips.fps, duration_s=clips.duration_s)
-        output = tm.head_graph(model.trunk_graph(batch, leaves), leaves, model.kind)
+        output = tm.head_graph(model.trunk_graph(batch, leaves), leaves, model.spec.kind)
         return output, clips.frame_times(), labels[idx]
 
     return forward
@@ -269,7 +269,7 @@ def _stage1_forward(model: tm.TaskModel, dataset: SyntheticDataset) -> Callable:
 def stage1_build_loss(model: tm.TaskModel, dataset: SyntheticDataset) -> LossTerms:
     """One summed loss term per minibatch of ``dataset``, from one graph over
     all of it."""
-    return _build_loss(model.kind, _stage1_forward(model, dataset), dataset.n_samples)
+    return _build_loss(model.spec.kind, _stage1_forward(model, dataset), dataset.n_samples)
 
 
 def train_stage1(
@@ -285,9 +285,9 @@ def train_stage1(
         model.params,
         train_set.n_samples,
         stage1_build_loss(model, train_set),
-        model.kind,
+        model.spec.kind,
         lambda params: _predictions(
-            val_set.n_samples, params, model.kind, val_forward, hyper.batch_size
+            val_set.n_samples, params, model.spec.kind, val_forward, hyper.batch_size
         ),
         hyper,
         seed,

@@ -41,7 +41,6 @@ class TranslatorConfig:
     n_layers: int
     n_heads: int
     d_ff: int
-    primary_task_id: str
     decoder_kind: str
     horizon: int = 0
     n_verbs: int = 0
@@ -52,10 +51,6 @@ class TranslatorConfig:
         ids = [t for t, _, _ in self.task_dims]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate task ids: {ids}")
-        if self.primary_task_id not in ids:
-            raise ValueError(f"primary task {self.primary_task_id!r} not in {ids}")
-        if ids[0] != self.primary_task_id:
-            raise ValueError("canonical token order puts the primary task first")
         if min(self.d_model, self.n_layers, self.n_heads, self.d_ff) < 1:
             raise ValueError("d_model, n_layers, n_heads and d_ff must all be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -67,6 +62,10 @@ class TranslatorConfig:
         if self.decoder_kind == task_models.KIND_SEQUENCE:
             if self.horizon < 1 or self.n_verbs < 1 or self.n_nouns < 1:
                 raise ValueError("sequence decoder needs horizon, n_verbs, n_nouns >= 1")
+
+    @property
+    def primary_task_id(self) -> str:
+        return self.task_dims[0][0]
 
     @property
     def total_tokens(self) -> int:
@@ -142,6 +141,7 @@ def align_and_extract(
 ) -> FeatureSequence:
     """Resample a clip, or a split of clips (samples x frames x channels), to
     one model's native fps, plan window starts once for all of them, extract."""
-    clip_k = resample(clip, model.native_fps)
-    starts = plan_windows(clip_k.duration_s, model.native_window_s, stride_s, model.native_fps)
+    spec = model.spec
+    clip_k = resample(clip, spec.native_fps)
+    starts = plan_windows(clip_k.duration_s, spec.native_window_s, stride_s, spec.native_fps)
     return extract_features(clip_k, model, starts)

@@ -174,7 +174,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
     dims = (("p", 4, 4), ("a", 2, 5), ("b", 2, 6))
     cfg = tr.TranslatorConfig(
         dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
+        decoder_kind=tm.KIND_BINARY,
     )
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -211,7 +211,7 @@ def test_criterion_5_task_block_permutation_property():
     dims = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
     cfg = tr.TranslatorConfig(
         dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
+        decoder_kind=tm.KIND_BINARY,
     )
     rng = np.random.default_rng(0)
     params = tr.init_translator_params(cfg, rng)
@@ -367,11 +367,7 @@ def test_criterion_9_overfit_sanity(kind, lr):
         )
         extra = dict(horizon=3, n_verbs=5, n_nouns=7)
     dataset = st.generate([spec], 32, seed=0, split="train")
-    model = tm.init_task_model(
-        "p", spec.kind, spec.channels, 8, spec.native_fps, spec.native_window_s,
-        np.random.default_rng(0), horizon=spec.horizon,
-        n_verbs=spec.n_verbs, n_nouns=spec.n_nouns,
-    )
+    model = tm.init_task_model(spec, np.random.default_rng(0))
     tm.freeze(model)
     split = (
         {"p": tr.align_and_extract(dataset.clips, model, spec.native_window_s)},
@@ -381,7 +377,7 @@ def test_criterion_9_overfit_sanity(kind, lr):
     # pooled width must exceed the sample count for raw memorization capacity
     config = tr.TranslatorConfig(
         (("p", t_p, 8),), d_model=48, n_layers=1, n_heads=4, d_ff=64,
-        primary_task_id="p", decoder_kind=kind, **extra,
+        decoder_kind=kind, **extra,
     )
     params = tr.init_translator_params(config, np.random.default_rng(1))
     losses = tg.run_steps(

@@ -126,9 +126,9 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 def test_load_default_config_fields():
     config = harness.load_config(CONFIG_DIR / "default.cfg")
-    assert config.primary.spec.task_id == "primary"
-    assert config.primary.spec.corr_rho == 1.0
-    assert [t.spec.task_id for t in config.tasks] == ["primary", "aux_binary", "aux_loc"]
+    assert config.primary.task_id == "primary"
+    assert config.primary.corr_rho == 1.0
+    assert [spec.task_id for spec in config.tasks] == ["primary", "aux_binary", "aux_loc"]
     assert config.d_model % config.n_heads == 0
     tconf = config.translator_config("translator")
     assert tconf.task_dims[0][0] == "primary"
@@ -208,6 +208,22 @@ def test_config_hash_of_the_shipped_configs_is_pinned(path, digest):
     assert harness.config_hash(harness.load_config(path)) == digest
 
 
+@pytest.mark.parametrize("name", ["100%_tiny", "run_%(fps)s"])
+def test_a_percent_sign_in_a_value_is_read_literally(tmp_path, name):
+    assert TINY_CFG.count("name = tiny\n") == 1
+    cfg = write_cfg(tmp_path, TINY_CFG.replace("name = tiny\n", f"name = {name}\n"))
+    assert harness.load_config(cfg).name == name
+
+
+def test_replacing_a_field_of_a_config_checks_it_again(tiny_config):
+    """9 frames at the clips' 4 fps are 4.5 at the helper's 2 fps: a config
+    made by ``replace`` is refused like one loaded from a file."""
+    with pytest.raises(ConfigError, match="not a whole number of frames"):
+        dataclasses.replace(tiny_config, duration_s=2.25)
+    with pytest.raises(ConfigError, match="split sizes"):
+        dataclasses.replace(tiny_config, n_test=0)
+
+
 def test_missing_config_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         harness.load_config(tmp_path / "absent.cfg")
@@ -227,26 +243,23 @@ _QUARTERS = hst.integers(0, 32).map(lambda q: q / 4)
 def test_validator_accepts_exactly_the_geometries_the_run_can_plan(
     tiny_base, fps, duration_s, native_fps, native_window_s, stride_s
 ):
-    """The helper task's geometry on a quarter grid: ``validate_config``
-    accepts a config exactly when every task's clip resamples to its native
-    fps and gets a window plan, the path a run takes."""
+    """The helper task's geometry on a quarter grid: making the config
+    succeeds exactly when every task's clip resamples to its native fps and
+    gets a window plan, the path a run takes."""
     primary, helper = tiny_base.tasks
     helper = dataclasses.replace(
-        helper,
-        spec=dataclasses.replace(helper.spec, native_fps=native_fps, native_window_s=native_window_s),
-        stride_s=stride_s,
+        helper, native_fps=native_fps, native_window_s=native_window_s, stride_s=stride_s
     )
-    config = dataclasses.replace(tiny_base, fps=fps, duration_s=duration_s, tasks=(primary, helper))
     try:
-        for t in config.tasks:
+        for spec in (primary, helper):
             clip = FrameSeq(np.zeros((frame_count(fps, duration_s), 1)), fps=fps, duration_s=duration_s)
-            clip = resample(clip, t.spec.native_fps)
-            plan_windows(clip.duration_s, t.spec.native_window_s, t.stride_s, t.spec.native_fps)
+            clip = resample(clip, spec.native_fps)
+            plan_windows(clip.duration_s, spec.native_window_s, spec.stride_s, spec.native_fps)
         runs = True
     except AlignmentError:
         runs = False
     try:
-        harness.validate_config(config)
+        dataclasses.replace(tiny_base, fps=fps, duration_s=duration_s, tasks=(primary, helper))
         accepted = True
     except ConfigError:
         accepted = False
@@ -272,30 +285,26 @@ def test_every_accepted_config_gives_each_localization_task_two_labels(
     helper_frames,
 ):
     """A run draws every task's labels on the clips and on each task's native
-    window (that task's stage-1 data). For a config ``validate_config``
-    accepts, each localization task gets at least two labels on every
-    window, and the localization primary at least two stage-2 target
-    frames at its native fps."""
+    window (that task's stage-1 data). For a config that can be made, each
+    localization task gets at least two labels on every window, and the
+    localization primary at least two stage-2 target frames at its native
+    fps."""
     native_window_s, helper_window_s = window_frames / native_fps, helper_frames / helper_fps
     primary, helper = loc_seq_base.tasks
     primary = dataclasses.replace(
-        primary,
-        spec=dataclasses.replace(primary.spec, native_fps=native_fps, native_window_s=native_window_s),
-        stride_s=native_window_s,
+        primary, native_fps=native_fps, native_window_s=native_window_s, stride_s=native_window_s
     )
     helper = dataclasses.replace(
-        helper,
-        spec=dataclasses.replace(
-            helper.spec, kind=helper_kind, native_fps=helper_fps, native_window_s=helper_window_s
-        ),
+        helper, kind=helper_kind, native_fps=helper_fps, native_window_s=helper_window_s,
         stride_s=helper_window_s,
     )
-    config = dataclasses.replace(loc_seq_base, fps=fps, duration_s=duration_s, tasks=(primary, helper))
     try:
-        harness.validate_config(config)
+        config = dataclasses.replace(
+            loc_seq_base, fps=fps, duration_s=duration_s, tasks=(primary, helper)
+        )
     except ConfigError:
         return
-    specs = [primary.spec, helper.spec]
+    specs = [primary, helper]
     localization = [s.task_id for s in specs if s.kind == task_models.KIND_LOCALIZATION]
 
     def labels(duration_s, fps):
@@ -561,7 +570,7 @@ def test_arms_of_a_seed_share_data_and_stage1_models(tiny_config, tmp_path, monk
     train_stage1, generate = training.train_stage1, synth_tasks.generate
 
     def counting_train_stage1(model, *args, **kwargs):
-        stage1_tasks.append(model.task_id)
+        stage1_tasks.append(model.spec.task_id)
         return train_stage1(model, *args, **kwargs)
 
     def counting_generate(specs, n, seed, split, **kwargs):
@@ -1013,7 +1022,7 @@ def test_model_changed_during_stage_2_fails_the_frozen_check_and_exits_1(
     freeze, train_stage2 = task_models.freeze, training.train_stage2
 
     def capturing_freeze(model):
-        at_freeze[model.task_id] = (model, model.checksum())
+        at_freeze[model.spec.task_id] = (model, model.checksum())
         return freeze(model)
 
     def tampering_train_stage2(*args, **kwargs):

@@ -130,6 +130,18 @@ def test_generate_rejects_bad_specs():
         )  # correlated binary aux needs a binary primary
 
 
+def test_stride_defaults_to_one_native_window():
+    spec = st.TaskSpec("p", "binary", (0, 1), 1.0, 1.0, 4.0, 1.5)
+    assert spec.stride_s == spec.native_window_s == 1.5
+    assert dataclasses.replace(spec, stride_s=0.5).stride_s == 0.5
+
+
+@pytest.mark.parametrize("width", ["feature_dim", "hidden"])
+def test_spec_rejects_a_zero_model_width(width):
+    with pytest.raises(GenerationError, match="positive widths"):
+        st.TaskSpec("p", "binary", (0, 1), 1.0, 1.0, 2.0, 2.0, **{width: 0})
+
+
 def test_signal_lands_on_the_declared_channels():
     specs = [binary_spec("p", sigma=0.0, channels=(0, 1))]
     ds = st.generate(specs, 20, seed=7, n_channels=4)
@@ -320,13 +332,13 @@ def test_default_config_ceilings_match_scipy_stats():
     config = harness.load_config(DEFAULT_CFG)
     summary = harness._bayes_summary(config)
     assert summary["combined_ceiling"] == pytest.approx(0.950147492261849, abs=1e-11)
-    primary = config.primary.spec
+    primary = config.primary
     d = st._separation(primary, config.duration_s)
     assert summary["primary_only_ceiling"] == float(norm.cdf(d / 2.0))
     assert summary["stage1_ceilings"] == {
-        t.spec.task_id: float(norm.cdf(st._separation(t.spec, None) / 2.0))
-        for t in config.tasks
-        if t.spec.kind == "binary"
+        spec.task_id: float(norm.cdf(st._separation(spec, None) / 2.0))
+        for spec in config.tasks
+        if spec.kind == "binary"
     }
 
 

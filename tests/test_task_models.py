@@ -6,14 +6,19 @@ from ettrans import task_models as tm
 from ettrans import training as tg
 from ettrans import translator as tr
 from ettrans.errors import AlignmentError, ContractViolationError, DimensionError
+from ettrans.synth_tasks import TaskSpec
 from ettrans.temporal_align import FrameSeq
 
 
-def make_model(kind="binary", seed=0, channels=(0, 1, 2), feature_dim=5, **kw):
-    return tm.init_task_model(
-        "demo", kind, channels, feature_dim, native_fps=2.0, native_window_s=2.0,
-        rng=np.random.default_rng(seed), **kw,
+def make_spec(kind="binary", channels=(0, 1, 2), feature_dim=5, native_window_s=2.0, **kw):
+    return TaskSpec(
+        "demo", kind, channels, noise_sigma=0.0, corr_rho=1.0, native_fps=2.0,
+        native_window_s=native_window_s, feature_dim=feature_dim, **kw,
     )
+
+
+def make_model(kind="binary", seed=0, **kw):
+    return tm.init_task_model(make_spec(kind, **kw), np.random.default_rng(seed))
 
 
 def make_window(seed=0, channels=4, frames=4, fps=2.0):
@@ -53,7 +58,7 @@ def test_trunk_matches_per_frame_loop_oracle():
     w2 = model.params["trunk/w2"].value
     b2 = model.params["trunk/b2"].value
     taps = model.params["trunk/mix"].value
-    x = window.values[:, list(model.channels)]
+    x = window.values[:, list(model.spec.channels)]
     per_frame = []
     for t in range(x.shape[0]):
         h = x[t] @ w1 + b1
@@ -91,10 +96,7 @@ def test_trunk_rejects_wrong_geometry():
 
 def test_native_window_must_be_whole_frames():
     with pytest.raises(AlignmentError):
-        tm.init_task_model(
-            "demo", "binary", (0, 1), 5, native_fps=2.0, native_window_s=1.25,
-            rng=np.random.default_rng(0),
-        )
+        tm.init_task_model(make_spec(native_window_s=1.25), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("feature_dim", [6, 10, 14])
@@ -113,7 +115,7 @@ def head_cases(kind="binary", seed=0, width=5, **kw):
     model = make_model(kind, seed=seed, feature_dim=width, **kw)
     config = tr.TranslatorConfig(
         (("p", 4, 3),), d_model=width, n_layers=1, n_heads=1, d_ff=4,
-        primary_task_id="p", decoder_kind=kind, **kw,
+        decoder_kind=kind, **kw,
     )
     decoder = tr.init_translator_params(config, np.random.default_rng(seed))
     return [(model.params, "head"), (decoder, "dec")]
@@ -153,7 +155,7 @@ def test_head_matches_mean_dot_oracle():
 def test_head_rejects_wrong_width():
     model = make_model()
     with pytest.raises(DimensionError):
-        tm.head_graph(nn.Tensor(np.zeros((4, 7))), model.params.as_tensors(), model.kind)
+        tm.head_graph(nn.Tensor(np.zeros((4, 7))), model.params.as_tensors(), model.spec.kind)
 
 
 def test_sequence_head_shapes():

@@ -1,4 +1,4 @@
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from ettrans.errors import (
     ContractViolationError,
     UpsamplingUnsupportedError,
 )
+from ettrans.synth_tasks import TaskSpec
 
 
 def make_clip(duration_s, fps, channels=3, seed=0):
@@ -23,11 +24,17 @@ class LinearStub:
     """Frozen stand-in whose trunk is a fixed per-frame channel mix, easy to
     replicate; with no temporal context it ignores window boundaries."""
 
-    task_id: str = "stub"
-    native_fps: float = 2.0
-    native_window_s: float = 2.0
+    native_fps: InitVar[float] = 2.0
+    native_window_s: InitVar[float] = 2.0
     frozen: bool = True
     matrix: np.ndarray = field(default_factory=lambda: np.arange(6.0).reshape(3, 2))
+    spec: TaskSpec = field(init=False)
+
+    def __post_init__(self, native_fps, native_window_s):
+        self.spec = TaskSpec(
+            "stub", "binary", (0, 1, 2), noise_sigma=0.0, corr_rho=1.0,
+            native_fps=native_fps, native_window_s=native_window_s,
+        )
 
     def trunk_forward(self, window):
         return window.values @ self.matrix
@@ -177,7 +184,7 @@ def test_extract_overlapping_windows_match_materialize_and_average_oracle():
     starts = ta.plan_windows(4.0, 2.0, 1.0, 2.0)
     seq = ta.extract_features(clip, model, starts)
 
-    win_f = ta.frame_count(model.native_fps, model.native_window_s)
+    win_f = ta.frame_count(model.spec.native_fps, model.spec.native_window_s)
     totals = np.zeros((clip.n_frames, 2))
     counts = np.zeros(clip.n_frames)
     for start in starts:
@@ -193,10 +200,11 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
 
     from ettrans import task_models as tm
 
-    model = tm.init_task_model(
-        "real", "binary", (0, 2), 3, native_fps=2.0, native_window_s=2.0,
-        rng=np.random.default_rng(7), hidden=5,
+    spec = TaskSpec(
+        "real", "binary", (0, 2), noise_sigma=0.0, corr_rho=1.0, native_fps=2.0,
+        native_window_s=2.0, feature_dim=3, hidden=5,
     )
+    model = tm.init_task_model(spec, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     for name in model.params.names():
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
@@ -222,7 +230,7 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
                     out[t] += taps[tau] * frames[t - tau]
         return out
 
-    win_f = ta.frame_count(model.native_fps, model.native_window_s)
+    win_f = ta.frame_count(model.spec.native_fps, model.spec.native_window_s)
     x = clip.values[:, [0, 2]]
     totals = np.zeros((clip.n_frames, 3))
     counts = np.zeros(clip.n_frames)
@@ -276,19 +284,20 @@ def test_extract_output_is_finite_full_length_and_deterministic():
 def _per_window_oracle(clip, model, stride_s):
     """The per-clip path in plain numpy: resample by index enumeration, then
     one trunk call per window and an overlap-add in window order."""
-    ratio = clip.fps / model.native_fps
-    n_out = ta.frame_count(model.native_fps, clip.duration_s)
+    spec = model.spec
+    ratio = clip.fps / spec.native_fps
+    n_out = ta.frame_count(spec.native_fps, clip.duration_s)
     x = clip.values[[min(int(np.floor(j * ratio + 0.5)), clip.n_frames - 1) for j in range(n_out)]]
-    win_f = round(model.native_window_s * model.native_fps)
-    stride_f = round(stride_s * model.native_fps)
+    win_f = round(spec.native_window_s * spec.native_fps)
+    stride_f = round(stride_s * spec.native_fps)
     starts = list(range(0, n_out - win_f + 1, stride_f))
     if starts[-1] + win_f < n_out:
         starts.append(n_out - win_f)
-    totals = np.zeros((n_out, model.feature_dim))
+    totals = np.zeros((n_out, spec.feature_dim))
     counts = np.zeros(n_out, dtype=np.int64)
     for start in starts:
-        window = ta.FrameSeq(x[start : start + win_f], fps=model.native_fps,
-                             duration_s=model.native_window_s)
+        window = ta.FrameSeq(x[start : start + win_f], fps=spec.native_fps,
+                             duration_s=spec.native_window_s)
         totals[start : start + win_f] += model.trunk_forward(window)
         counts[start : start + win_f] += 1
     return (totals / counts[:, None]).astype(np.float32)
@@ -298,10 +307,11 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
     from ettrans import task_models as tm
     from ettrans import translator as tr
 
-    model = tm.init_task_model(
-        "real", "binary", (0, 2, 3), 5, native_fps=4.0, native_window_s=2.0,
-        rng=np.random.default_rng(17), hidden=7,
+    spec = TaskSpec(
+        "real", "binary", (0, 2, 3), noise_sigma=0.0, corr_rho=1.0, native_fps=4.0,
+        native_window_s=2.0, feature_dim=5, hidden=7,
     )
+    model = tm.init_task_model(spec, np.random.default_rng(17))
     rng = np.random.default_rng(18)
     for name in model.params.names():
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)

@@ -161,9 +161,7 @@ def stage1_setup(signal, sigma, seed, n_train=512, n_val=256):
     spec = st.TaskSpec("t", "binary", (0, 1, 2, 3), sigma, 1.0, 2.0, 2.0, signal=signal)
     train = st.generate([spec], n_train, seed=seed, split="train")
     val = st.generate([spec], n_val, seed=seed, split="val")
-    model = tm.init_task_model(
-        "t", "binary", spec.channels, 8, 2.0, 2.0, np.random.default_rng(seed + 100)
-    )
+    model = tm.init_task_model(spec, np.random.default_rng(seed + 100))
     return spec, train, val, model
 
 
@@ -204,11 +202,11 @@ def test_stage1_divergence_aborts_with_report():
 
 def _stage1_kind_setup(kind, seed, n=7):
     extra = dict(horizon=2, n_verbs=3, n_nouns=4) if kind == "sequence" else {}
-    spec = st.TaskSpec("t", kind, (0, 1, 2), 1.0, 1.0, 2.0, 2.0, signal=0.5, **extra)
-    data = st.generate([spec], n, seed=seed, split="train")
-    model = tm.init_task_model(
-        "t", kind, spec.channels, 4, 2.0, 2.0, np.random.default_rng(seed), hidden=5, **extra
+    spec = st.TaskSpec(
+        "t", kind, (0, 1, 2), 1.0, 1.0, 2.0, 2.0, signal=0.5, feature_dim=4, hidden=5, **extra
     )
+    data = st.generate([spec], n, seed=seed, split="train")
+    model = tm.init_task_model(spec, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
     for name in model.params.names():  # a generic point: every tap and bias matters
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
@@ -230,7 +228,7 @@ def test_stage1_minibatch_loss_and_gradients_equal_sum_of_per_sample_ones(kind):
     total = 0.0
     for values, label in zip(data.clips.values, data.labels["t"]):
         clip = FrameSeq(values, fps=data.clips.fps, duration_s=data.clips.duration_s)
-        output = tm.head_graph(model.trunk_graph(clip, leaves), leaves, model.kind)
+        output = tm.head_graph(model.trunk_graph(clip, leaves), leaves, model.spec.kind)
         term = tm.loss(kind, output, [label], clip.frame_times())
         total += term.item()
         term.backward()
@@ -310,7 +308,7 @@ def stage2_setup(seed=0, n=24):
     dims = (("p", 4, 6),)
     config = tr.TranslatorConfig(
         task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
+        decoder_kind=tm.KIND_BINARY,
     )
     samples = []
     for _ in range(n):
@@ -327,7 +325,7 @@ def _stage2_kind_setup(kind, seed, n=7):
     dims = (("p", 24, 6), ("a", 16, 5))
     config = tr.TranslatorConfig(
         task_dims=dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=kind, **extra,
+        decoder_kind=kind, **extra,
     )
     params = tr.init_translator_params(config, rng)
     for name in params.names():

@@ -7,6 +7,7 @@ from ettrans import task_models as tm
 from ettrans import translator as tr
 from ettrans import training as tg
 from ettrans.errors import ContractViolationError, DimensionError
+from ettrans.synth_tasks import TaskSpec
 from ettrans.temporal_align import FrameSeq
 
 TOY_DIMS = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
@@ -19,7 +20,6 @@ def toy_config(decoder=tm.KIND_BINARY, dims=TOY_DIMS, **kw):
         n_layers=2,
         n_heads=2,
         d_ff=16,
-        primary_task_id=dims[0][0],
         decoder_kind=decoder,
         **kw,
     )
@@ -221,7 +221,7 @@ def test_translate_pipeline_collapse_to_decoder():
     dims = (("p", 4, 8),)
     config = tr.TranslatorConfig(
         task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
+        decoder_kind=tm.KIND_BINARY,
     )
     rng = np.random.default_rng(18)
     params = tr.init_translator_params(config, rng)
@@ -279,14 +279,13 @@ def test_translate_group_captures_attention_per_sample_and_layer():
 def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     """The forward pass (align, extract, translate) refuses an unfrozen task
     model, and a translator training step leaves a frozen one bit-identical."""
-    spec = dict(channels=(0, 1), feature_dim=6, native_fps=2.0, native_window_s=2.0)
-    model = tm.init_task_model("p", "binary", spec["channels"], spec["feature_dim"],
-                               spec["native_fps"], spec["native_window_s"],
-                               np.random.default_rng(21))
+    spec = TaskSpec("p", "binary", (0, 1), noise_sigma=0.0, corr_rho=1.0, native_fps=2.0,
+                    native_window_s=2.0, feature_dim=6)
+    model = tm.init_task_model(spec, np.random.default_rng(21))
     clip = FrameSeq(np.random.default_rng(22).normal(size=(8, 2)), fps=2.0, duration_s=4.0)
     config = tr.TranslatorConfig(
         task_dims=(("p", 8, 6),), d_model=8, n_layers=1, n_heads=2, d_ff=16,
-        primary_task_id="p", decoder_kind=tm.KIND_BINARY,
+        decoder_kind=tm.KIND_BINARY,
     )
     params = tr.init_translator_params(config, np.random.default_rng(23))
     with pytest.raises(ContractViolationError):
@@ -313,14 +312,12 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
 
 
 def test_config_rejects_bad_shapes_and_orders():
-    with pytest.raises(ValueError):
-        tr.TranslatorConfig(  # primary not first
-            (("a", 2, 10), ("p", 4, 6), ("b", 2, 14)),
-            d_model=8, n_layers=1, n_heads=2, d_ff=16,
-            primary_task_id="p", decoder_kind=tm.KIND_BINARY,
-        )
+    # the first task is the primary, so the order itself cannot be wrong
+    assert toy_config(dims=(("a", 2, 10), ("p", 4, 6))).primary_task_id == "a"
+    with pytest.raises(ValueError, match="duplicate task ids"):
+        toy_config(dims=(("p", 4, 6), ("a", 2, 10), ("p", 2, 14)))
     with pytest.raises(DimensionError):
         tr.TranslatorConfig(TOY_DIMS, d_model=9, n_layers=1, n_heads=2, d_ff=4,
-                            primary_task_id="p", decoder_kind=tm.KIND_BINARY)
+                            decoder_kind=tm.KIND_BINARY)
     with pytest.raises(ValueError):
         toy_config(decoder=tm.KIND_SEQUENCE)  # missing horizon/vocabs
