@@ -60,9 +60,8 @@ _REQUIRED = object()  # the default of a config key that must be given
 class ExperimentConfig:
     """One experiment. Making one, by ``load_config`` or by
     ``dataclasses.replace`` of another, raises ``ConfigError`` unless a run
-    over its tasks can go through: each geometry rule is asked of the code
-    that the run itself calls. The arms are checked where they are chosen,
-    by ``load_config`` and ``run_experiment``."""
+    over its arms and tasks can go through: each geometry rule is asked of
+    the code that the run itself calls."""
 
     name: str
     arms: tuple[str, ...]
@@ -83,6 +82,7 @@ class ExperimentConfig:
     tasks: tuple[st.TaskSpec, ...]
 
     def __post_init__(self):
+        _check_arms(self.arms)
         try:
             st.validate_specs(self.tasks, self.n_channels)
         except st.GenerationError as exc:
@@ -238,7 +238,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     arms = tuple(
         a.strip() for a in get(exp, "arms", str, "translator,primary_only").split(",") if a.strip()
     )
-    _check_arms(arms)
 
     trans, train = parser["translator"], parser["training"]
 
@@ -442,7 +441,7 @@ def _split_features(cache_dir: Path, model: tm.TaskModel, clips: FrameSeq) -> Fe
     digest = hashlib.sha256(
         repr(
             (
-                model.checksum(), spec.channels, spec.native_fps, spec.native_window_s,
+                model.params.checksum(), spec.channels, spec.native_fps, spec.native_window_s,
                 spec.stride_s, clips.fps, clips.duration_s, clips.values.shape,
                 clips.values.dtype.str,
             )
@@ -458,7 +457,7 @@ def _split_features(cache_dir: Path, model: tm.TaskModel, clips: FrameSeq) -> Fe
         else:
             if seq.task_id == spec.task_id and len(seq.values) == len(clips.values):
                 return seq
-    seq = tr.align_and_extract(clips, model, spec.stride_s)
+    seq = tr.align_and_extract(clips, model)
     cache_store(path, seq)
     return seq
 
@@ -518,13 +517,13 @@ def run_seed(
             "stopped_epoch": report.stopped_epoch,
             "wall_clock_s": report.wall_clock_s,
         }
-        tm.freeze(trained[spec.task_id])
+        trained[spec.task_id].params.frozen = True
 
     untrained: dict[str, tm.TaskModel] = {}
     if "frozen_random_ablation" in arms:
         untrained = _build_models(config, seed, config.task_ids())
         for model in untrained.values():
-            tm.freeze(model)
+            model.params.frozen = True
 
     cache_dir = Path(out_dir) / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -574,12 +573,12 @@ def run_arm_seed(
         split: (features[split], ds.labels[primary_id]) for split, ds in datasets.items()
     }
 
-    checksums_before = {t: models[t].checksum() for t in tconfig.task_ids}
+    checksums_before = {t: models[t].params.checksum() for t in tconfig.task_ids}
     params, train_report = tg.train_stage2(
         splits["train"], splits["val"], tconfig, config.stage2, seed
     )
     test_metrics = tg.evaluate_stage2(splits["test"], params, tconfig)
-    checksums_after = {t: models[t].checksum() for t in tconfig.task_ids}
+    checksums_after = {t: models[t].params.checksum() for t in tconfig.task_ids}
     return {
         "arm": arm,
         "seed": seed,
@@ -655,7 +654,8 @@ def run_experiment(
     }
     for arm, reports in by_arm.items():
         reports = sorted(reports, key=lambda r: r["seed"])
-        metric_names = sorted(reports[0]["metrics"])
+        # a binary primary reports ``map`` only for test labels of both classes
+        metric_names = sorted(set.intersection(*(set(r["metrics"]) for r in reports)))
         stats = {}
         for metric in metric_names:
             values = [r["metrics"][metric] for r in reports]

@@ -30,9 +30,6 @@ from .nn_core import _normal_cdf
 from .task_models import KIND_BINARY, KIND_LOCALIZATION, KIND_SEQUENCE, TASK_KINDS
 from .temporal_align import FrameSeq, frame_count
 
-BALANCE_CHECK_MIN_N = 1000
-BALANCE_TOL = 0.05
-
 # draws and seed of the Monte Carlo combined ceiling (two or more informative
 # auxiliaries)
 MC_SAMPLES = 2_000_000
@@ -200,8 +197,6 @@ def generate(
     Geometry defaults to the primary task's native window. Generation is
     deterministic given (specs, seed, split): each sample derives its own RNG
     stream, so the first k samples of a split do not depend on its size.
-    Binary label marginals are checked against 50/50 when n is large enough
-    to make the check meaningful.
     """
     if n_samples < 1:
         raise GenerationError(f"n_samples must be >= 1, got {n_samples}")
@@ -274,15 +269,6 @@ def generate(
                 values[:, group] += rng.normal(0.0, spec.noise_sigma, size=(n_frames, len(group)))
 
     labels = {task_id: np.asarray(values) for task_id, values in labels.items()}
-    for spec in specs:
-        if spec.kind == KIND_BINARY and n_samples >= BALANCE_CHECK_MIN_N:
-            rate = float(np.mean(labels[spec.task_id]))
-            if abs(rate - 0.5) > BALANCE_TOL:
-                raise GenerationError(
-                    f"task {spec.task_id!r} positives at {rate:.3f}, "
-                    f"outside 0.5 +/- {BALANCE_TOL}"
-                )
-
     return SyntheticDataset(
         clips=FrameSeq(clips, fps=fps, duration_s=duration_s),
         labels=labels,

@@ -47,10 +47,6 @@ class TaskModel:
     def __post_init__(self):
         whole_frames(self.spec.native_fps, self.spec.native_window_s, "native_window_s")
 
-    @property
-    def frozen(self) -> bool:
-        return self.params.frozen
-
     def trunk_forward(self, window: FrameSeq) -> np.ndarray:
         """Per-frame features (no gradients) of one native-geometry window,
         or of a (windows x frames x channels) batch of them, each from its
@@ -75,9 +71,6 @@ class TaskModel:
                 f"model {spec.task_id!r} reads channels {spec.channels}, "
                 f"clip has only {window.n_channels}"
             )
-
-    def checksum(self) -> str:
-        return self.params.checksum()
 
 
 def trunk_graph(x: nn.Tensor, leaves: dict[str, nn.Tensor]) -> nn.Tensor:
@@ -239,10 +232,3 @@ def init_task_model(spec: TaskSpec, rng: np.random.Generator) -> TaskModel:
         params, "head", spec.kind, spec.feature_dim, rng, spec.horizon, spec.n_verbs, spec.n_nouns
     )
     return TaskModel(spec, params)
-
-
-def freeze(model: TaskModel) -> TaskModel:
-    """Mark a model immutable: no optimizer may touch its parameters again.
-    Freezing an untrained model is allowed (frozen-random ablations)."""
-    model.params.frozen = True
-    return model

@@ -109,10 +109,6 @@ class FeatureSequence:
     def n_frames(self) -> int:
         return self.values.shape[-2]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.values.shape[-1]
-
 
 def check_downsampling(source_fps: float, target_fps: float) -> None:
     """Refuse to resample ``source_fps`` up to a higher ``target_fps``."""
@@ -191,7 +187,7 @@ def extract_features(clip: FrameSeq, model, starts: Sequence[int]) -> FeatureSeq
     fps, window_s = spec.native_fps, spec.native_window_s
     if abs(clip.fps - fps) > _FRAME_ALIGN_TOL:
         raise AlignmentError(f"clip at {clip.fps} fps, model {spec.task_id!r} at {fps} fps")
-    if not model.frozen:
+    if not model.params.frozen:
         raise ContractViolationError(
             f"model {spec.task_id!r} must be frozen before feature extraction"
         )

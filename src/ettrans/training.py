@@ -109,23 +109,6 @@ def _improved(candidate: float, best: float, greater_is_better: bool) -> bool:
 LossTerms = Callable[[np.ndarray, dict[str, nn.Tensor]], Iterable[nn.Tensor]]
 
 
-def _train_step(
-    params: nn.ParamSet, build_loss: LossTerms, idx: np.ndarray, state: OptimState, where: str
-) -> float:
-    """One Adam update on the mean loss of the minibatch ``idx``: backpropagate
-    every term ``build_loss`` yields, then step. Returns the summed loss."""
-    leaves = params.as_tensors()
-    total = 0.0
-    for term in build_loss(idx, leaves):
-        value = float(term.value)
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"non-finite loss {value} {where}")
-        total += value
-        term.backward()
-    optimizer_step(params, leaves.grad / len(idx), state)
-    return total
-
-
 def fit(
     params: nn.ParamSet,
     n_train: int,
@@ -159,8 +142,21 @@ def fit(
         epoch_loss = 0.0
         for lo in range(0, n_train, hyper.batch_size):
             idx = order[lo : lo + hyper.batch_size]
-            where = f"at epoch {epoch}, step {lo // hyper.batch_size}"
-            epoch_loss += _train_step(params, build_loss, idx, state, where)
+            # one Adam update on the minibatch's mean loss: backpropagate
+            # every term, then step
+            leaves = params.as_tensors()
+            step_loss = 0.0
+            for term in build_loss(idx, leaves):
+                value = float(term.value)
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {value} at epoch {epoch}, step {lo // hyper.batch_size}"
+                    )
+                step_loss += value
+                term.backward()
+            optimizer_step(params, leaves.grad / len(idx), state)
+            del leaves, term  # free this step's graph before validation or the next step
+            epoch_loss += step_loss
         report.train_losses.append(epoch_loss / n_train)
 
         preds, labels, val_loss = val_predictions(params)
@@ -182,28 +178,6 @@ def fit(
         params.values[...] = best_values
     report.wall_clock_s = time.perf_counter() - t_start
     return report
-
-
-def run_steps(
-    params: nn.ParamSet,
-    n_samples: int,
-    build_loss: LossTerms,
-    n_steps: int,
-    hyper: TrainHyper,
-) -> list[float]:
-    """Full-batch updates over all ``n_samples`` samples without validation;
-    returns the per-step mean loss.
-
-    Capacity sanity harness: how fast can this parameter set drive its
-    training loss down on a tiny memorization set.
-    """
-    state = OptimState.for_params(params, hyper)
-    idx = np.arange(n_samples)
-    losses = []
-    for step in range(n_steps):
-        total = _train_step(params, build_loss, idx, state, f"at step {step}")
-        losses.append(total / n_samples)
-    return losses
 
 
 # ---------------------------------------------------------------------------

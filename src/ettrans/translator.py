@@ -134,14 +134,11 @@ def translate(
     return task_models.head_graph(h, leaves, config.decoder_kind, "dec")
 
 
-def align_and_extract(
-    clip: FrameSeq,
-    model: task_models.TaskModel,
-    stride_s: float,
-) -> FeatureSequence:
+def align_and_extract(clip: FrameSeq, model: task_models.TaskModel) -> FeatureSequence:
     """Resample a clip, or a split of clips (samples x frames x channels), to
-    one model's native fps, plan window starts once for all of them, extract."""
+    one model's native fps, plan window starts at its spec's stride once for
+    all of them, extract."""
     spec = model.spec
     clip_k = resample(clip, spec.native_fps)
-    starts = plan_windows(clip_k.duration_s, spec.native_window_s, stride_s, spec.native_fps)
+    starts = plan_windows(clip_k.duration_s, spec.native_window_s, spec.stride_s, spec.native_fps)
     return extract_features(clip_k, model, starts)

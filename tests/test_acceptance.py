@@ -368,11 +368,8 @@ def test_criterion_9_overfit_sanity(kind, lr):
         extra = dict(horizon=3, n_verbs=5, n_nouns=7)
     dataset = st.generate([spec], 32, seed=0, split="train")
     model = tm.init_task_model(spec, np.random.default_rng(0))
-    tm.freeze(model)
-    split = (
-        {"p": tr.align_and_extract(dataset.clips, model, spec.native_window_s)},
-        dataset.labels["p"],
-    )
+    model.params.frozen = True
+    split = ({"p": tr.align_and_extract(dataset.clips, model)}, dataset.labels["p"])
     t_p = split[0]["p"].n_frames
     # pooled width must exceed the sample count for raw memorization capacity
     config = tr.TranslatorConfig(
@@ -380,10 +377,13 @@ def test_criterion_9_overfit_sanity(kind, lr):
         decoder_kind=kind, **extra,
     )
     params = tr.init_translator_params(config, np.random.default_rng(1))
-    losses = tg.run_steps(
-        params, dataset.n_samples, tg.stage2_build_loss(config, split), 500,
-        tg.TrainHyper(lr=lr),
-    )
+    # one full-batch step an epoch, validated on the training split itself
+    losses = tg.fit(
+        params, dataset.n_samples, tg.stage2_build_loss(config, split), kind,
+        lambda current: tg.stage2_predictions(split, current, config),
+        tg.TrainHyper(lr=lr, batch_size=32, max_epochs=500, patience=500), seed=0,
+    ).train_losses
+    assert len(losses) == 500
     best = min(losses)
     step = next(i for i, l in enumerate(losses) if l == best)
     report(

@@ -224,6 +224,12 @@ def test_replacing_a_field_of_a_config_checks_it_again(tiny_config):
         dataclasses.replace(tiny_config, n_test=0)
 
 
+@pytest.mark.parametrize("arms", [(), ("bogus",), ("translator", "translator")])
+def test_replacing_the_arms_of_a_config_checks_them(tiny_config, arms):
+    with pytest.raises(ConfigError, match="arm"):
+        dataclasses.replace(tiny_config, arms=arms)
+
+
 def test_missing_config_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         harness.load_config(tmp_path / "absent.cfg")
@@ -526,6 +532,20 @@ def test_run_experiment_writes_reports_and_aggregate(tiny_config, tmp_path):
     assert (out / "aggregate.json").exists()
     acc = aggregate["arms"]["translator"]["metrics"]["accuracy"]
     assert acc["mean"] == pytest.approx(math.fsum(acc["values"]) / len(acc["values"]), abs=1e-12)
+
+
+@pytest.mark.parametrize("seeds", [(2, 3), (1, 2)])
+def test_aggregate_holds_the_metrics_every_seed_reports(tiny_config, tmp_path, seeds):
+    """Two test samples: a seed whose labels hold one class reports no ``map``,
+    so the aggregate leaves it out whichever seed comes first."""
+    config = dataclasses.replace(tiny_config, n_test=2)
+    out = tmp_path / "run"
+    aggregate = harness.run_experiment(config, out, arms=("translator",), seeds=seeds)
+    reports = [json.loads((out / f"report_translator_seed{s}.json").read_text()) for s in seeds]
+    assert sorted("map" in r["metrics"] for r in reports) == [False, True]
+    stats = aggregate["arms"]["translator"]["metrics"]
+    assert sorted(stats) == ["accuracy", "loss"]
+    assert stats["accuracy"]["values"] == [r["metrics"]["accuracy"] for r in reports]
 
 
 def test_rerun_is_byte_identical_modulo_wall_clock(tiny_config, tmp_path):
@@ -971,8 +991,8 @@ def test_run_experiment_rejects_empty_or_repeated_arms_before_writing(
     tiny_config, tmp_path, config_arms, arms
 ):
     out = tmp_path / "out"
-    config = dataclasses.replace(tiny_config, arms=config_arms)
     with pytest.raises(ConfigError):
+        config = dataclasses.replace(tiny_config, arms=config_arms)
         harness.run_experiment(config, out, arms=arms, seeds=[0])
     assert not out.exists()
 
@@ -1016,21 +1036,22 @@ def test_model_changed_during_stage_2_fails_the_frozen_check_and_exits_1(
 ):
     """``run_arm_seed`` checksums each frozen model before stage 2 and after
     test evaluation; a model changed in between fails the arm's check, the
-    aggregate's and the CLI run, and the report keeps the checksums taken at
-    freeze."""
+    aggregate's and the CLI run, and the report keeps the checksums taken
+    when stage 1 ended."""
     at_freeze = {}
-    freeze, train_stage2 = task_models.freeze, training.train_stage2
+    train_stage1, train_stage2 = training.train_stage1, training.train_stage2
 
-    def capturing_freeze(model):
-        at_freeze[model.spec.task_id] = (model, model.checksum())
-        return freeze(model)
+    def capturing_train_stage1(model, *args, **kwargs):
+        report = train_stage1(model, *args, **kwargs)
+        at_freeze[model.spec.task_id] = (model, model.params.checksum())
+        return report
 
     def tampering_train_stage2(*args, **kwargs):
         result = train_stage2(*args, **kwargs)
         at_freeze["helper"][0].params.values[0] += 1.0
         return result
 
-    monkeypatch.setattr(task_models, "freeze", capturing_freeze)
+    monkeypatch.setattr(training, "train_stage1", capturing_train_stage1)
     monkeypatch.setattr(training, "train_stage2", tampering_train_stage2)
     cfg = write_cfg(tmp_path, TINY_CFG)
     out = tmp_path / "out"
@@ -1046,7 +1067,7 @@ def test_model_changed_during_stage_2_fails_the_frozen_check_and_exits_1(
     assert report["frozen_check"]["checksums"] == {
         task_id: checksum for task_id, (_, checksum) in at_freeze.items()
     }
-    assert at_freeze["helper"][0].checksum() != at_freeze["helper"][1]
+    assert at_freeze["helper"][0].params.checksum() != at_freeze["helper"][1]
     aggregate = json.loads((out / "aggregate.json").read_text())
     assert aggregate["arms"]["translator"]["frozen_check_ok"] is False
 

@@ -1,4 +1,5 @@
 from dataclasses import InitVar, dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,15 +27,17 @@ class LinearStub:
 
     native_fps: InitVar[float] = 2.0
     native_window_s: InitVar[float] = 2.0
-    frozen: bool = True
+    frozen: InitVar[bool] = True
     matrix: np.ndarray = field(default_factory=lambda: np.arange(6.0).reshape(3, 2))
     spec: TaskSpec = field(init=False)
+    params: SimpleNamespace = field(init=False)
 
-    def __post_init__(self, native_fps, native_window_s):
+    def __post_init__(self, native_fps, native_window_s, frozen):
         self.spec = TaskSpec(
             "stub", "binary", (0, 1, 2), noise_sigma=0.0, corr_rho=1.0,
             native_fps=native_fps, native_window_s=native_window_s,
         )
+        self.params = SimpleNamespace(frozen=frozen)
 
     def trunk_forward(self, window):
         return window.values @ self.matrix
@@ -210,7 +213,7 @@ def test_extract_with_task_model_restarts_causal_history_per_window():
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
     taps = model.params["trunk/mix"].value
     assert np.all(np.abs(taps[1:]) > 1e-3)  # the mix reaches back across frames
-    tm.freeze(model)
+    model.params.frozen = True
     clip = make_clip(5.0, 2.0, seed=9)
     starts = ta.plan_windows(5.0, 2.0, 0.5, 2.0)  # one-frame stride
     seq = ta.extract_features(clip, model, starts)
@@ -309,13 +312,13 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
 
     spec = TaskSpec(
         "real", "binary", (0, 2, 3), noise_sigma=0.0, corr_rho=1.0, native_fps=4.0,
-        native_window_s=2.0, feature_dim=5, hidden=7,
+        native_window_s=2.0, stride_s=0.75, feature_dim=5, hidden=7,
     )
     model = tm.init_task_model(spec, np.random.default_rng(17))
     rng = np.random.default_rng(18)
     for name in model.params.names():
         model.params[name].value = rng.normal(0.0, 0.5, size=model.params[name].value.shape)
-    tm.freeze(model)
+    model.params.frozen = True
     calls = []
     trunk_forward = model.trunk_forward
 
@@ -331,7 +334,7 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
     # windows, each window 8 frames of 4 channels
     monkeypatch.setattr(ta, "_EXTRACT_CHUNK_FRAMES", 250)
     monkeypatch.setattr(model, "trunk_forward", counting_trunk_forward)
-    seq = tr.align_and_extract(split, model, 0.75)
+    seq = tr.align_and_extract(split, model)
     monkeypatch.undo()
 
     assert calls == [(27, 8, 4), (27, 8, 4), (9, 8, 4)]
@@ -340,7 +343,7 @@ def test_split_extraction_equals_per_window_oracle_bit_for_bit(monkeypatch):
     expected = np.stack([_per_window_oracle(clip, model, 0.75) for clip in clips])
     assert seq.values.tobytes() == expected.tobytes()
     # one clip on its own goes through the same path
-    alone = tr.align_and_extract(clips[6], model, 0.75)
+    alone = tr.align_and_extract(clips[6], model)
     assert alone.values.tobytes() == expected[6].tobytes()
 
 

@@ -190,7 +190,7 @@ def test_stage1_is_deterministic():
     rep_b = tg.train_stage1(model_b, train, val, hyper, seed=5)
     assert rep_a.train_losses == rep_b.train_losses
     assert rep_a.val_metrics == rep_b.val_metrics
-    assert model_a.checksum() == model_b.checksum()
+    assert model_a.params.checksum() == model_b.params.checksum()
 
 
 def test_stage1_divergence_aborts_with_report():

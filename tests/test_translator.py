@@ -280,7 +280,7 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     """The forward pass (align, extract, translate) refuses an unfrozen task
     model, and a translator training step leaves a frozen one bit-identical."""
     spec = TaskSpec("p", "binary", (0, 1), noise_sigma=0.0, corr_rho=1.0, native_fps=2.0,
-                    native_window_s=2.0, feature_dim=6)
+                    native_window_s=2.0, stride_s=1.0, feature_dim=6)
     model = tm.init_task_model(spec, np.random.default_rng(21))
     clip = FrameSeq(np.random.default_rng(22).normal(size=(8, 2)), fps=2.0, duration_s=4.0)
     config = tr.TranslatorConfig(
@@ -289,11 +289,11 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     )
     params = tr.init_translator_params(config, np.random.default_rng(23))
     with pytest.raises(ContractViolationError):
-        tr.align_and_extract(clip, model, 1.0)
+        tr.align_and_extract(clip, model)
 
-    tm.freeze(model)
-    checksum = model.checksum()
-    feats = {"p": tr.align_and_extract(clip, model, 1.0).values}
+    model.params.frozen = True
+    checksum = model.params.checksum()
+    feats = {"p": tr.align_and_extract(clip, model).values}
     logit = tr.translate(feats, params.as_tensors(train=False), config).item()
 
     # one full training step over the translator touches nothing frozen
@@ -304,9 +304,9 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     assert all(np.shares_memory(leaf.grad, leaves.grad) for leaf in leaves.values())
     state = tg.OptimState.for_params(params, tg.TrainHyper())
     tg.optimizer_step(params, leaves.grad, state)
-    assert model.checksum() == checksum
+    assert model.params.checksum() == checksum
 
-    again = {"p": tr.align_and_extract(clip, model, 1.0).values}
+    again = {"p": tr.align_and_extract(clip, model).values}
     fresh = tr.init_translator_params(config, np.random.default_rng(23))
     assert tr.translate(again, fresh.as_tensors(train=False), config).item() == pytest.approx(logit)
 
