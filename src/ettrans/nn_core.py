@@ -2,7 +2,7 @@
 
 Everything here is reverse-mode: each operation computes its forward value
 eagerly with numpy and records an analytic vector-Jacobian product, so any
-scalar built from these ops can call ``backward()``. ``grad_check`` verifies
+scalar built from these ops can call ``backward()``, once. ``grad_check`` verifies
 the recorded VJPs against central differences and is the correctness oracle
 for every model in this package.
 
@@ -67,7 +67,13 @@ class Tensor:
         return float(self.value.item())
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        A graph backpropagates once: each interior node drops its gradient,
+        its VJP (and the activations that holds) and its parents as soon as
+        its VJP has run, so the graph's memory is freed during the pass.
+        Leaves keep their gradients. A second ``backward()`` through a spent
+        node raises ``RuntimeError``."""
         if self.value.ndim != 0:
             raise DimensionError(f"backward() needs a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -86,12 +92,19 @@ class Tensor:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         _accumulate(self, np.ones_like(self.value))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._vjp is not None:
                 node._vjp(node.grad)
+                node.grad, node._vjp, node._parents = None, _spent_vjp, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
+
+
+def _spent_vjp(g: Array) -> None:
+    """The VJP of a node whose graph has already backpropagated."""
+    raise RuntimeError("graph already backpropagated")
 
 
 def as_tensor(x) -> Tensor:

@@ -772,11 +772,11 @@ PINNED_OUTPUT_DIGESTS = {
         "report_primary_only_seed0.json":
             "7405008dde77c13bd93a4f15e6ef57bea709dd75ed8e8f79e71823df25eda713",
         "report_primary_only_seed1.json":
-            "4f10699e69d38b14b5715db61521ff39168fc8d903deaa10db44e51341241dcb",
+            "d1e1d2ed5b0f4ecf08842105e4831ed71c1223ffdcfe22ccf638249652f6e6d2",
         "report_translator_seed0.json":
-            "b517778e8e6c372052c2004e0900cac592fa31ca5c768574e9481c36db7b0bbe",
+            "d15e4e10bd8c11d9d3ecae51d39480edff5bbd5c0b9faed418c6448d43bc1c4d",
         "report_translator_seed1.json":
-            "ddbf9427dbf0adec06eb9259b1f65fc54d80a49ce4fc58bfd64bba0b2e87071d",
+            "d5a9668684895c57b17006311633e86a9a1ee21ba26b1d9e2bae5e713588719c",
     },
 }
 
@@ -832,9 +832,9 @@ PINNED_LOC_SEQ_DIGESTS = {
         "report_primary_only_seed1.json":
             "28ab1e854353d855c5a03fe3cfc0baf5c9819dc1ce0d0d26577af61a11f76439",
         "report_translator_seed0.json":
-            "84ebc1a75b4e3a54ea3be082d0455e575b75995dc9eccda11e6a390c927bc475",
+            "aab8a75d860ea6ac3a6a733700113e0b1a6f088ecf57449901895c1c27c8f627",
         "report_translator_seed1.json":
-            "b89da94216a5c7ff6c6f213fac38ae9e183698d05189de1551c8c56c38448b1d",
+            "9176cf8fde32b9c935150a4fdb675637de3d0c9f2b65e9f1fbe1e3dd6703a676",
     },
 }
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -826,3 +827,79 @@ def test_unused_leaf_reads_zero_gradient():
     np.testing.assert_array_equal(leaves.grad, [2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(leaves["unused"].grad, np.zeros((2, 2)))
     assert np.shares_memory(leaves["unused"].grad, leaves.grad)
+
+
+def _backward_keeping_the_graph(root):
+    """Backpropagate ``root`` without freeing anything: every node keeps its
+    gradient, VJP and parents. Returns the graph's nodes, root last."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents if parent.requires_grad)
+    root.grad = np.ones_like(root.value)
+    for node in reversed(order):
+        if node._vjp is not None:
+            node._vjp(node.grad)
+    return order
+
+
+def test_backward_frees_the_graph_and_keeps_leaf_gradients_bit_equal():
+    rng = np.random.default_rng(5)
+    params = nn.ParamSet()
+    for prefix in ("enc0/", "enc1/"):
+        for name, value in rand_layer_arrays(rng, 8, 16).items():
+            params.add(prefix + name, value)
+    leaves = params.as_tensors()
+    x = nn.Tensor(rng.normal(size=(3, 5, 8)))
+    h = nn.encoder_layer(x, leaves, "enc0/", 2)
+    first_layer_value = weakref.ref(h.value)
+    root = nn.sum_all(nn.mul(nn.encoder_layer(h, leaves, "enc1/", 2), rng.normal(size=(3, 5, 8))))
+    del h
+
+    nodes = _backward_keeping_the_graph(root)
+    want = leaves.grad.copy()
+    for node in nodes:
+        if node._vjp is not None:
+            node.grad = None
+    leaves.grad[...] = 0.0  # every leaf's grad is a view into it
+    del nodes
+    assert first_layer_value() is not None  # the root still holds the graph
+
+    root.backward()
+    assert first_layer_value() is None
+    np.testing.assert_array_equal(leaves.grad, want)
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        root.backward()
+    np.testing.assert_array_equal(leaves.grad, want)
+
+
+def test_a_second_backward_through_a_spent_graph_raises():
+    w = nn.Tensor(np.asarray(3.0), requires_grad=True)
+    loss = nn.sum_all(nn.mul(w, w))
+    loss.backward()
+    assert w.grad == 6.0
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        loss.backward()
+    assert w.grad == 6.0
+
+    # a second root over a spent subgraph finds it spent too
+    shared = nn.mul(w, w)
+    nn.sum_all(shared).backward()
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        nn.scale(shared, 2.0).backward()
+
+    # a scalar leaf is its own graph and accumulates on every call; a root
+    # that needs no gradient has nothing to backpropagate
+    leaf = nn.Tensor(np.asarray(1.5), requires_grad=True)
+    leaf.backward()
+    leaf.backward()
+    assert leaf.grad == 2.0
+    constant = nn.Tensor(np.asarray(1.5))
+    constant.backward()
+    constant.backward()
+    assert constant.grad is None
