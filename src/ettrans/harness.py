@@ -1,8 +1,10 @@
 """Experiment harness: config files, feature cache, seeded end-to-end runs.
 
-A config is one ``ExperimentConfig`` that holds one ``synth_tasks.TaskSpec``
-per ``[task:<id>]`` section, the primary task first; making one checks that
-a run over its tasks can go through.
+A config is one ``ExperimentConfig`` and each config section one record, read
+by its field types: ``[experiment]`` the config's own fields, ``[translator]``
+a ``TranslatorShape``, ``[training]`` the ``TrainHyper`` of stage 2 and, keys
+prefixed ``stage1_``, of stage 1, and each ``[task:<id>]`` a ``TaskSpec``, the
+primary first. Making a config checks that a run over its tasks can go through.
 
 A run executes, per seed: generate data, then stage-1-train and freeze each
 task model the arms need, and extract (through the cache) each needed task's
@@ -27,9 +29,9 @@ import os
 import re
 import struct
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -48,8 +50,7 @@ CACHE_MAGIC = b"ETTF"
 CACHE_VERSION = 2
 _CACHE_DTYPE_F32 = 0
 
-_TASK_ID_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
-_REQUIRED = object()  # the default of a config key that must be given
+_SECTION_RE = re.compile(r"experiment|translator|training|task:[A-Za-z0-9_\-]+")
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +58,35 @@ _REQUIRED = object()  # the default of a config key that must be given
 
 
 @dataclass(frozen=True)
+class TranslatorShape:
+    """The ``[translator]`` section: the encoder every arm's translator uses."""
+
+    d_model: int = 32
+    n_layers: int = 2
+    n_heads: int = 4
+    d_ff: int = 64
+    norm_first: bool = True
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One experiment. Making one, by ``load_config`` or by
     ``dataclasses.replace`` of another, raises ``ConfigError`` unless a run
     over its arms and tasks can go through: each geometry rule is asked of
     the code that the run itself calls."""
 
-    name: str
-    arms: tuple[str, ...]
-    seeds: int
-    n_train: int
-    n_val: int
-    n_test: int
+    name: str = "experiment"
+    arms: tuple[str, ...] = ("translator", "primary_only")
+    seeds: int = 3
+    n_train: int = 1024
+    n_val: int = 256
+    n_test: int = 512
     duration_s: float
     fps: float
     n_channels: int
-    d_model: int
-    n_layers: int
-    n_heads: int
-    d_ff: int
-    norm_first: bool
-    stage2: tg.TrainHyper
-    stage1: tg.TrainHyper
+    translator: TranslatorShape = TranslatorShape()
+    stage2: tg.TrainHyper = tg.TrainHyper(max_epochs=40, patience=8)
+    stage1: tg.TrainHyper = tg.TrainHyper()
     tasks: tuple[st.TaskSpec, ...]
 
     def __post_init__(self):
@@ -128,26 +136,21 @@ class ExperimentConfig:
         p = self.primary
         return tr.TranslatorConfig(
             task_dims=dims,
-            d_model=self.d_model,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_ff=self.d_ff,
             decoder_kind=p.kind,
             horizon=p.horizon,
             n_verbs=p.n_verbs,
             n_nouns=p.n_nouns,
-            norm_first=self.norm_first,
+            **asdict(self.translator),
         )
 
     def canonical_dict(self) -> dict:
         """The config as nested plain data, the input of ``config_hash``."""
-        fields = asdict(self)
-        translator = ("d_model", "n_layers", "n_heads", "d_ff", "norm_first")
+        plain = asdict(self)
         return {
-            "translator": {k: fields.pop(k) for k in translator},
-            "training": {k: fields.pop(k) for k in ("stage2", "stage1")},
-            "tasks": fields.pop("tasks"),
-            "experiment": fields,
+            "translator": plain.pop("translator"),
+            "training": {k: plain.pop(k) for k in ("stage2", "stage1")},
+            "tasks": plain.pop("tasks"),
+            "experiment": plain,
         }
 
 
@@ -185,21 +188,19 @@ def _check_arms(arms: Sequence[str]) -> None:
         raise ConfigError(f"arms repeat: {list(arms)}")
 
 
-def _get(section, key, cast, default=_REQUIRED):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in section [{section.name}]")
-        return default
+_CASTS = {int: int, float: float, float | None: float, str: str, bool: bool}
+
+
+def _cast(kind, section, key):
+    """The value of ``key`` in config ``section`` as a ``kind``."""
     raw = section[key]
+    if kind == tuple[int, ...]:
+        return _parse_channels(raw)
+    if kind == tuple[str, ...]:
+        return tuple(part.strip() for part in raw.split(",") if part.strip())
+    cast = _CASTS[kind]
     try:
-        if cast is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        value = cast(raw)
+        value = section.getboolean(key) if cast is bool else cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {key} = {raw!r} is not a valid {cast.__name__}") from exc
     if cast is float and not math.isfinite(value):
@@ -207,105 +208,66 @@ def _get(section, key, cast, default=_REQUIRED):
     return value
 
 
+def _read(record, section, prefix="", /, **given):
+    """Make ``record``, a class or an instance that holds the defaults, from
+    config ``section``: each field not ``given`` from the key ``prefix +
+    name``, cast by the field's type and taken out of the section. A field
+    with no default must be set. A read with no prefix is its section's
+    last, so a key it leaves is unknown."""
+    cls = record if isinstance(record, type) else type(record)
+    hints = get_type_hints(cls)
+    values = {}
+    for field in fields(cls):
+        key = prefix + field.name
+        if field.name in given:
+            continue
+        if key in section:
+            values[field.name] = _cast(hints[field.name], section, key)
+            del section[key]
+        elif record is cls and field.default is MISSING:
+            raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+    if not prefix and len(section):
+        raise ConfigError(f"unknown keys in [{section.name}]: {', '.join(sorted(section))}")
+    if record is cls:
+        return cls(**given, **values)
+    return replace(record, **values)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a plain-text experiment config."""
-    # values are read literally: a ``%`` is text, not an interpolation
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict({"translator": {}, "training": {}})  # both sections are optional
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    # values are read literally (a ``%`` is text, not an interpolation), and no
+    # header can name the default section, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
+    # a section left out reads as empty: [experiment] then misses its required keys
+    parser.read_dict({"experiment": {}, "translator": {}, "training": {}})
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        found = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if "experiment" not in parser:
-        raise ConfigError("config needs an [experiment] section")
-    # configparser copies [DEFAULT] keys into every section, so it is checked too
-    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
-    for name in sections:
-        if name not in ("experiment", "translator", "training") and not name.startswith("task:"):
+    if not found:
+        raise ConfigError(f"config file not found or unreadable: {path}")
+    for name in parser.sections():
+        if not _SECTION_RE.fullmatch(name):
             raise ConfigError(
-                f"unknown section [{name}]; use [experiment], [translator], [training] or [task:<id>]"
+                f"unknown section [{name}]; use [experiment], [translator], [training] or "
+                "[task:<id>], an <id> of letters, digits, _ and -"
             )
-    exp = parser["experiment"]
-    read: set[tuple[str, str]] = set()
-
-    def get(section, key, cast, default=_REQUIRED):
-        read.add((section.name, key))
-        return _get(section, key, cast, default)
-
-    arms = tuple(
-        a.strip() for a in get(exp, "arms", str, "translator,primary_only").split(",") if a.strip()
-    )
-
-    trans, train = parser["translator"], parser["training"]
-
-    def hyper(prefix: str, defaults: tg.TrainHyper) -> tg.TrainHyper:
-        return tg.TrainHyper(
-            lr=get(train, f"{prefix}lr", float, defaults.lr),
-            beta1=get(train, f"{prefix}beta1", float, defaults.beta1),
-            beta2=get(train, f"{prefix}beta2", float, defaults.beta2),
-            eps=get(train, f"{prefix}eps", float, defaults.eps),
-            batch_size=get(train, f"{prefix}batch_size", int, defaults.batch_size),
-            max_epochs=get(train, f"{prefix}max_epochs", int, defaults.max_epochs),
-            patience=get(train, f"{prefix}patience", int, defaults.patience),
-        )
-
-    task_sections = [s for s in parser.sections() if s.startswith("task:")]
-    if not task_sections:
-        raise ConfigError("config needs at least one [task:<id>] section")
-    specs = []
-    for name in task_sections:
-        section = parser[name]
-        task_id = name.split(":", 1)[1]
-        if not _TASK_ID_RE.match(task_id):
-            raise ConfigError(f"task id {task_id!r} must match {_TASK_ID_RE.pattern}")
+    tasks = []
+    for name in [s for s in parser.sections() if s.startswith("task:")]:
         try:
-            spec = st.TaskSpec(
-                task_id=task_id,
-                kind=get(section, "kind", str),
-                channels=_parse_channels(get(section, "channels", str)),
-                noise_sigma=get(section, "noise_sigma", float),
-                corr_rho=get(section, "corr_rho", float),
-                native_fps=get(section, "native_fps", float),
-                native_window_s=get(section, "native_window_s", float),
-                signal=get(section, "signal", float, st.TaskSpec.signal),
-                horizon=get(section, "horizon", int, st.TaskSpec.horizon),
-                n_verbs=get(section, "n_verbs", int, st.TaskSpec.n_verbs),
-                n_nouns=get(section, "n_nouns", int, st.TaskSpec.n_nouns),
-                stride_s=get(section, "stride_s", float, st.TaskSpec.stride_s),
-                feature_dim=get(section, "feature_dim", int, st.TaskSpec.feature_dim),
-                hidden=get(section, "hidden", int, st.TaskSpec.hidden),
-            )
+            tasks.append(_read(st.TaskSpec, parser[name], task_id=name.removeprefix("task:")))
         except st.GenerationError as exc:
             raise ConfigError(f"[{name}]: {exc}") from exc
-        specs.append(spec)
 
-    fields = dict(
-        name=get(exp, "name", str, "experiment"),
-        arms=arms,
-        seeds=get(exp, "seeds", int, 3),
-        n_train=get(exp, "n_train", int, 1024),
-        n_val=get(exp, "n_val", int, 256),
-        n_test=get(exp, "n_test", int, 512),
-        duration_s=get(exp, "duration_s", float),
-        fps=get(exp, "fps", float),
-        n_channels=get(exp, "n_channels", int),
-        d_model=get(trans, "d_model", int, 32),
-        n_layers=get(trans, "n_layers", int, 2),
-        n_heads=get(trans, "n_heads", int, 4),
-        d_ff=get(trans, "d_ff", int, 64),
-        norm_first=get(trans, "norm_first", bool, tr.TranslatorConfig.norm_first),
-        stage2=hyper("", tg.TrainHyper(max_epochs=40, patience=8)),
-        stage1=hyper("stage1_", tg.TrainHyper()),
-        tasks=tuple(specs),
+    return _read(
+        ExperimentConfig,
+        parser["experiment"],
+        translator=_read(TranslatorShape, parser["translator"]),
+        # stage 1 first: stage 2's unprefixed read takes the rest of [training]
+        stage1=_read(tg.TrainHyper(), parser["training"], "stage1_"),
+        stage2=_read(ExperimentConfig.stage2, parser["training"]),
+        tasks=tuple(tasks),
     )
-    for name in parser.sections():
-        unknown = sorted(k for k in parser[name] if (name, k) not in read)
-        if unknown:
-            raise ConfigError(f"unknown keys in [{name}]: {', '.join(unknown)}")
-    return ExperimentConfig(**fields)
 
 
 # ---------------------------------------------------------------------------

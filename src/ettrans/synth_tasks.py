@@ -90,6 +90,8 @@ class TaskSpec:
                 raise GenerationError(
                     f"sequence task {self.task_id!r} needs at least 2 channels"
                 )
+        elif (self.horizon, self.n_verbs, self.n_nouns) != (0, 0, 0):
+            raise GenerationError(f"{self.kind} task {self.task_id!r} sets a sequence-only size")
 
 
 @dataclass

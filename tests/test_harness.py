@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import struct
 import subprocess
 import sys
@@ -129,12 +130,96 @@ def test_load_default_config_fields():
     assert config.primary.task_id == "primary"
     assert config.primary.corr_rho == 1.0
     assert [spec.task_id for spec in config.tasks] == ["primary", "aux_binary", "aux_loc"]
-    assert config.d_model % config.n_heads == 0
+    assert config.translator.d_model % config.translator.n_heads == 0
     tconf = config.translator_config("translator")
     assert tconf.task_dims[0][0] == "primary"
     assert tconf.total_tokens == sum(t for _, t, _ in tconf.task_dims)
     only = config.translator_config("primary_only")
     assert only.task_ids == ("primary",)
+
+
+# every key that has no default, and nothing else
+REQUIRED_ONLY_CFG = """
+[experiment]
+duration_s = 2.0
+fps = 4.0
+n_channels = 3
+
+[task:primary]
+kind = binary
+channels = 0-2
+noise_sigma = 1.0
+corr_rho = 1.0
+native_fps = 4.0
+native_window_s = 2.0
+"""
+
+
+def test_a_key_left_out_keeps_its_default_and_a_key_set_reads_back(tmp_path):
+    bare = harness.load_config(write_cfg(tmp_path, REQUIRED_ONLY_CFG, "bare.cfg"))
+    assert (bare.name, bare.arms, bare.seeds) == ("experiment", ("translator", "primary_only"), 3)
+    assert (bare.n_train, bare.n_val, bare.n_test) == (1024, 256, 512)
+    assert bare.translator == harness.TranslatorShape(
+        d_model=32, n_layers=2, n_heads=4, d_ff=64, norm_first=True
+    )
+    stage1_defaults = dict(
+        lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, batch_size=32, max_epochs=50, patience=10
+    )
+    assert bare.stage1 == training.TrainHyper(**stage1_defaults)
+    stage2_defaults = {**stage1_defaults, "max_epochs": 40, "patience": 8}
+    assert bare.stage2 == training.TrainHyper(**stage2_defaults)
+    (task,) = bare.tasks
+    assert (task.signal, task.horizon, task.n_verbs, task.n_nouns) == (0.5, 0, 0, 0)
+    assert (task.feature_dim, task.hidden, task.stride_s) == (8, 16, task.native_window_s)
+
+    # every key of every record, each at a value that is not its default
+    values = {
+        "experiment": dict(
+            name="every_key", arms=("frozen_random_ablation", "translator"), seeds=2,
+            n_train=40, n_val=20, n_test=30, duration_s=3.0, fps=4.0, n_channels=7,
+        ),
+        "translator": dict(d_model=12, n_layers=3, n_heads=3, d_ff=20, norm_first=False),
+        "training": dict(
+            lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6, batch_size=8, max_epochs=7, patience=3
+        ),
+        "task:primary": dict(
+            kind="sequence", channels=(0, 1, 2, 5), noise_sigma=0.3, corr_rho=1.0,
+            native_fps=2.0, native_window_s=1.5, signal=0.7, horizon=2, n_verbs=3, n_nouns=4,
+            stride_s=0.5, feature_dim=5, hidden=9,
+        ),
+    }
+    stage1 = dict(lr=0.02, beta1=0.85, beta2=0.98, eps=1e-7, batch_size=4, max_epochs=6, patience=2)
+    keys = {name: dict(section) for name, section in values.items()}
+    keys["training"].update({f"stage1_{k}": v for k, v in stage1.items()})
+    text = "".join(
+        f"[{name}]\n"
+        + "".join(
+            f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for k, v in section.items()
+        )
+        for name, section in keys.items()
+    )
+    config = harness.load_config(write_cfg(tmp_path, text, "every.cfg"))
+    records = {
+        "experiment": config,
+        "translator": config.translator,
+        "training": config.stage2,
+        "task:primary": config.primary,
+    }
+    for name, section in values.items():
+        assert {k: getattr(records[name], k) for k in section} == section
+    assert config.stage1 == training.TrainHyper(**stage1)
+    for record in [*records.values(), config.stage1]:
+        for field in dataclasses.fields(record):
+            assert getattr(record, field.name) != field.default, field.name
+
+    stage2_only = REQUIRED_ONLY_CFG.replace(
+        "[task:primary]", "[training]\nmax_epochs = 5\n\n[task:primary]"
+    )
+    config = harness.load_config(write_cfg(tmp_path, stage2_only, "stage2.cfg"))
+    assert config.stage2 == dataclasses.replace(bare.stage2, max_epochs=5)
+    assert config.stage2.patience == 8
+    assert config.stage1 == training.TrainHyper()
 
 
 def test_config_hash_stable_under_key_and_section_reordering(tmp_path):
@@ -172,21 +257,43 @@ def test_config_hash_changes_with_values(tmp_path):
 @pytest.mark.parametrize(
     "mutation",
     [
-        ("arms = translator, primary_only", "arms = translator, warp_drive"),
-        ("channels = 3-5", "channels = 2-5"),  # overlaps primary group
-        ("n_heads = 2", "n_heads = 3"),  # does not divide d_model
-        ("native_fps = 2.0\nnative_window_s = 1.0", "native_fps = 8.0\nnative_window_s = 1.0"),
-        ("corr_rho = 1.0", "corr_rho = 0.5"),  # primary must be fully correlated
-        ("n_train = 48", "n_train = 0"),
-        ("duration_s = 2.0", ""),  # required key removed
-        ("arms = translator, primary_only", "arms ="),
-        ("arms = translator, primary_only", "arms = translator, translator"),
+        ("arms = translator, primary_only", "arms = translator, warp_drive", "unknown arm"),
+        ("channels = 3-5", "channels = 2-5", "reuses channels"),  # overlaps primary group
+        ("n_heads = 2", "n_heads = 3", "not divisible"),  # does not divide d_model
+        ("native_fps = 2.0\nnative_window_s = 1.0", "native_fps = 8.0\nnative_window_s = 1.0",
+         "cannot resample"),
+        ("corr_rho = 1.0", "corr_rho = 0.5", "must have corr_rho = 1"),  # primary fully correlated
+        ("n_train = 48", "n_train = 0", "split sizes"),
+        ("duration_s = 2.0", "", "missing key 'duration_s'"),  # required key removed
+        ("arms = translator, primary_only", "arms =", "no arms"),
+        ("arms = translator, primary_only", "arms = translator, translator", "arms repeat"),
+        # a key of another section, or of no section
+        ("n_channels = 6", "n_channels = 6\nd_model = 8", "unknown keys in [experiment]: d_model"),
+        ("stage1_patience = 2", "stage1_patience = 2\nstage1_foo = 1",
+         "unknown keys in [training]: stage1_foo"),
+        ("feature_dim = 4", "feature_dim = 4\nwidth = 3", "unknown keys in [task:helper]: width"),
+        # the section name gives the task id; the section does not
+        ("[task:helper]", "[task:helper]\ntask_id = other",
+         "unknown keys in [task:helper]: task_id"),
+        ("[translator]", "[translater]", "unknown section [translater]"),
+        ("[experiment]", "[DEFAULT]\nhidden = 32\n\n[experiment]", "unknown section [DEFAULT]"),
+        ("d_ff = 16", "d_ff = 16\nnorm_first = maybe", "norm_first = 'maybe' is not a valid bool"),
+        ("n_train = 48", "n_train = 48.5", "n_train = '48.5' is not a valid int"),
+        ("lr = 0.003", "lr = inf", "lr = 'inf' is not a finite number"),
+        ("signal = 0.2", "signal = nan", "signal = 'nan' is not a finite number"),
+        ("[task:helper]\nkind = binary\n", "[task:helper]\n", "missing key 'kind'"),
+        ("[task:helper]\nkind = binary", "[task:helper]\nkind = binary\nhorizon = 3",
+         "binary task 'helper' sets a sequence-only size"),
+        # a misspelt key is named, not the default it leaves in place (6 over 4 heads)
+        ("d_model = 8\nn_layers = 1\nn_heads = 2", "d_model = 6\nn_layers = 1\nn_head = 2",
+         "unknown keys in [translator]: n_head"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation):
-    old, new = mutation
+    old, new, message = mutation
+    assert TINY_CFG.count(old) == 1
     broken = TINY_CFG.replace(old, new)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         harness.load_config(write_cfg(tmp_path, broken))
 
 
@@ -300,9 +407,13 @@ def test_every_accepted_config_gives_each_localization_task_two_labels(
     primary = dataclasses.replace(
         primary, native_fps=native_fps, native_window_s=native_window_s, stride_s=native_window_s
     )
+    # a localization helper keeps none of the sequence helper's sizes
+    sizes = dict(horizon=0, n_verbs=0, n_nouns=0)
+    if helper_kind == task_models.KIND_SEQUENCE:
+        sizes = {}
     helper = dataclasses.replace(
         helper, kind=helper_kind, native_fps=helper_fps, native_window_s=helper_window_s,
-        stride_s=helper_window_s,
+        stride_s=helper_window_s, **sizes,
     )
     try:
         config = dataclasses.replace(
@@ -875,6 +986,14 @@ def test_cli_run_with_a_noiseless_primary_reports_a_combined_ceiling_of_one(tmp_
     aggregate = json.loads((out / "aggregate.json").read_text())
     assert aggregate["bayes"]["primary_only_ceiling"] == 1.0
     assert aggregate["bayes"]["combined_ceiling"] == 1.0
+
+
+def test_cli_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY_CFG.replace("name = tiny", "name = caf\xe9").encode("latin-1"))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_is_exit_2(tmp_path, capsys):
