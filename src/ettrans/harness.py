@@ -2,9 +2,11 @@
 
 A config is one ``ExperimentConfig`` and each config section one record, read
 by its field types: ``[experiment]`` the config's own fields, ``[translator]``
-a ``TranslatorShape``, ``[training]`` the ``TrainHyper`` of stage 2 and, keys
-prefixed ``stage1_``, of stage 1, and each ``[task:<id>]`` a ``TaskSpec``, the
-primary first. Making a config checks that a run over its tasks can go through.
+a ``translator.TranslatorShape``, ``[training]`` the ``TrainHyper`` of stage 2
+and, keys prefixed ``stage1_``, of stage 1, and each ``[task:<id>]`` a
+``TaskSpec``, the primary first. Each record checks its own fields, and a
+refusal is read as a ``ConfigError`` that names its section. Making a config
+checks that a run over its tasks can go through.
 
 A run executes, per seed: generate data, then stage-1-train and freeze each
 task model the arms need, and extract (through the cache) each needed task's
@@ -57,17 +59,6 @@ _SECTION_RE = re.compile(r"experiment|translator|training|task:[A-Za-z0-9_\-]+")
 # configuration
 
 
-@dataclass(frozen=True)
-class TranslatorShape:
-    """The ``[translator]`` section: the encoder every arm's translator uses."""
-
-    d_model: int = 32
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 64
-    norm_first: bool = True
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One experiment. Making one, by ``load_config`` or by
@@ -84,7 +75,7 @@ class ExperimentConfig:
     duration_s: float
     fps: float
     n_channels: int
-    translator: TranslatorShape = TranslatorShape()
+    translator: tr.TranslatorShape = tr.TranslatorShape()
     stage2: tg.TrainHyper = tg.TrainHyper(max_epochs=40, patience=8)
     stage1: tg.TrainHyper = tg.TrainHyper()
     tasks: tuple[st.TaskSpec, ...]
@@ -116,10 +107,6 @@ class ExperimentConfig:
                 st.check_frame_count(self.tasks, frame_count(spec.native_fps, spec.native_window_s))
             except (AlignmentError, st.GenerationError) as exc:
                 raise ConfigError(f"task {spec.task_id!r}: {exc}") from exc
-        try:
-            self.translator_config("translator")
-        except ValueError as exc:
-            raise ConfigError(f"[translator]: {exc}") from exc
 
     @property
     def primary(self) -> st.TaskSpec:
@@ -136,11 +123,11 @@ class ExperimentConfig:
         p = self.primary
         return tr.TranslatorConfig(
             task_dims=dims,
+            shape=self.translator,
             decoder_kind=p.kind,
             horizon=p.horizon,
             n_verbs=p.n_verbs,
             n_nouns=p.n_nouns,
-            **asdict(self.translator),
         )
 
     def canonical_dict(self) -> dict:
@@ -213,7 +200,8 @@ def _read(record, section, prefix="", /, **given):
     config ``section``: each field not ``given`` from the key ``prefix +
     name``, cast by the field's type and taken out of the section. A field
     with no default must be set. A read with no prefix is its section's
-    last, so a key it leaves is unknown."""
+    last, so a key it leaves is unknown. A record that refuses its values
+    with a ``ValueError`` raises a ``ConfigError`` that names the section."""
     cls = record if isinstance(record, type) else type(record)
     hints = get_type_hints(cls)
     values = {}
@@ -228,9 +216,14 @@ def _read(record, section, prefix="", /, **given):
             raise ConfigError(f"missing key {key!r} in section [{section.name}]")
     if not prefix and len(section):
         raise ConfigError(f"unknown keys in [{section.name}]: {', '.join(sorted(section))}")
-    if record is cls:
-        return cls(**given, **values)
-    return replace(record, **values)
+    try:
+        if record is cls:
+            return cls(**given, **values)
+        return replace(record, **values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}]: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -252,17 +245,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 f"unknown section [{name}]; use [experiment], [translator], [training] or "
                 "[task:<id>], an <id> of letters, digits, _ and -"
             )
-    tasks = []
-    for name in [s for s in parser.sections() if s.startswith("task:")]:
-        try:
-            tasks.append(_read(st.TaskSpec, parser[name], task_id=name.removeprefix("task:")))
-        except st.GenerationError as exc:
-            raise ConfigError(f"[{name}]: {exc}") from exc
-
+    tasks = [
+        _read(st.TaskSpec, parser[name], task_id=name.removeprefix("task:"))
+        for name in parser.sections()
+        if name.startswith("task:")
+    ]
     return _read(
         ExperimentConfig,
         parser["experiment"],
-        translator=_read(TranslatorShape, parser["translator"]),
+        translator=_read(tr.TranslatorShape, parser["translator"]),
         # stage 1 first: stage 2's unprefixed read takes the rest of [training]
         stage1=_read(tg.TrainHyper(), parser["training"], "stage1_"),
         stage2=_read(ExperimentConfig.stage2, parser["training"]),
@@ -672,12 +663,6 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         err = nn.grad_check(enc_loss, enc_params)
         record(f"grad_encoder_layer_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
 
-        def post_norm_loss(p):
-            return nn.mean_all(nn.encoder_layer(p["tokens"], p, "", 2, norm_first=False))
-
-        err = nn.grad_check(post_norm_loss, enc_params)
-        record(f"grad_encoder_layer_post_norm_seed{seed}", err < 1e-4, f"rel_err={err:.2e}")
-
         # a batch of three 3-token sequences in one layer, each attending
         # only to itself, read out with unequal weights; drawn from their own
         # generator so the checks below keep their points
@@ -717,9 +702,9 @@ def check_suite(n_seeds: int = 3) -> list[tuple[str, bool, str]]:
         # a 3-sample translator graph as in stage 2: per-sample attention,
         # the localization primary span cut per sample and the row-batched
         # loss, at a generic point
+        shape = tr.TranslatorShape(d_model=4, n_layers=1, n_heads=2, d_ff=8)
         tconfig = tr.TranslatorConfig(
-            task_dims=(("p", 3, 2), ("a", 2, 3)), d_model=4, n_layers=1, n_heads=2,
-            d_ff=8, decoder_kind=tm.KIND_LOCALIZATION,
+            (("p", 3, 2), ("a", 2, 3)), shape, decoder_kind=tm.KIND_LOCALIZATION
         )
         tparams = nn.ParamSet()
         for name, param in tr.init_translator_params(tconfig, rng).items():

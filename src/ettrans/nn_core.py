@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ContractViolationError, DimensionError
 
 Array = np.ndarray
 
@@ -771,14 +771,14 @@ def multi_head_attention(
 
 
 def encoder_layer(
-    x, leaves: Mapping[str, Tensor], prefix: str, n_heads: int, norm_first: bool = True,
+    x, leaves: Mapping[str, Tensor], prefix: str, n_heads: int,
     weights_out: list | None = None,
 ) -> Tensor:
-    """One transformer encoder layer over a (T x D) token sequence or a
-    (samples x T x D) batch of them; pre-norm residual by default. Only
-    attention mixes rows, and it stays within each sample. The layer reads
-    its parameters as ``leaves[prefix + name]`` for each name in
-    ``ENCODER_PARAM_LAYOUT``.
+    """One pre-norm transformer encoder layer over a (T x D) token sequence
+    or a (samples x T x D) batch of them: attention, then feed-forward, each
+    adds its output on its layer-normed input to that input. Only attention
+    mixes rows, within each sample. The layer reads its parameters as
+    ``leaves[prefix + name]`` for each name in ``ENCODER_PARAM_LAYOUT``.
 
     The layer is one graph node: the forward pass chains the numpy kernels
     on the batch flattened to (samples*T x D) and one analytic VJP covers
@@ -798,11 +798,8 @@ def encoder_layer(
     g1, g2 = p["ln1_gamma"], p["ln2_gamma"]
     xv = x.value.reshape(-1, d)
 
-    # attention block: pre-norm adds to x, post-norm normalizes the sum
-    if norm_first:
-        attn_in, ln1 = _layer_norm_forward(xv, g1, p["ln1_beta"], LAYER_NORM_EPS)
-    else:
-        attn_in = xv
+    # attention block
+    attn_in, ln1 = _layer_norm_forward(xv, g1, p["ln1_beta"], LAYER_NORM_EPS)
     qkv = attn_in @ w_qkv
     qkv += b_qkv
     attended, attn_saved = _attention_forward(
@@ -811,47 +808,32 @@ def encoder_layer(
     h = attended @ wo
     h += p["bo"]
     h += xv
-    if norm_first:
-        ffn_in, ln2 = _layer_norm_forward(h, g2, p["ln2_beta"], LAYER_NORM_EPS)
-    else:
-        h, ln1 = _layer_norm_forward(h, g1, p["ln1_beta"], LAYER_NORM_EPS)
-        ffn_in = h
 
     # feed-forward block
+    ffn_in, ln2 = _layer_norm_forward(h, g2, p["ln2_beta"], LAYER_NORM_EPS)
     hidden = ffn_in @ w1
     hidden += p["ffn_b1"]
     act, gelu_saved = _gelu_forward(hidden)
     out = act @ w2
     out += p["ffn_b2"]
     out += h
-    if not norm_first:
-        out, ln2 = _layer_norm_forward(out, g2, p["ln2_beta"], LAYER_NORM_EPS)
 
     def vjp(g: Array) -> None:
-        # d_out: gradient at the second residual sum; d_h: at h, the first
-        # residual sum for pre-norm and its normalized value for post-norm
-        g = g.reshape(-1, d)
-        if norm_first:
-            d_out = g
-        else:
-            d_out, d_g2, d_be2 = _layer_norm_backward(g, ln2, g2)
+        # d_out: gradient at the output, the second residual sum; d_h: at h, the first
+        d_out = g.reshape(-1, d)
         d_hidden = _gelu_backward(d_out @ w2.T, hidden, gelu_saved)
         d_h = d_hidden @ w1.T
         grads = {
             "ffn_w2": act.T @ d_out, "ffn_b2": d_out.sum(axis=0),
             "ffn_w1": ffn_in.T @ d_hidden, "ffn_b1": d_hidden.sum(axis=0),
         }
-        if norm_first:
-            d_h, d_g2, d_be2 = _layer_norm_backward(d_h, ln2, g2)
+        d_h, d_g2, d_be2 = _layer_norm_backward(d_h, ln2, g2)
         d_h += d_out
-        if not norm_first:  # now at the first residual sum
-            d_h, d_g1, d_be1 = _layer_norm_backward(d_h, ln1, g1)
         d_qkv = _attention_backward(d_h @ wo.T, attn_saved)
         d_w_qkv = attn_in.T @ d_qkv
         d_b_qkv = d_qkv.sum(axis=0)
         d_x = d_qkv @ w_qkv.T
-        if norm_first:
-            d_x, d_g1, d_be1 = _layer_norm_backward(d_x, ln1, g1)
+        d_x, d_g1, d_be1 = _layer_norm_backward(d_x, ln1, g1)
         d_x += d_h
         grads.update(
             wq=d_w_qkv[:, :d], wk=d_w_qkv[:, d : 2 * d], wv=d_w_qkv[:, 2 * d :],
@@ -877,9 +859,9 @@ def grad_check(
 ) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
-    ``f`` maps leaf tensors (from ``params.as_tensors()``; ``params`` must not
-    be frozen) to a scalar and must be pure. Each entry of ``params.values``
-    is perturbed in turn. Returns the max over checked entries of
+    ``f`` maps leaf tensors (from ``params.as_tensors()``; a frozen
+    ``params`` raises ``ContractViolationError``) to a scalar and must be
+    pure. Each entry of ``params.values`` is perturbed in turn. Returns the max over checked entries of
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
 
     An entry whose analytic and numeric values both lie below the central
@@ -887,6 +869,8 @@ def grad_check(
     in f over eps), agrees with a zero gradient to within roundoff and counts
     as 0; every other entry is judged by the relative measure.
     """
+    if params.frozen:
+        raise ContractViolationError("grad_check on a frozen parameter set")
     leaves = params.as_tensors()
     out = f(leaves)
     base = float(out.value)

@@ -10,7 +10,7 @@ time, and the primary task kind's head from ``task_models`` (under the
 the primary task's rows. A group of samples runs as one graph: each task's
 features arrive as one (samples x frames x feature_dim) array, every graph
 value keeps the samples as its leading axis and attention stays within each
-sample.
+sample. ``TranslatorShape`` sizes the pre-norm encoder and owns its rules.
 Only parameters created here receive gradients; upstream task models stay
 frozen.
 """
@@ -29,6 +29,28 @@ from .temporal_align import FeatureSequence, FrameSeq, extract_features, plan_wi
 
 
 @dataclass(frozen=True)
+class TranslatorShape:
+    """The ``[translator]`` section: the encoder every arm's translator uses.
+    Its layers are pre-norm, so ``norm_first`` must be true."""
+
+    d_model: int = 32
+    n_layers: int = 2
+    n_heads: int = 4
+    d_ff: int = 64
+    norm_first: bool = True
+
+    def __post_init__(self):
+        if min(self.d_model, self.n_layers, self.n_heads, self.d_ff) < 1:
+            raise ValueError("d_model, n_layers, n_heads and d_ff must all be >= 1")
+        if self.d_model % self.n_heads != 0:
+            raise DimensionError(
+                f"d_model {self.d_model} not divisible by {self.n_heads} heads"
+            )
+        if not self.norm_first:
+            raise ValueError("norm_first must be true: the encoder layers are pre-norm")
+
+
+@dataclass(frozen=True)
 class TranslatorConfig:
     """Architecture of one translator instance.
 
@@ -37,26 +59,16 @@ class TranslatorConfig:
     """
 
     task_dims: tuple[tuple[str, int, int], ...]
-    d_model: int
-    n_layers: int
-    n_heads: int
-    d_ff: int
+    shape: TranslatorShape
     decoder_kind: str
     horizon: int = 0
     n_verbs: int = 0
     n_nouns: int = 0
-    norm_first: bool = True
 
     def __post_init__(self):
         ids = [t for t, _, _ in self.task_dims]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate task ids: {ids}")
-        if min(self.d_model, self.n_layers, self.n_heads, self.d_ff) < 1:
-            raise ValueError("d_model, n_layers, n_heads and d_ff must all be >= 1")
-        if self.d_model % self.n_heads != 0:
-            raise DimensionError(
-                f"d_model {self.d_model} not divisible by {self.n_heads} heads"
-            )
         if self.decoder_kind not in task_models.TASK_KINDS:
             raise ValueError(f"unknown decoder kind: {self.decoder_kind!r}")
         if self.decoder_kind == task_models.KIND_SEQUENCE:
@@ -80,15 +92,16 @@ def init_translator_params(config: TranslatorConfig, rng: np.random.Generator) -
     def w(shape):
         return rng.normal(0.0, nn.WEIGHT_INIT_STD, size=shape)
 
+    shape = config.shape
     params = nn.ParamSet()
     for task_id, _, d_k in config.task_dims:
-        params.add(f"proj/{task_id}", w((d_k, config.d_model)))
-    params.add("task_pos", w((config.total_tokens, config.d_model)))
-    for layer in range(config.n_layers):
-        for name, arr in nn.init_encoder_layer_arrays(rng, config.d_model, config.d_ff).items():
+        params.add(f"proj/{task_id}", w((d_k, shape.d_model)))
+    params.add("task_pos", w((config.total_tokens, shape.d_model)))
+    for layer in range(shape.n_layers):
+        for name, arr in nn.init_encoder_layer_arrays(rng, shape.d_model, shape.d_ff).items():
             params.add(f"enc{layer}/{name}", arr)
     task_models.add_head_params(
-        params, "dec", config.decoder_kind, config.d_model, rng,
+        params, "dec", config.decoder_kind, shape.d_model, rng,
         config.horizon, config.n_verbs, config.n_nouns,
     )
     return params
@@ -125,10 +138,8 @@ def translate(
             )
         blocks.append(nn.linear(values, leaves[f"proj/{task_id}"]))
     h = nn.add(nn.concat_rows(blocks), leaves["task_pos"])
-    for layer in range(config.n_layers):
-        h = nn.encoder_layer(
-            h, leaves, f"enc{layer}/", config.n_heads, config.norm_first, weights_out
-        )
+    for layer in range(config.shape.n_layers):
+        h = nn.encoder_layer(h, leaves, f"enc{layer}/", config.shape.n_heads, weights_out)
     if config.decoder_kind == task_models.KIND_LOCALIZATION:
         h = nn.slice_rows(h, 0, config.task_dims[0][1])
     return task_models.head_graph(h, leaves, config.decoder_kind, "dec")

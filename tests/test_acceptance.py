@@ -173,7 +173,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
     worst_full = 0.0
     dims = (("p", 4, 4), ("a", 2, 5), ("b", 2, 6))
     cfg = tr.TranslatorConfig(
-        dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+        dims, shape=tr.TranslatorShape(d_model=8, n_layers=2, n_heads=2, d_ff=16),
         decoder_kind=tm.KIND_BINARY,
     )
     for seed in range(10):
@@ -210,7 +210,7 @@ def test_criterion_4_gradient_suite_10_seeds_under_60s():
 def test_criterion_5_task_block_permutation_property():
     dims = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
     cfg = tr.TranslatorConfig(
-        dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+        dims, shape=tr.TranslatorShape(d_model=8, n_layers=2, n_heads=2, d_ff=16),
         decoder_kind=tm.KIND_BINARY,
     )
     rng = np.random.default_rng(0)
@@ -227,8 +227,8 @@ def test_criterion_5_task_block_permutation_property():
     logits = []
     for order in itertools.permutations(cfg.task_ids):
         h = nn.add(nn.concat_rows([projected[t] for t in order]), leaves["task_pos"])
-        for i in range(cfg.n_layers):
-            h = nn.encoder_layer(h, leaves, f"enc{i}/", cfg.n_heads, cfg.norm_first)
+        for i in range(cfg.shape.n_layers):
+            h = nn.encoder_layer(h, leaves, f"enc{i}/", cfg.shape.n_heads)
         logits.append(tm.head_graph(h, leaves, tm.KIND_BINARY, "dec").item())
     spread = max(logits) - min(logits)
     report(
@@ -373,7 +373,8 @@ def test_criterion_9_overfit_sanity(kind, lr):
     t_p = split[0]["p"].n_frames
     # pooled width must exceed the sample count for raw memorization capacity
     config = tr.TranslatorConfig(
-        (("p", t_p, 8),), d_model=48, n_layers=1, n_heads=4, d_ff=64,
+        (("p", t_p, 8),),
+        shape=tr.TranslatorShape(d_model=48, n_layers=1, n_heads=4, d_ff=64),
         decoder_kind=kind, **extra,
     )
     params = tr.init_translator_params(config, np.random.default_rng(1))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-from ettrans import cli, harness, synth_tasks, task_models, training
+from ettrans import cli, harness, synth_tasks, task_models, training, translator
 from ettrans.errors import AlignmentError, CacheFormatError, CacheVersionError, ConfigError
 from ettrans.temporal_align import FeatureSequence, FrameSeq, frame_count, plan_windows, resample
 
@@ -159,7 +159,7 @@ def test_a_key_left_out_keeps_its_default_and_a_key_set_reads_back(tmp_path):
     bare = harness.load_config(write_cfg(tmp_path, REQUIRED_ONLY_CFG, "bare.cfg"))
     assert (bare.name, bare.arms, bare.seeds) == ("experiment", ("translator", "primary_only"), 3)
     assert (bare.n_train, bare.n_val, bare.n_test) == (1024, 256, 512)
-    assert bare.translator == harness.TranslatorShape(
+    assert bare.translator == translator.TranslatorShape(
         d_model=32, n_layers=2, n_heads=4, d_ff=64, norm_first=True
     )
     stage1_defaults = dict(
@@ -178,7 +178,7 @@ def test_a_key_left_out_keeps_its_default_and_a_key_set_reads_back(tmp_path):
             name="every_key", arms=("frozen_random_ablation", "translator"), seeds=2,
             n_train=40, n_val=20, n_test=30, duration_s=3.0, fps=4.0, n_channels=7,
         ),
-        "translator": dict(d_model=12, n_layers=3, n_heads=3, d_ff=20, norm_first=False),
+        "translator": dict(d_model=12, n_layers=3, n_heads=3, d_ff=20),
         "training": dict(
             lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6, batch_size=8, max_epochs=7, patience=3
         ),
@@ -211,7 +211,9 @@ def test_a_key_left_out_keeps_its_default_and_a_key_set_reads_back(tmp_path):
     assert config.stage1 == training.TrainHyper(**stage1)
     for record in [*records.values(), config.stage1]:
         for field in dataclasses.fields(record):
-            assert getattr(record, field.name) != field.default, field.name
+            # the layers are pre-norm only, so norm_first has no other value
+            if field.name != "norm_first":
+                assert getattr(record, field.name) != field.default, field.name
 
     stage2_only = REQUIRED_ONLY_CFG.replace(
         "[task:primary]", "[training]\nmax_epochs = 5\n\n[task:primary]"
@@ -287,6 +289,8 @@ def test_config_hash_changes_with_values(tmp_path):
         # a misspelt key is named, not the default it leaves in place (6 over 4 heads)
         ("d_model = 8\nn_layers = 1\nn_heads = 2", "d_model = 6\nn_layers = 1\nn_head = 2",
          "unknown keys in [translator]: n_head"),
+        ("d_ff = 16", "d_ff = 16\nnorm_first = false",
+         "[translator]: norm_first must be true: the encoder layers are pre-norm"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, mutation):
@@ -1039,6 +1043,7 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
         ("feature_dim = 5", "feature_dim = 0"),
         ("feature_dim = 5\nhidden = 8", "feature_dim = 5\nhidden = 0"),
         ("d_ff = 16", "d_ff = 16\nnorm_first = maybe"),
+        ("d_ff = 16", "d_ff = 16\nnorm_first = false"),
         ("[task:helper]", "[task:help.er]"),
         (TINY_CFG[TINY_CFG.index("[experiment]") : TINY_CFG.index("[translator]")], ""),
         ("n_channels = 6", "n_channels = 5"),
@@ -1055,7 +1060,7 @@ def test_cli_missing_config_is_exit_2(tmp_path, capsys):
          "channels_reversed_range", "duration_not_whole_at_native_fps", "native_fps_zero",
          "fps_nan", "duration_inf", "noise_sigma_nan", "signal_inf", "unknown_key",
          "unknown_section", "default_section", "feature_dim_zero", "hidden_zero",
-         "norm_first_not_boolean", "task_id_with_dot", "no_experiment_section",
+         "norm_first_not_boolean", "post_norm", "task_id_with_dot", "no_experiment_section",
          "channels_exceed_clip", "noise_sigma_negative", "unknown_kind", "empty_channel_list",
          "native_fps_above_clip", "signal_negative"],
 )

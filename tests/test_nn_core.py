@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 from scipy.special import expit
 
 from ettrans import nn_core as nn
-from ettrans.errors import DimensionError
+from ettrans.errors import ContractViolationError, DimensionError
 
 
 def rand_layer_arrays(rng, d, d_ff, scale=0.35):
@@ -319,21 +319,11 @@ def test_encoder_layer_permutation_equivariance_all_orders():
         assert np.abs(permuted - base[perm]).max() < 1e-6
 
 
-def test_encoder_layer_post_norm_variant_runs():
-    rng = np.random.default_rng(8)
-    p = rand_layer(rng, 8, 16)
-    x = rng.normal(size=(4, 8))
-    pre = nn.encoder_layer(nn.Tensor(x), p, "", 2, norm_first=True).value
-    post = nn.encoder_layer(nn.Tensor(x), p, "", 2, norm_first=False).value
-    assert pre.shape == post.shape == (4, 8)
-    assert not np.allclose(pre, post)
-
-
 # ---------------------------------------------------------------------------
 # fused encoder layer against the public-op composition
 
 
-def composed_encoder_layer(x, p, norm_first=True, weights_out=None):
+def composed_encoder_layer(x, p, weights_out=None):
     """The encoder layer, with 2 heads and leaves ``p`` under the empty
     prefix, as a composition of public graph ops: the reference the fused
     single-node ``encoder_layer`` must reproduce."""
@@ -341,16 +331,12 @@ def composed_encoder_layer(x, p, norm_first=True, weights_out=None):
     def feed_forward(h):
         return nn.linear(nn.gelu(nn.linear(h, p["ffn_w1"], p["ffn_b1"])), p["ffn_w2"], p["ffn_b2"])
 
-    if norm_first:
-        normed = nn.layer_norm(x, p["ln1_gamma"], p["ln1_beta"])
-        h = nn.add(x, nn.multi_head_attention(normed, p, "", 2, weights_out))
-        return nn.add(h, feed_forward(nn.layer_norm(h, p["ln2_gamma"], p["ln2_beta"])))
-    attended = nn.multi_head_attention(x, p, "", 2, weights_out)
-    h = nn.layer_norm(nn.add(x, attended), p["ln1_gamma"], p["ln1_beta"])
-    return nn.layer_norm(nn.add(h, feed_forward(h)), p["ln2_gamma"], p["ln2_beta"])
+    normed = nn.layer_norm(x, p["ln1_gamma"], p["ln1_beta"])
+    h = nn.add(x, nn.multi_head_attention(normed, p, "", 2, weights_out))
+    return nn.add(h, feed_forward(nn.layer_norm(h, p["ln2_gamma"], p["ln2_beta"])))
 
 
-def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
+def layer_value_and_grads(arrays, x0, readout, per_sample):
     """Value, input gradient, parameter gradients and captured attention of
     the fused layer over ``x0`` (one sample or a batch), or, with
     ``per_sample``, of ``composed_encoder_layer`` run on each sample alone,
@@ -359,7 +345,7 @@ def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
     weights = []
     if per_sample:
         inputs = [nn.Tensor(x, requires_grad=True) for x in x0.reshape((-1,) + x0.shape[-2:])]
-        outputs = [composed_encoder_layer(x, leaves, norm_first, weights) for x in inputs]
+        outputs = [composed_encoder_layer(x, leaves, weights) for x in inputs]
         readouts = readout.reshape((-1,) + readout.shape[-2:])
         terms = [nn.sum_all(nn.mul(out, r)) for out, r in zip(outputs, readouts)]
         total = terms[0]
@@ -370,7 +356,7 @@ def layer_value_and_grads(arrays, x0, readout, norm_first, per_sample):
         dx = np.stack([x.grad for x in inputs]).reshape(x0.shape)
     else:
         x = nn.Tensor(x0, requires_grad=True)
-        out = nn.encoder_layer(x, leaves, "", 2, norm_first, weights)
+        out = nn.encoder_layer(x, leaves, "", 2, weights)
         nn.sum_all(nn.mul(out, readout)).backward()
         value, dx = out.value, x.grad
     return value, dx, {k: t.grad for k, t in leaves.items()}, weights
@@ -381,18 +367,17 @@ def max_rel_diff(got, want):
 
 
 @pytest.mark.parametrize("n_samples", [1, 3])
-@pytest.mark.parametrize("norm_first", [True, False])
-def test_fused_encoder_layer_matches_public_op_composition(norm_first, n_samples):
+def test_fused_encoder_layer_matches_public_op_composition(n_samples):
     """One sample as a (T x D) value, three as a (3 x T x D) batch."""
-    rng = np.random.default_rng(40 + n_samples + 10 * norm_first)
+    rng = np.random.default_rng(50 + n_samples)
     arrays = rand_layer_arrays(rng, 8, 16)
     x0 = rng.normal(size=(n_samples, 5, 8))
     if n_samples == 1:
         x0 = x0[0]
     readout = rng.normal(size=x0.shape)
-    value, dx, grads, weights = layer_value_and_grads(arrays, x0, readout, norm_first, False)
+    value, dx, grads, weights = layer_value_and_grads(arrays, x0, readout, False)
     want_value, want_dx, want_grads, want_weights = layer_value_and_grads(
-        arrays, x0, readout, norm_first, True
+        arrays, x0, readout, True
     )
     assert value.shape == dx.shape == x0.shape
     assert max_rel_diff(value, want_value) <= 1e-12
@@ -408,9 +393,8 @@ def test_fused_encoder_layer_matches_public_op_composition(norm_first, n_samples
         np.testing.assert_allclose(got.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("norm_first", [True, False])
-def test_grad_check_fused_encoder_layer_three_sequences(norm_first):
-    rng = np.random.default_rng(60 + norm_first)
+def test_grad_check_fused_encoder_layer_three_sequences():
+    rng = np.random.default_rng(61)
     params = nn.ParamSet()
     for name, arr in rand_layer_arrays(rng, 8, 16).items():
         params.add(name, arr)
@@ -418,7 +402,7 @@ def test_grad_check_fused_encoder_layer_three_sequences(norm_first):
     readout = rng.normal(size=(3, 4, 8))
 
     def f(p):
-        out = nn.encoder_layer(p["tokens"], p, "", 2, norm_first)
+        out = nn.encoder_layer(p["tokens"], p, "", 2)
         return nn.sum_all(nn.mul(out, readout))
 
     assert nn.grad_check(f, params) < 1e-4
@@ -716,6 +700,21 @@ def test_grad_check_rejects_nonfinite_base_point():
     params.add("w", np.asarray(np.inf))
     with pytest.raises(ValueError):
         nn.grad_check(lambda p: nn.mul(p["w"], p["w"]), params)
+
+
+def test_grad_check_refuses_a_frozen_parameter_set_before_calling_f():
+    params = nn.ParamSet()
+    params.add("w", np.asarray(3.0))
+    params.frozen = True
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return nn.mul(p["w"], p["w"])
+
+    with pytest.raises(ContractViolationError, match="frozen parameter set"):
+        nn.grad_check(f, params)
+    assert calls == []
 
 
 def test_forward_operations_finite_on_extreme_inputs():

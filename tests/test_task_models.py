@@ -114,7 +114,8 @@ def head_cases(kind="binary", seed=0, width=5, **kw):
     """(params, prefix) of a stage-1 head and of a translator decoder."""
     model = make_model(kind, seed=seed, feature_dim=width, **kw)
     config = tr.TranslatorConfig(
-        (("p", 4, 3),), d_model=width, n_layers=1, n_heads=1, d_ff=4,
+        (("p", 4, 3),),
+        shape=tr.TranslatorShape(d_model=width, n_layers=1, n_heads=1, d_ff=4),
         decoder_kind=kind, **kw,
     )
     decoder = tr.init_translator_params(config, np.random.default_rng(seed))

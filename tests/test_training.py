@@ -308,7 +308,7 @@ def stage2_setup(seed=0, n=24):
     rng = np.random.default_rng(seed)
     dims = (("p", 4, 6),)
     config = tr.TranslatorConfig(
-        task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+        task_dims=dims, shape=tr.TranslatorShape(d_model=8, n_layers=1, n_heads=2, d_ff=16),
         decoder_kind=tm.KIND_BINARY,
     )
     samples = []
@@ -326,7 +326,7 @@ def _stage2_kind_setup(kind, seed, n=7):
     extra = dict(horizon=2, n_verbs=3, n_nouns=4) if kind == tm.KIND_SEQUENCE else {}
     dims = (("p", 24, 6), ("a", 16, 5))
     config = tr.TranslatorConfig(
-        task_dims=dims, d_model=8, n_layers=2, n_heads=2, d_ff=16,
+        task_dims=dims, shape=tr.TranslatorShape(d_model=8, n_layers=2, n_heads=2, d_ff=16),
         decoder_kind=kind, **extra,
     )
     params = tr.init_translator_params(config, rng)
@@ -401,7 +401,7 @@ def test_stage2_training_step_memory_at_the_dense_geometry():
     rng = np.random.default_rng(0)
     dims = (("p", 32, 8), ("a", 32, 8), ("b", 32, 8))
     config = tr.TranslatorConfig(
-        task_dims=dims, d_model=16, n_layers=2, n_heads=4, d_ff=32,
+        task_dims=dims, shape=tr.TranslatorShape(d_model=16, n_layers=2, n_heads=4, d_ff=32),
         decoder_kind=tm.KIND_LOCALIZATION,
     )
     assert tg._stage2_graph_samples(config) == 4

@@ -16,10 +16,7 @@ TOY_DIMS = (("p", 4, 6), ("a", 2, 10), ("b", 2, 14))
 def toy_config(decoder=tm.KIND_BINARY, dims=TOY_DIMS, **kw):
     return tr.TranslatorConfig(
         task_dims=dims,
-        d_model=8,
-        n_layers=2,
-        n_heads=2,
-        d_ff=16,
+        shape=tr.TranslatorShape(d_model=8, n_layers=2, n_heads=2, d_ff=16),
         decoder_kind=decoder,
         **kw,
     )
@@ -123,8 +120,8 @@ def test_translate_localization_scores_each_primary_frame_only():
 
     blocks = [nn.linear(feats[t], leaves[f"proj/{t}"]) for t in config.task_ids]
     h = nn.add(nn.concat_rows(blocks), leaves["task_pos"])
-    for layer in range(config.n_layers):
-        h = nn.encoder_layer(h, leaves, f"enc{layer}/", config.n_heads, config.norm_first)
+    for layer in range(config.shape.n_layers):
+        h = nn.encoder_layer(h, leaves, f"enc{layer}/", config.shape.n_heads)
     expected = h.value[:4] @ leaves["dec/w"].value + leaves["dec/b"].value
     np.testing.assert_array_equal(scores.value, expected)
 
@@ -195,14 +192,14 @@ def test_translate_matches_monolithic_reimplementation():
     v = {n: params[n].value for n in params.names()}
     z = np.vstack([feats[t].astype(np.float64) @ v[f"proj/{t}"] for t, _, _ in config.task_dims])
     z = z + v["task_pos"]
-    for l in range(config.n_layers):
+    for l in range(config.shape.n_layers):
         ln1 = mono_ln(z, v[f"enc{l}/ln1_gamma"], v[f"enc{l}/ln1_beta"])
         q = ln1 @ v[f"enc{l}/wq"] + v[f"enc{l}/bq"]
         k = ln1 @ v[f"enc{l}/wk"]
         val = ln1 @ v[f"enc{l}/wv"] + v[f"enc{l}/bv"]
-        dh = config.d_model // config.n_heads
+        dh = config.shape.d_model // config.shape.n_heads
         heads = []
-        for h in range(config.n_heads):
+        for h in range(config.shape.n_heads):
             sl = slice(h * dh, (h + 1) * dh)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
             w = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -220,7 +217,7 @@ def test_translate_pipeline_collapse_to_decoder():
     features plus the positional embedding."""
     dims = (("p", 4, 8),)
     config = tr.TranslatorConfig(
-        task_dims=dims, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+        task_dims=dims, shape=tr.TranslatorShape(d_model=8, n_layers=1, n_heads=2, d_ff=16),
         decoder_kind=tm.KIND_BINARY,
     )
     rng = np.random.default_rng(18)
@@ -254,7 +251,7 @@ def test_translate_validates_feature_shapes():
         tr.translate(group, params.as_tensors(train=False), config)
     # a positional embedding whose rows miss the token count fails in nn.add
     leaves = params.as_tensors(train=False)
-    leaves["task_pos"] = nn.Tensor(np.zeros((config.total_tokens - 1, config.d_model)))
+    leaves["task_pos"] = nn.Tensor(np.zeros((config.total_tokens - 1, config.shape.d_model)))
     with pytest.raises(DimensionError):
         tr.translate(toy_features(seed=20), leaves, config)
 
@@ -266,12 +263,12 @@ def test_translate_group_captures_attention_per_sample_and_layer():
     captured = []
     logits = tr.translate(stack_group(group), leaves, config, captured).value
     assert logits.shape == (3, 1)
-    assert len(captured) == config.n_layers * 3  # layer by layer, one array per sample
+    assert len(captured) == config.shape.n_layers * 3  # layer by layer, one array per sample
     for i, feats in enumerate(group):
         alone = []
         logit = tr.translate(feats, leaves, config, alone).item()
         assert logits[i, 0] == pytest.approx(logit, rel=1e-12, abs=1e-12)
-        for layer in range(config.n_layers):
+        for layer in range(config.shape.n_layers):
             assert captured[3 * layer + i].shape == (2, 8, 8)
             np.testing.assert_allclose(captured[3 * layer + i], alone[layer], atol=1e-12)
 
@@ -284,7 +281,8 @@ def test_forward_requires_frozen_models_and_keeps_them_bit_identical():
     model = tm.init_task_model(spec, np.random.default_rng(21))
     clip = FrameSeq(np.random.default_rng(22).normal(size=(8, 2)), fps=2.0, duration_s=4.0)
     config = tr.TranslatorConfig(
-        task_dims=(("p", 8, 6),), d_model=8, n_layers=1, n_heads=2, d_ff=16,
+        task_dims=(("p", 8, 6),),
+        shape=tr.TranslatorShape(d_model=8, n_layers=1, n_heads=2, d_ff=16),
         decoder_kind=tm.KIND_BINARY,
     )
     params = tr.init_translator_params(config, np.random.default_rng(23))
@@ -317,7 +315,6 @@ def test_config_rejects_bad_shapes_and_orders():
     with pytest.raises(ValueError, match="duplicate task ids"):
         toy_config(dims=(("p", 4, 6), ("a", 2, 10), ("p", 2, 14)))
     with pytest.raises(DimensionError):
-        tr.TranslatorConfig(TOY_DIMS, d_model=9, n_layers=1, n_heads=2, d_ff=4,
-                            decoder_kind=tm.KIND_BINARY)
+        tr.TranslatorShape(d_model=9, n_layers=1, n_heads=2, d_ff=4)
     with pytest.raises(ValueError):
         toy_config(decoder=tm.KIND_SEQUENCE)  # missing horizon/vocabs
